@@ -9,15 +9,15 @@
 //!
 //! The on-disk format is versioned JSON. `u64` keys are written as hex
 //! strings (a JSON number is an `f64` and loses integer precision past
-//! 2^53) and times with `{:?}` shortest-round-trip formatting, so a
-//! save → load → save cycle is byte-identical.
+//! 2^53) and times in shortest round-trip form (the shared
+//! [`mg_gpusim::json`] writer), so a save → load → save cycle is
+//! byte-identical.
 
 use crate::config::{ExecPolicy, TuneConfig};
 use mg_gpusim::json::{parse, Json};
 use mg_gpusim::DeviceSpec;
 use multigrain::{AttentionProblem, Method};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::Path;
 
 /// Format version of the persisted database. Bumped on any change to the
@@ -149,38 +149,30 @@ impl TuningDb {
 
     /// Serializes the database to its versioned JSON form.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"version\": {DB_VERSION},");
-        out.push_str("  \"entries\": [");
-        for (i, (key, entry)) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            let _ = write!(
-                out,
-                "\"pattern_sig\": \"{:#018x}\", \"len_bucket\": {}, \"device_fp\": \"{:#018x}\", ",
-                key.pattern_sig, key.len_bucket, key.device_fp
-            );
-            let _ = write!(
-                out,
-                "\"method\": \"{}\", \"block_size\": {}, \"exec\": \"{}\", ",
-                entry.config.method.name(),
-                entry.config.block_size,
-                entry.config.exec.label()
-            );
-            let _ = write!(
-                out,
-                "\"time_s\": {:?}, \"evals\": {}, \"tune_cost_s\": {:?}, \"strategy\": \"{}\"}}",
-                entry.time_s, entry.evals, entry.tune_cost_s, entry.strategy
-            );
-        }
-        if !self.entries.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
+        let hex = |v: u64| Json::from(format!("{v:#018x}"));
+        let entries = self
+            .entries
+            .iter()
+            .map(|(key, entry)| {
+                Json::obj([
+                    ("pattern_sig", hex(key.pattern_sig)),
+                    ("len_bucket", key.len_bucket.into()),
+                    ("device_fp", hex(key.device_fp)),
+                    ("method", entry.config.method.name().into()),
+                    ("block_size", entry.config.block_size.into()),
+                    ("exec", entry.config.exec.label().into()),
+                    ("time_s", entry.time_s.into()),
+                    ("evals", entry.evals.into()),
+                    ("tune_cost_s", entry.tune_cost_s.into()),
+                    ("strategy", entry.strategy.into()),
+                ])
+            })
+            .collect();
+        Json::obj([
+            ("version", u64::from(DB_VERSION).into()),
+            ("entries", Json::Arr(entries)),
+        ])
+        .to_pretty()
     }
 
     /// Parses a database from its JSON form.
@@ -408,6 +400,21 @@ mod tests {
         // Empty databases round-trip too.
         let empty = TuningDb::new();
         assert_eq!(TuningDb::from_json(&empty.to_json()).unwrap(), empty);
+    }
+
+    #[test]
+    fn the_previous_writer_layout_still_loads() {
+        // Written before the shared writer: every time printed with
+        // `{:?}`, so integral values carried a `.0`.
+        let text = "{\n  \"version\": 1,\n  \"entries\": [\n    \
+            {\"pattern_sig\": \"0x00000000deadbeef\", \"len_bucket\": 64, \
+            \"device_fp\": \"0x0000000000000003\", \"method\": \"Multigrain\", \
+            \"block_size\": 32, \"exec\": \"role-streams\", \"time_s\": 2.0, \
+            \"evals\": 23, \"tune_cost_s\": 46.0, \"strategy\": \"exhaustive\"}\n  ]\n}\n";
+        let mut expected = TuningDb::new();
+        expected.insert(key(0xdead_beef, 64, 3), entry(Method::Multigrain, 32, 2.0));
+        assert_eq!(TuningDb::from_json(text).expect("loads"), expected);
+        assert_eq!(text.replace(".0,", ","), expected.to_json());
     }
 
     #[test]

@@ -31,44 +31,17 @@
 use mg_autotune::{
     candidates, evaluate, tune, ExecPolicy, Strategy, TuneConfig, TuneEntry, TuneKey, TuningDb,
 };
+use mg_bench::cli::StudyArgs;
 use mg_bench::runners::{HEADS, HEAD_DIM, SEED};
 use mg_bench::{threads, Table};
 use mg_gpusim::DeviceSpec;
 use mg_patterns::presets;
 use mg_tensor::par;
 use multigrain::{AttentionProblem, Method};
+use std::process::ExitCode;
 use std::time::Instant;
 
 const PATTERN_NAMES: [&str; 6] = ["L+S", "L+R", "LB+R", "RB+R", "L+S+G", "LB+S+G"];
-
-struct Args {
-    smoke: bool,
-    threads: Option<usize>,
-    db_path: Option<String>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        smoke: false,
-        threads: None,
-        db_path: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--threads" => {
-                let n = it.next().ok_or("--threads needs a count")?;
-                args.threads = Some(n.parse().map_err(|_| format!("bad thread count: {n}"))?);
-            }
-            "--db" => {
-                args.db_path = Some(it.next().ok_or("--db needs a path")?);
-            }
-            other => return Err(format!("unknown argument: {other}")),
-        }
-    }
-    Ok(args)
-}
 
 /// The default coarse block for a sequence length (what the rest of the
 /// suite uses at that scale).
@@ -94,14 +67,15 @@ struct Cell {
     space: usize,
 }
 
-fn main() {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("autotune_study: {e}");
-            std::process::exit(2);
-        }
-    };
+fn main() -> ExitCode {
+    run().unwrap_or_else(|e| {
+        eprintln!("autotune_study: {e}");
+        ExitCode::from(2)
+    })
+}
+
+fn run() -> Result<ExitCode, String> {
+    let args = StudyArgs::parse(std::env::args().skip(1), &["--smoke", "--threads", "--db"])?;
     threads::init_threads(args.threads);
 
     let devices = [
@@ -221,7 +195,7 @@ fn main() {
                 amortize,
             ]);
         }
-        t.print();
+        print!("{}", t.render());
 
         // Aggregate view: a deployment must pick ONE fixed method for
         // all traffic; the tuner switches per cell. Sum over the grid.
@@ -291,11 +265,8 @@ fn main() {
         failures += 1;
     }
 
-    if let Some(path) = &args.db_path {
-        if let Err(e) = db.save(std::path::Path::new(path)) {
-            eprintln!("autotune_study: {e}");
-            std::process::exit(2);
-        }
+    if let Some(path) = &args.db {
+        db.save(std::path::Path::new(path))?;
         println!("tuning database ({} entries) written to {path}", db.len());
     }
     println!(
@@ -306,6 +277,7 @@ fn main() {
     );
     if failures > 0 {
         eprintln!("autotune_study: {failures} check(s) failed");
-        std::process::exit(1);
+        return Ok(ExitCode::FAILURE);
     }
+    Ok(ExitCode::SUCCESS)
 }

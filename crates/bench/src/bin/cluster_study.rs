@@ -38,49 +38,20 @@
 //! * `--threads N`   — pin the parallel layer to N threads.
 
 use mg_autotune::{tune, ExecPolicy, Strategy, TuneKey, TuningDb};
+use mg_bench::cli::{self, StudyArgs};
 use mg_bench::{threads, Table};
 use mg_cluster::{
     AdmissionConfig, AutoscaleConfig, ClusterConfig, ClusterReport, ClusterSim, FailureConfig,
     PoolConfig, Routing,
 };
+use mg_gpusim::digest::Fnv1a;
+use mg_gpusim::json::Json;
 use mg_gpusim::DeviceSpec;
 use mg_models::{ModelConfig, SparseTransformer};
 use mg_serve::{canonicalize, BatchPolicy, RequestClass, TrafficConfig};
 use multigrain::{AttentionProblem, Method};
+use std::process::ExitCode;
 use std::time::Instant;
-
-struct Args {
-    smoke: bool,
-    json: bool,
-    trace: Option<String>,
-    digest: Option<String>,
-    threads: Option<usize>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        smoke: false,
-        json: false,
-        trace: None,
-        digest: None,
-        threads: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--json" => args.json = true,
-            "--trace" => args.trace = Some(it.next().ok_or("--trace needs a path")?),
-            "--digest" => args.digest = Some(it.next().ok_or("--digest needs a path")?),
-            "--threads" => {
-                let n = it.next().ok_or("--threads needs a count")?;
-                args.threads = Some(n.parse().map_err(|_| format!("bad thread count: {n}"))?);
-            }
-            other => return Err(format!("unknown argument: {other}")),
-        }
-    }
-    Ok(args)
-}
 
 /// Offline-tunes every canonical problem the four classes produce for
 /// `model`, on every device in `devices` — the database the cluster
@@ -145,10 +116,6 @@ fn hetero_pools(workers: usize) -> Vec<PoolConfig> {
     ]
 }
 
-fn json_f(x: f64) -> String {
-    format!("{x:?}")
-}
-
 fn json_report(
     smoke: bool,
     model: &ModelConfig,
@@ -157,76 +124,80 @@ fn json_report(
     autoscale: &ClusterReport,
     overall_digest: u64,
 ) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"cluster_study\",\n");
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str(&format!("  \"model\": \"{}\",\n", model.name));
-    out.push_str("  \"runs\": [\n");
-    for (i, run) in runs.iter().enumerate() {
-        let r = &run.report;
-        out.push_str("    {");
-        out.push_str(&format!(
-            "\"class\": \"{}\", \"mode\": \"{}\", \"completed\": {}, \"shed_rate\": {}, \
-             \"lost\": {}, \"p50_s\": {}, \"p99_s\": {}, \"makespan_s\": {}, \
-             \"failures\": {}, \"redispatched\": {}, \"digest\": \"{:#018x}\",\n",
-            run.class,
-            run.mode,
-            r.completed(),
-            json_f(r.shed_rate()),
-            r.lost.len(),
-            json_f(r.p50()),
-            json_f(r.p99()),
-            json_f(r.makespan_s),
-            r.failures,
-            r.redispatched,
-            r.digest(),
-        ));
-        out.push_str("     \"pools\": [");
-        for (p, pool) in r.pools.iter().enumerate() {
-            out.push_str(&format!(
-                "{}{{\"device\": \"{}\", \"completed\": {}, \"busy_fraction\": {}}}",
-                if p > 0 { ", " } else { "" },
-                pool.device,
-                pool.completed,
-                json_f(r.pool_busy_fraction(p)),
-            ));
-        }
-        out.push_str(&format!(
-            "]}}{}\n",
-            if i + 1 < runs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"admission_demo\": {{\"completed\": {}, \"shed_rate\": {}, \"lost\": {}, \
-         \"digest\": \"{:#018x}\"}},\n",
-        admission.completed(),
-        json_f(admission.shed_rate()),
-        admission.lost.len(),
-        admission.digest(),
-    ));
-    out.push_str(&format!(
-        "  \"autoscale_demo\": {{\"completed\": {}, \"scale_ups\": {}, \"scale_downs\": {}, \
-         \"final_workers\": {}, \"digest\": \"{:#018x}\"}},\n",
-        autoscale.completed(),
-        autoscale.scale_ups,
-        autoscale.scale_downs,
-        autoscale.pools[0].workers,
-        autoscale.digest(),
-    ));
-    out.push_str(&format!("  \"digest\": \"{overall_digest:#018x}\"\n"));
-    out.push_str("}\n");
-    out
+    let hex = |d: u64| Json::from(format!("{d:#018x}"));
+    let runs = runs
+        .iter()
+        .map(|run| {
+            let r = &run.report;
+            let pools = r
+                .pools
+                .iter()
+                .enumerate()
+                .map(|(p, pool)| {
+                    Json::obj([
+                        ("device", pool.device.into()),
+                        ("completed", pool.completed.into()),
+                        ("busy_fraction", r.pool_busy_fraction(p).into()),
+                    ])
+                })
+                .collect();
+            Json::obj([
+                ("class", run.class.into()),
+                ("mode", run.mode.into()),
+                ("completed", r.completed().into()),
+                ("shed_rate", r.shed_rate().into()),
+                ("lost", r.lost.len().into()),
+                ("p50_s", r.p50().into()),
+                ("p99_s", r.p99().into()),
+                ("makespan_s", r.makespan_s.into()),
+                ("failures", r.failures.into()),
+                ("redispatched", r.redispatched.into()),
+                ("digest", hex(r.digest())),
+                ("pools", Json::Arr(pools)),
+            ])
+        })
+        .collect();
+    Json::obj([
+        ("bench", "cluster_study".into()),
+        ("smoke", smoke.into()),
+        ("model", model.name.into()),
+        ("runs", Json::Arr(runs)),
+        (
+            "admission_demo",
+            Json::obj([
+                ("completed", admission.completed().into()),
+                ("shed_rate", admission.shed_rate().into()),
+                ("lost", admission.lost.len().into()),
+                ("digest", hex(admission.digest())),
+            ]),
+        ),
+        (
+            "autoscale_demo",
+            Json::obj([
+                ("completed", autoscale.completed().into()),
+                ("scale_ups", autoscale.scale_ups.into()),
+                ("scale_downs", autoscale.scale_downs.into()),
+                ("final_workers", autoscale.pools[0].workers.into()),
+                ("digest", hex(autoscale.digest())),
+            ]),
+        ),
+        ("digest", hex(overall_digest)),
+    ])
+    .to_pretty()
 }
 
-fn main() {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("cluster_study: {e}");
-            std::process::exit(2);
-        }
-    };
+fn main() -> ExitCode {
+    run().unwrap_or_else(|e| {
+        eprintln!("cluster_study: {e}");
+        ExitCode::from(2)
+    })
+}
+
+fn run() -> Result<ExitCode, String> {
+    let args = StudyArgs::parse(
+        std::env::args().skip(1),
+        &["--smoke", "--json", "--trace", "--digest", "--threads"],
+    )?;
     threads::init_threads(args.threads);
 
     // Rates sit past the fleet's aggregate capacity so routing quality
@@ -348,7 +319,7 @@ fn main() {
             busy.join("/"),
         ]);
     }
-    t.print();
+    print!("{}", t.render());
 
     // The headline claim: tuned-affinity routing beats BOTH baselines on
     // makespan or p99 for at least one workload class.
@@ -450,20 +421,15 @@ fn main() {
 
     // One digest over every run, for the thread-invariance gate.
     let overall_digest = {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut digest = FNV_OFFSET;
+        let mut h = Fnv1a::new();
         for d in runs
             .iter()
             .map(|r| r.report.digest())
             .chain([admission_report.digest(), autoscale_report.digest()])
         {
-            for byte in d.to_le_bytes() {
-                digest ^= u64::from(byte);
-                digest = digest.wrapping_mul(FNV_PRIME);
-            }
+            h.write_u64(d);
         }
-        digest
+        h.finish()
     };
     println!(
         "\n{} runs in {:.3} s on {} thread(s); study digest {overall_digest:#018x}",
@@ -474,9 +440,9 @@ fn main() {
 
     if args.json {
         let path = "BENCH_6.json";
-        std::fs::write(
+        cli::write(
             path,
-            json_report(
+            &json_report(
                 args.smoke,
                 &model,
                 &runs,
@@ -484,8 +450,7 @@ fn main() {
                 &autoscale_report,
                 overall_digest,
             ),
-        )
-        .expect("BENCH_6.json is writable");
+        )?;
         println!("wrote {path}");
     }
     if let Some(path) = &args.digest {
@@ -501,16 +466,17 @@ fn main() {
         out.push_str(&format!("admission {:016x}\n", admission_report.digest()));
         out.push_str(&format!("autoscale {:016x}\n", autoscale_report.digest()));
         out.push_str(&format!("study {overall_digest:016x}\n"));
-        std::fs::write(path, out).expect("digest path is writable");
+        cli::write(path, &out)?;
         println!("wrote {path}");
     }
     if let Some(path) = &args.trace {
         let json = trace_json.expect("representative tuned run recorded");
-        std::fs::write(path, json).expect("trace path is writable");
+        cli::write(path, &json)?;
         println!("chrome trace written to {path}");
     }
     if check_failures > 0 {
         eprintln!("cluster_study: {check_failures} check(s) failed");
-        std::process::exit(1);
+        return Ok(ExitCode::FAILURE);
     }
+    Ok(ExitCode::SUCCESS)
 }

@@ -33,100 +33,69 @@
 //!   digest; byte-identical across thread counts.
 //! * `--threads N`   — pin the parallel layer to N threads.
 
+use mg_bench::cli::{self, StudyArgs};
 use mg_bench::{threads, Table};
 use mg_decode::{BatchingMode, DecodeConfig, DecodeReport, DecodeSim, DecodeTraffic};
+use mg_gpusim::digest::Fnv1a;
+use mg_gpusim::json::Json;
 use mg_gpusim::DeviceSpec;
 use mg_models::ModelConfig;
 use mg_serve::RequestClass;
+use std::process::ExitCode;
 use std::time::Instant;
-
-struct Args {
-    smoke: bool,
-    json: bool,
-    digest: Option<String>,
-    threads: Option<usize>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        smoke: false,
-        json: false,
-        digest: None,
-        threads: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--json" => args.json = true,
-            "--digest" => args.digest = Some(it.next().ok_or("--digest needs a path")?),
-            "--threads" => {
-                let n = it.next().ok_or("--threads needs a count")?;
-                args.threads = Some(n.parse().map_err(|_| format!("bad thread count: {n}"))?);
-            }
-            other => return Err(format!("unknown argument: {other}")),
-        }
-    }
-    Ok(args)
-}
 
 struct RunResult {
     class: &'static str,
     report: DecodeReport,
 }
 
-fn json_f(x: f64) -> String {
-    format!("{x:?}")
-}
-
 fn json_report(smoke: bool, model: &ModelConfig, runs: &[RunResult], overall: u64) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"decode_study\",\n");
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str(&format!("  \"model\": \"{}\",\n", model.name));
-    out.push_str("  \"runs\": [\n");
-    for (i, run) in runs.iter().enumerate() {
-        let r = &run.report;
-        out.push_str("    {");
-        out.push_str(&format!(
-            "\"class\": \"{}\", \"mode\": \"{}\", \"sessions\": {}, \"turns\": {}, \
-             \"decode_steps\": {}, \"decode_p50_s\": {}, \"decode_p99_s\": {}, \
-             \"prefill_p99_s\": {}, \"prefill_makespan_s\": {}, \"makespan_s\": {}, \
-             \"mean_decode_batch\": {}, \"decode_hit_rate\": {}, \"prefill_hit_rate\": {}, \
-             \"kv_growth_events\": {}, \"kv_bytes_copied\": {}, \"digest\": \"{:#018x}\"}}{}\n",
-            run.class,
-            r.mode.label(),
-            r.sessions,
-            r.turns,
-            r.decode_steps,
-            json_f(r.decode_p50()),
-            json_f(r.decode_p99()),
-            json_f(r.prefill_p99()),
-            json_f(r.prefill_makespan_s),
-            json_f(r.makespan_s),
-            json_f(r.mean_decode_batch()),
-            json_f(r.cache.decode_hit_rate()),
-            json_f(r.cache.prefill_hit_rate()),
-            r.kv.growth_events,
-            r.kv.bytes_copied,
-            r.digest(),
-            if i + 1 < runs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"digest\": \"{overall:#018x}\"\n"));
-    out.push_str("}\n");
-    out
+    let runs = runs
+        .iter()
+        .map(|run| {
+            let r = &run.report;
+            Json::obj([
+                ("class", run.class.into()),
+                ("mode", r.mode.label().into()),
+                ("sessions", r.sessions.into()),
+                ("turns", r.turns.into()),
+                ("decode_steps", r.decode_steps.into()),
+                ("decode_p50_s", r.decode_p50().into()),
+                ("decode_p99_s", r.decode_p99().into()),
+                ("prefill_p99_s", r.prefill_p99().into()),
+                ("prefill_makespan_s", r.prefill_makespan_s.into()),
+                ("makespan_s", r.makespan_s.into()),
+                ("mean_decode_batch", r.mean_decode_batch().into()),
+                ("decode_hit_rate", r.cache.decode_hit_rate().into()),
+                ("prefill_hit_rate", r.cache.prefill_hit_rate().into()),
+                ("kv_growth_events", r.kv.growth_events.into()),
+                ("kv_bytes_copied", r.kv.bytes_copied.into()),
+                ("digest", format!("{:#018x}", r.digest()).into()),
+            ])
+        })
+        .collect();
+    Json::obj([
+        ("bench", "decode_study".into()),
+        ("smoke", smoke.into()),
+        ("model", model.name.into()),
+        ("runs", Json::Arr(runs)),
+        ("digest", format!("{overall:#018x}").into()),
+    ])
+    .to_pretty()
 }
 
-fn main() {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("decode_study: {e}");
-            std::process::exit(2);
-        }
-    };
+fn main() -> ExitCode {
+    run().unwrap_or_else(|e| {
+        eprintln!("decode_study: {e}");
+        ExitCode::from(2)
+    })
+}
+
+fn run() -> Result<ExitCode, String> {
+    let args = StudyArgs::parse(
+        std::env::args().skip(1),
+        &["--smoke", "--json", "--digest", "--threads"],
+    )?;
     threads::init_threads(args.threads);
 
     // Session arrivals sit well inside one another's service times so
@@ -205,7 +174,7 @@ fn main() {
             r.kv.growth_events.to_string(),
         ]);
     }
-    t.print();
+    print!("{}", t.render());
 
     // The headline claims, per class: mixed batching wins the decode
     // tail against FIFO without regressing the prefill makespan, and
@@ -273,16 +242,11 @@ fn main() {
 
     // One digest over every run, for the thread-invariance gate.
     let overall_digest = {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut digest = FNV_OFFSET;
-        for d in runs.iter().map(|r| r.report.digest()) {
-            for byte in d.to_le_bytes() {
-                digest ^= u64::from(byte);
-                digest = digest.wrapping_mul(FNV_PRIME);
-            }
+        let mut h = Fnv1a::new();
+        for run in &runs {
+            h.write_u64(run.report.digest());
         }
-        digest
+        h.finish()
     };
     println!(
         "\n{} runs in {:.3} s on {} thread(s); study digest {overall_digest:#018x}",
@@ -293,8 +257,10 @@ fn main() {
 
     if args.json {
         let path = "BENCH_8.json";
-        std::fs::write(path, json_report(args.smoke, &model, &runs, overall_digest))
-            .expect("BENCH_8.json is writable");
+        cli::write(
+            path,
+            &json_report(args.smoke, &model, &runs, overall_digest),
+        )?;
         println!("wrote {path}");
     }
     if let Some(path) = &args.digest {
@@ -308,11 +274,12 @@ fn main() {
             ));
         }
         out.push_str(&format!("study {overall_digest:016x}\n"));
-        std::fs::write(path, out).expect("digest path is writable");
+        cli::write(path, &out)?;
         println!("wrote {path}");
     }
     if check_failures > 0 {
         eprintln!("decode_study: {check_failures} check(s) failed");
-        std::process::exit(1);
+        return Ok(ExitCode::FAILURE);
     }
+    Ok(ExitCode::SUCCESS)
 }

@@ -11,9 +11,11 @@
 //!   L512+S(0..16)+G(0..16)    Longformer-flavoured
 //!   LB128+R24@7               BigBird-flavoured
 
+use mg_bench::cli::{self, Flags};
 use mg_gpusim::{export_chrome_trace, render_timeline, DeviceSpec, Gpu};
 use mg_patterns::parse_pattern;
 use multigrain::{autotune_block_size, Attention, AttentionProblem, Method};
+use std::process::ExitCode;
 
 struct Args {
     pattern: String,
@@ -27,7 +29,8 @@ struct Args {
     autotune: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// `Ok(None)` when `--help` was asked for.
+fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         pattern: "L512+S(0..16)+G(0..16)".to_owned(),
         seq: 4096,
@@ -39,50 +42,44 @@ fn parse_args() -> Result<Args, String> {
         trace: None,
         autotune: false,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
+    let mut flags = Flags::new(std::env::args().skip(1));
+    while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--pattern" => args.pattern = value("--pattern")?,
-            "--seq" => args.seq = value("--seq")?.parse().map_err(|e| format!("--seq: {e}"))?,
-            "--heads" => {
-                args.heads = value("--heads")?
-                    .parse()
-                    .map_err(|e| format!("--heads: {e}"))?
-            }
-            "--batch" => {
-                args.batch = value("--batch")?
-                    .parse()
-                    .map_err(|e| format!("--batch: {e}"))?
-            }
-            "--block" => {
-                args.block = value("--block")?
-                    .parse()
-                    .map_err(|e| format!("--block: {e}"))?
-            }
+            "--pattern" => args.pattern = flags.value(&flag)?,
+            "--seq" => args.seq = flags.parse(&flag)?,
+            "--heads" => args.heads = flags.parse(&flag)?,
+            "--batch" => args.batch = flags.parse(&flag)?,
+            "--block" => args.block = flags.parse(&flag)?,
             "--device" => {
-                args.device = match value("--device")?.to_lowercase().as_str() {
+                args.device = match flags.value(&flag)?.to_lowercase().as_str() {
                     "a100" => DeviceSpec::a100(),
                     "rtx3090" | "3090" => DeviceSpec::rtx3090(),
-                    other => return Err(format!("unknown device '{other}'")),
+                    other => return Err(format!("--device: unknown device `{other}`")),
                 }
             }
             "--timeline" => args.timeline = true,
-            "--trace" => args.trace = Some(value("--trace")?),
+            "--trace" => args.trace = Some(flags.output(&flag)?),
             "--autotune" => args.autotune = true,
-            "--help" | "-h" => {
-                println!("see module docs: explore --pattern 'L512+G(0..16)' --seq 4096 ...");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag '{other}'")),
+            "--help" | "-h" => return Ok(None),
+            _ => return Err(cli::unknown(&flag)),
         }
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = parse_args().map_err(|e| format!("{e}\nrun with --help for usage"))?;
-    let pattern = parse_pattern(args.seq, &args.pattern)?;
+fn main() -> ExitCode {
+    run().unwrap_or_else(|e| {
+        eprintln!("explore: {e}");
+        ExitCode::from(2)
+    })
+}
+
+fn run() -> Result<ExitCode, String> {
+    let Some(args) = parse_args().map_err(|e| format!("{e}\nrun with --help for usage"))? else {
+        println!("see module docs: explore --pattern 'L512+G(0..16)' --seq 4096 ...");
+        return Ok(ExitCode::SUCCESS);
+    };
+    let pattern = parse_pattern(args.seq, &args.pattern).map_err(|e| format!("--pattern: {e}"))?;
     println!(
         "pattern {} over {} tokens: {} non-zeros ({:.2}% dense), device {}",
         pattern.name(),
@@ -105,7 +102,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for method in Method::ALL {
         let problem = AttentionProblem::new(pattern.clone(), 64, args.batch, args.heads, block);
-        let attn = Attention::plan(method, problem)?;
+        let attn =
+            Attention::plan(method, problem).map_err(|e| format!("{}: {e}", method.name()))?;
         let mut gpu = Gpu::new(args.device.clone());
         let report = attn.run_timed(&mut gpu);
         let mem = attn.plan_memory_bytes();
@@ -125,9 +123,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         if let Some(path) = &args.trace {
             let file = format!("{}.{}.json", path.trim_end_matches(".json"), method.name());
-            std::fs::write(&file, export_chrome_trace(gpu.records()))?;
+            cli::write(&file, &export_chrome_trace(gpu.records()))?;
             println!("chrome trace written to {file}");
         }
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }

@@ -9,37 +9,15 @@
 //! * `--threads N` — pin the parallel layer to N threads (default: the
 //!   `MG_THREADS` environment variable, then all cores).
 
+use mg_bench::cli::StudyArgs;
 use mg_bench::runners::{BLOCK, HEADS, HEAD_DIM, SEED};
 use mg_bench::{threads, Table};
 use mg_gpusim::{DeviceSpec, Gpu};
 use mg_patterns::presets;
 use mg_tensor::par;
 use multigrain::{Attention, AttentionProblem, Method};
+use std::process::ExitCode;
 use std::time::Instant;
-
-struct Args {
-    smoke: bool,
-    threads: Option<usize>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        smoke: false,
-        threads: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--threads" => {
-                let n = it.next().ok_or("--threads needs a count")?;
-                args.threads = Some(n.parse().map_err(|_| format!("bad thread count: {n}"))?);
-            }
-            other => return Err(format!("unknown argument: {other}")),
-        }
-    }
-    Ok(args)
-}
 
 /// One grid cell's result: per-method total attention times, seconds,
 /// in [`Method::ALL`] order.
@@ -49,12 +27,12 @@ struct Cell {
     times: Vec<f64>,
 }
 
-fn main() {
-    let args = match parse_args() {
+fn main() -> ExitCode {
+    let args = match StudyArgs::parse(std::env::args().skip(1), &["--smoke", "--threads"]) {
         Ok(args) => args,
         Err(e) => {
             eprintln!("method_study: {e}");
-            std::process::exit(2);
+            return ExitCode::from(2);
         }
     };
     threads::init_threads(args.threads);
@@ -121,7 +99,7 @@ fn main() {
                 format!("{:.2}x", cell.times[2] / cell.times[0]),
             ]);
         }
-        t.print();
+        print!("{}", t.render());
     }
     println!(
         "{} grid cells in {:.3} s on {} thread(s)",
@@ -129,4 +107,5 @@ fn main() {
         elapsed.as_secs_f64(),
         threads::effective_threads(),
     );
+    ExitCode::SUCCESS
 }

@@ -35,8 +35,11 @@
 //!   dispatch-independent, so two runs at any thread counts and either
 //!   `MG_SIMD` setting must produce byte-identical files.
 
+use mg_bench::cli::{self, StudyArgs};
 use mg_bench::runners::{BLOCK, HEAD_DIM, SEED};
 use mg_bench::{threads, Table};
+use mg_gpusim::digest::Fnv1a;
+use mg_gpusim::json::Json;
 use mg_kernels::{
     coarse_sddmm_compute, coarse_spmm_compute, compound_softmax_compute, fine_sddmm_compute,
     fine_spmm_compute, fused, fused_attention_compute,
@@ -46,37 +49,8 @@ use mg_patterns::presets;
 use mg_serve::RequestClass;
 use mg_sparse::{Bsr, Csr};
 use mg_tensor::{dot, naive, simd, Half, Matrix};
+use std::process::ExitCode;
 use std::time::Instant;
-
-struct Args {
-    smoke: bool,
-    json: bool,
-    threads: Option<usize>,
-    digest: Option<String>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        smoke: false,
-        json: false,
-        threads: None,
-        digest: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--json" => args.json = true,
-            "--threads" => {
-                let n = it.next().ok_or("--threads needs a count")?;
-                args.threads = Some(n.parse().map_err(|_| format!("bad thread count: {n}"))?);
-            }
-            "--digest" => args.digest = Some(it.next().ok_or("--digest needs a path")?),
-            other => return Err(format!("unknown argument: {other}")),
-        }
-    }
-    Ok(args)
-}
 
 // ---------------------------------------------------------------------
 // Naive references: the pre-packing kernel structure, decoding FP16
@@ -163,28 +137,16 @@ fn naive_coarse_spmm(p: &Bsr<Half>, v: &Matrix<Half>) -> Matrix<Half> {
 // Harness
 // ---------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_fold(digest: u64, bits: u16) -> u64 {
-    let mut d = digest;
-    for byte in bits.to_le_bytes() {
-        d ^= u64::from(byte);
-        d = d.wrapping_mul(FNV_PRIME);
-    }
-    d
-}
-
 fn digest_matrix(m: &Matrix<Half>) -> u64 {
-    m.as_slice()
-        .iter()
-        .fold(FNV_OFFSET, |d, v| fnv_fold(d, v.to_bits()))
+    digest_slice(m.as_slice())
 }
 
 fn digest_slice(values: &[Half]) -> u64 {
-    values
-        .iter()
-        .fold(FNV_OFFSET, |d, v| fnv_fold(d, v.to_bits()))
+    let mut h = Fnv1a::new();
+    for v in values {
+        h.write(&v.to_bits().to_le_bytes());
+    }
+    h.finish()
 }
 
 /// Interleaved best-of-five timing over the three legs: the production
@@ -481,48 +443,45 @@ fn assert_values_bits_eq(production: &[Half], reference: &[Half], label: &str) {
 }
 
 fn json_report(results: &[ClassResult], smoke: bool, seq_len: usize) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"perf_study\",\n");
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str(&format!("  \"seq_len\": {seq_len},\n"));
-    out.push_str(&format!("  \"simd_active\": {},\n", simd::active()));
-    out.push_str(&format!(
-        "  \"threads\": {},\n  \"classes\": [\n",
-        threads::effective_threads()
-    ));
-    for (i, class) in results.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"class\": \"{}\",\n", class.class));
-        out.push_str(&format!("      \"naive_s\": {:.6},\n", class.naive_s()));
-        out.push_str(&format!("      \"scalar_s\": {:.6},\n", class.scalar_s()));
-        out.push_str(&format!("      \"packed_s\": {:.6},\n", class.packed_s()));
-        out.push_str(&format!("      \"speedup\": {:.3},\n", class.speedup()));
-        out.push_str(&format!("      \"simd_gain\": {:.3},\n", class.simd_gain()));
-        out.push_str(&format!("      \"gflops\": {:.3},\n", class.gflops()));
-        out.push_str("      \"kernels\": [\n");
-        for (j, k) in class.kernels.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"kernel\": \"{}\", \"naive_s\": {:.6}, \"scalar_s\": {:.6}, \
-                 \"packed_s\": {:.6}, \"speedup\": {:.3}, \"simd_gain\": {:.3}, \
-                 \"gflops\": {:.3}}}{}\n",
-                k.kernel,
-                k.naive_s,
-                k.scalar_s,
-                k.packed_s,
-                k.naive_s / k.packed_s,
-                k.scalar_s / k.packed_s,
-                k.gflops(),
-                if j + 1 < class.kernels.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("      ]\n");
-        out.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let classes = results
+        .iter()
+        .map(|class| {
+            let kernels = class
+                .kernels
+                .iter()
+                .map(|k| {
+                    Json::obj([
+                        ("kernel", k.kernel.into()),
+                        ("naive_s", k.naive_s.into()),
+                        ("scalar_s", k.scalar_s.into()),
+                        ("packed_s", k.packed_s.into()),
+                        ("speedup", (k.naive_s / k.packed_s).into()),
+                        ("simd_gain", (k.scalar_s / k.packed_s).into()),
+                        ("gflops", k.gflops().into()),
+                    ])
+                })
+                .collect();
+            Json::obj([
+                ("class", class.class.into()),
+                ("naive_s", class.naive_s().into()),
+                ("scalar_s", class.scalar_s().into()),
+                ("packed_s", class.packed_s().into()),
+                ("speedup", class.speedup().into()),
+                ("simd_gain", class.simd_gain().into()),
+                ("gflops", class.gflops().into()),
+                ("kernels", Json::Arr(kernels)),
+            ])
+        })
+        .collect();
+    Json::obj([
+        ("bench", "perf_study".into()),
+        ("smoke", smoke.into()),
+        ("seq_len", seq_len.into()),
+        ("simd_active", simd::active().into()),
+        ("threads", threads::effective_threads().into()),
+        ("classes", Json::Arr(classes)),
+    ])
+    .to_pretty()
 }
 
 fn digest_report(results: &[ClassResult]) -> String {
@@ -538,14 +497,18 @@ fn digest_report(results: &[ClassResult]) -> String {
     out
 }
 
-fn main() {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("perf_study: {e}");
-            std::process::exit(2);
-        }
-    };
+fn main() -> ExitCode {
+    run().unwrap_or_else(|e| {
+        eprintln!("perf_study: {e}");
+        ExitCode::from(2)
+    })
+}
+
+fn run() -> Result<ExitCode, String> {
+    let args = StudyArgs::parse(
+        std::env::args().skip(1),
+        &["--smoke", "--json", "--threads", "--digest"],
+    )?;
     threads::init_threads(args.threads);
 
     // BLOCK-aligned so the coarse rendering exists; the window scales
@@ -593,7 +556,7 @@ fn main() {
             format!("{} {:.2}x", best.kernel, best.naive_s / best.packed_s),
         ]);
     }
-    t.print();
+    print!("{}", t.render());
     println!(
         "{} classes in {:.3} s on {} thread(s), SIMD dispatch {}; all three paths bit-identical",
         results.len(),
@@ -604,12 +567,12 @@ fn main() {
 
     if args.json {
         let path = "BENCH_10.json";
-        std::fs::write(path, json_report(&results, args.smoke, seq_len))
-            .expect("BENCH_10.json is writable");
+        cli::write(path, &json_report(&results, args.smoke, seq_len))?;
         println!("wrote {path}");
     }
     if let Some(path) = &args.digest {
-        std::fs::write(path, digest_report(&results)).expect("digest path is writable");
+        cli::write(path, &digest_report(&results))?;
         println!("wrote {path}");
     }
+    Ok(ExitCode::SUCCESS)
 }

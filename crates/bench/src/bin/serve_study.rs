@@ -12,40 +12,13 @@
 //! * `--threads N` — pin the parallel layer to N threads; reports are
 //!   bit-identical at any thread count.
 
+use mg_bench::cli::{self, StudyArgs};
 use mg_bench::threads;
 use mg_gpusim::DeviceSpec;
 use mg_models::ModelConfig;
 use mg_serve::{BatchPolicy, ServeConfig, ServeReport, ServeSim, StreamPolicy, TrafficConfig};
 use multigrain::Method;
-
-struct Args {
-    smoke: bool,
-    trace: Option<String>,
-    threads: Option<usize>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        smoke: false,
-        trace: None,
-        threads: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--trace" => {
-                args.trace = Some(it.next().ok_or("--trace needs a path")?);
-            }
-            "--threads" => {
-                let n = it.next().ok_or("--threads needs a count")?;
-                args.threads = Some(n.parse().map_err(|_| format!("bad thread count: {n}"))?);
-            }
-            other => return Err(format!("unknown argument: {other}")),
-        }
-    }
-    Ok(args)
-}
+use std::process::ExitCode;
 
 fn policies(smoke: bool) -> Vec<BatchPolicy> {
     let max_wait_s = if smoke { 0.0005 } else { 0.020 };
@@ -66,7 +39,7 @@ fn policies(smoke: bool) -> Vec<BatchPolicy> {
     ]
 }
 
-fn run(
+fn simulate(
     model: &ModelConfig,
     device: &DeviceSpec,
     policy: BatchPolicy,
@@ -81,14 +54,18 @@ fn run(
     (report, sim)
 }
 
-fn main() {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("serve_study: {e}");
-            std::process::exit(2);
-        }
-    };
+fn main() -> ExitCode {
+    run().unwrap_or_else(|e| {
+        eprintln!("serve_study: {e}");
+        ExitCode::from(2)
+    })
+}
+
+fn run() -> Result<ExitCode, String> {
+    let args = StudyArgs::parse(
+        std::env::args().skip(1),
+        &["--smoke", "--trace", "--threads"],
+    )?;
     threads::init_threads(args.threads);
 
     // Full-mode rates span sub-saturation (wait-budget-dominated) to
@@ -126,7 +103,7 @@ fn main() {
             for &rate in &rates {
                 let traffic = TrafficConfig::poisson(rate, n, Method::Multigrain, slo_s, 42);
                 let (report, sim) =
-                    run(&model, &device, policy, StreamPolicy::RoleStreams, &traffic);
+                    simulate(&model, &device, policy, StreamPolicy::RoleStreams, &traffic);
                 println!(
                     "{:<10} {:<13} {:>9.0} {:>9.3} {:>9.3} {:>9.3} {:>9.0} {:>6.1}% {:>5.0}% {:>5.1}%",
                     device.name,
@@ -167,7 +144,7 @@ fn main() {
         for &rate in &rates {
             let traffic = TrafficConfig::poisson(rate, n, Method::Multigrain, slo_s, 42);
             let policy = policies(args.smoke)[0];
-            let (report, _) = run(&model, &device, policy, StreamPolicy::Serial, &traffic);
+            let (report, _) = simulate(&model, &device, policy, StreamPolicy::Serial, &traffic);
             if report.p99() <= slo_s {
                 serial_sustained = serial_sustained.max(report.throughput_rps());
             }
@@ -187,7 +164,8 @@ fn main() {
 
     if let Some(path) = args.trace {
         let json = trace_json.expect("representative run recorded");
-        std::fs::write(&path, json).expect("trace path is writable");
+        cli::write(&path, &json)?;
         println!("\nchrome trace written to {path}");
     }
+    Ok(ExitCode::SUCCESS)
 }

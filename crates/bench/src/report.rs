@@ -56,7 +56,8 @@ pub fn geomean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
-/// A fixed-width text table with a title, printed by the figure binaries.
+/// A fixed-width text table with a title, rendered by the figure and
+/// study binaries.
 #[derive(Debug, Clone)]
 pub struct Table {
     title: String,
@@ -104,11 +105,6 @@ impl Table {
             line(&mut out, row);
         }
         out
-    }
-
-    /// Prints the table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
     }
 
     /// Renders the table as CSV (header row + data rows), for plotting.

@@ -1,7 +1,7 @@
 //! Experiment runners: one function per table/figure of the paper.
 //!
-//! Each runner returns structured results (and the figure binaries print
-//! them next to the paper's reported ranges). All runners are
+//! Each runner returns structured results (and [`crate::reproduce`]
+//! renders them next to the paper's reported ranges). All runners are
 //! deterministic: fixed seeds, analytical timing.
 
 use crate::{Band, Table};
@@ -372,7 +372,7 @@ pub fn occupancy_study() -> (f64, f64) {
     (measure(&patterns[0]), measure(&patterns[4])) // L+S, L+S+G
 }
 
-/// Paper bands for the figure binaries.
+/// Paper bands for the reproduction verdicts.
 pub mod bands {
     use super::Band;
 

@@ -1,4 +1,4 @@
-//! Thread-count knob shared by the sweep binaries.
+//! Thread-count knob shared by the study binaries.
 //!
 //! The parallel layer is deterministic — outputs are bit-identical at
 //! any thread count — so this knob only trades wall-clock for cores.

@@ -2,6 +2,7 @@
 //! accounting, per-pool utilization, and a replay digest.
 
 use crate::config::Routing;
+use mg_gpusim::digest::Fnv1a;
 use mg_serve::RequestClass;
 
 /// Per-request latency decomposition for a completed request, seconds.
@@ -152,15 +153,8 @@ impl ClusterReport {
     /// configuration must produce the same digest at any `MG_THREADS`
     /// setting — the bit-equality gate CI enforces.
     pub fn digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut digest = FNV_OFFSET;
-        let mut fold = |bytes: &[u8]| {
-            for &byte in bytes {
-                digest ^= u64::from(byte);
-                digest = digest.wrapping_mul(FNV_PRIME);
-            }
-        };
+        let mut h = Fnv1a::new();
+        let mut fold = |bytes: &[u8]| h.write(bytes);
         fold(&(self.n_requests as u64).to_le_bytes());
         for o in &self.outcomes {
             fold(&(o.id as u64).to_le_bytes());
@@ -182,6 +176,6 @@ impl ClusterReport {
         ] {
             fold(&(counter as u64).to_le_bytes());
         }
-        digest
+        h.finish()
     }
 }

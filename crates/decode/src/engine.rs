@@ -10,6 +10,7 @@
 //! its digests are invariant under the numeric layer's thread count.
 
 use crate::kv::{KvCacheState, KvStats};
+use mg_gpusim::digest::Fnv1a;
 use mg_gpusim::{DeviceSpec, Gpu, KernelProfile, LaunchConfig, TbWork};
 use mg_kernels::decode_step_profile;
 use mg_models::workload::{chat_sessions, ChatSession, WorkloadSample};
@@ -177,13 +178,8 @@ impl DecodeReport {
     /// order. Byte-identical across thread counts by construction (the
     /// event loop is serial and the numeric layer is bit-stable).
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = Fnv1a::new();
+        let mut fold = |v: u64| h.write_u64(v);
         fold(match self.mode {
             BatchingMode::PrefillOnly => 0,
             BatchingMode::Segregated => 1,
@@ -211,7 +207,7 @@ impl DecodeReport {
         fold(self.kv.growth_events);
         fold(self.kv.bytes_copied);
         fold(self.kv.appended_tokens);
-        h
+        h.finish()
     }
 }
 

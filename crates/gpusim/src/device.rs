@@ -1,6 +1,7 @@
 //! GPU device specifications (paper Table 1 plus public architecture
 //! parameters needed by the occupancy and timing models).
 
+use crate::digest::Fnv1a;
 use crate::json::{parse, Json};
 
 /// Static description of a GPU used by the execution model.
@@ -154,7 +155,7 @@ impl DeviceSpec {
             self.tb_overhead_cycles,
             self.warps_to_saturate,
         ] {
-            h.write(&v.to_bits().to_le_bytes());
+            h.write_u64(v.to_bits());
         }
         for v in [
             self.sm_count,
@@ -165,7 +166,7 @@ impl DeviceSpec {
             self.l1_per_sm,
             self.l2_bytes,
         ] {
-            h.write(&(v as u64).to_le_bytes());
+            h.write_u64(v as u64);
         }
         h.finish()
     }
@@ -259,27 +260,6 @@ impl DeviceSpec {
     /// Per-thread-block overhead in seconds.
     pub fn tb_overhead_s(&self) -> f64 {
         self.tb_overhead_cycles / (self.clock_ghz * 1e9)
-    }
-}
-
-/// FNV-1a, 64-bit: a tiny, stable, well-distributed hash whose output is
-/// part of the tuning database's on-disk contract.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

@@ -1,14 +1,19 @@
-//! A minimal JSON reader, vendored-dependency-free.
+//! A minimal JSON reader and writer, vendored-dependency-free.
 //!
 //! The build environment has no registry access, so the workspace cannot
-//! pull in `serde`. The two consumers of JSON input — custom
-//! [`DeviceSpec`](crate::DeviceSpec) files and the autotune layer's
-//! persisted tuning database — both use small, machine-written documents,
-//! which this recursive-descent parser covers completely: objects,
-//! arrays, strings (with `\uXXXX` escapes), numbers, booleans, and null.
+//! pull in `serde`. Every JSON document the workspace reads or writes —
+//! custom [`DeviceSpec`](crate::DeviceSpec) files, the autotune layer's
+//! persisted tuning database, Chrome traces and the `BENCH_*.json`
+//! reports — is small and machine-shaped, which this module covers
+//! completely: objects, arrays, strings (with `\uXXXX` escapes),
+//! numbers, booleans, and null.
 //!
-//! Writing stays hand-rolled at each call site (as the Chrome-trace
-//! exporter already does); only parsing needs shared machinery.
+//! Documents are built as a [`Json`] tree and written with
+//! [`Json::to_compact`] (one line, no whitespace: traces) or
+//! [`Json::to_pretty`] (the outer two levels one item per line: reports
+//! and databases). Numbers are written in their shortest round-trip
+//! form, so [`parse`] recovers every `f64` bit-exactly and a
+//! write → parse → write cycle is byte-identical.
 //!
 //! # Examples
 //!
@@ -18,7 +23,13 @@
 //! let doc = parse(r#"{"name": "A100", "sm_count": 108}"#).unwrap();
 //! assert_eq!(doc.get("name").and_then(Json::as_str), Some("A100"));
 //! assert_eq!(doc.get("sm_count").and_then(Json::as_f64), Some(108.0));
+//!
+//! let written = Json::obj([("name", "A100".into()), ("sm_count", 108usize.into())]);
+//! assert_eq!(written.to_compact(), r#"{"name":"A100","sm_count":108}"#);
+//! assert_eq!(parse(&written.to_pretty()).unwrap(), doc);
 //! ```
+
+use std::fmt::Write as _;
 
 /// One parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,6 +88,170 @@ impl Json {
             Json::Arr(items) => Some(items),
             _ => None,
         }
+    }
+
+    /// An object from `(key, value)` members, in order.
+    pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_owned(), v))
+                .collect(),
+        )
+    }
+
+    /// The value on one line with no whitespace — the form for
+    /// documents only tools read, such as Chrome traces.
+    pub fn to_compact(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, &COMPACT, 0);
+        out
+    }
+
+    /// The value with its outer two levels one item per line (two-space
+    /// indent) and everything deeper inline, plus a final newline — the
+    /// form of the `BENCH_*.json` reports and the tuning database, where
+    /// each record reads as one line.
+    pub fn to_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, &PRETTY, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String, style: &Style, depth: usize) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => write_number(out, *n),
+            Json::Str(s) => write_string(out, s),
+            Json::Arr(items) => write_seq(out, style, depth, ('[', ']'), items, |out, v| {
+                v.write(out, style, depth + 1)
+            }),
+            Json::Obj(members) => {
+                write_seq(out, style, depth, ('{', '}'), members, |out, (k, v)| {
+                    write_string(out, k);
+                    out.push_str(style.colon);
+                    v.write(out, style, depth + 1);
+                })
+            }
+        }
+    }
+}
+
+/// Separators and line breaking of one output form.
+struct Style {
+    comma: &'static str,
+    colon: &'static str,
+    /// Containers nested shallower than this put each item on its own
+    /// line.
+    break_depth: usize,
+}
+
+const COMPACT: Style = Style {
+    comma: ",",
+    colon: ":",
+    break_depth: 0,
+};
+
+const PRETTY: Style = Style {
+    comma: ", ",
+    colon: ": ",
+    break_depth: 2,
+};
+
+fn write_seq<T>(
+    out: &mut String,
+    style: &Style,
+    depth: usize,
+    (open, close): (char, char),
+    items: &[T],
+    mut item: impl FnMut(&mut String, &T),
+) {
+    let broken = depth < style.break_depth && !items.is_empty();
+    out.push(open);
+    for (i, v) in items.iter().enumerate() {
+        if broken {
+            out.push_str(if i > 0 { ",\n" } else { "\n" });
+            out.push_str(&"  ".repeat(depth + 1));
+        } else if i > 0 {
+            out.push_str(style.comma);
+        }
+        item(out, v);
+    }
+    if broken {
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
+    }
+    out.push(close);
+}
+
+/// Integral values print without a fraction (`64`, not `64.0`); the rest
+/// in Rust's shortest round-trip form. JSON has no NaN or infinity, so
+/// those print as `null`.
+fn write_number(out: &mut String, n: f64) {
+    if !n.is_finite() {
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < 1e15 {
+        let _ = write!(out, "{n:.0}");
+    } else {
+        let _ = write!(out, "{n:?}");
+    }
+}
+
+/// Quotes `s`, escaping `"`, `\` and every control character, so the
+/// result is valid JSON whatever the string holds.
+fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(n: f64) -> Json {
+        Json::Num(n)
+    }
+}
+
+impl From<u64> for Json {
+    /// Exact up to 2^53; larger values (hashes) belong in hex strings.
+    fn from(n: u64) -> Json {
+        Json::Num(n as f64)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Json {
+        Json::Num(n as f64)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_owned())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
     }
 }
 
@@ -289,6 +464,62 @@ mod tests {
         for bad in ["{", "[1,]", "{\"a\" 1}", "tru", "1 2", "\"open"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn writer_round_trips_through_the_parser() {
+        let doc = Json::obj([
+            ("s", "tab\tquote\" nl\n bell\u{7} é".into()),
+            (
+                "n",
+                Json::Arr(vec![0.0.into(), (-0.0).into(), 64.0.into(), 1e-7.into()]),
+            ),
+            ("big", 2f64.powi(60).into()),
+            ("min", f64::MIN_POSITIVE.into()),
+            (
+                "flags",
+                Json::Arr(vec![true.into(), false.into(), Json::Null]),
+            ),
+            ("empty", Json::obj([])),
+            (
+                "nested",
+                Json::obj([("a", Json::Arr(vec![Json::obj([("b", 1usize.into())])]))]),
+            ),
+        ]);
+        for text in [doc.to_compact(), doc.to_pretty()] {
+            let back = parse(&text).expect("writer output parses");
+            assert_eq!(back, doc, "{text}");
+            let bits = |j: &Json| {
+                j.get("n").unwrap().as_arr().unwrap()[1]
+                    .as_f64()
+                    .unwrap()
+                    .to_bits()
+            };
+            assert_eq!(bits(&back), (-0.0f64).to_bits());
+            assert!(text.bytes().all(|b| b >= 0x20 || b == b'\n'), "{text}");
+        }
+    }
+
+    #[test]
+    fn writer_layouts() {
+        let doc = Json::obj([
+            ("version", 1usize.into()),
+            (
+                "entries",
+                Json::Arr(vec![Json::obj([("k", "v".into()), ("t", 0.5.into())]); 2]),
+            ),
+            ("none", Json::Arr(vec![])),
+        ]);
+        assert_eq!(
+            doc.to_compact(),
+            r#"{"version":1,"entries":[{"k":"v","t":0.5},{"k":"v","t":0.5}],"none":[]}"#
+        );
+        assert_eq!(
+            doc.to_pretty(),
+            "{\n  \"version\": 1,\n  \"entries\": [\n    {\"k\": \"v\", \"t\": 0.5},\n    \
+             {\"k\": \"v\", \"t\": 0.5}\n  ],\n  \"none\": []\n}\n"
+        );
+        assert_eq!(Json::Num(f64::NAN).to_compact(), "null");
     }
 
     #[test]

@@ -29,6 +29,7 @@
 #![forbid(unsafe_code)]
 
 mod device;
+pub mod digest;
 mod engine;
 pub mod json;
 mod kernel;

@@ -1,6 +1,7 @@
 //! ASCII timeline rendering of kernel records — a poor man's Nsight
 //! Systems view, used to see multi-stream overlap at a glance.
 
+use crate::json::Json;
 use crate::KernelRecord;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -99,13 +100,7 @@ fn stream_index(r: &KernelRecord) -> usize {
 /// assert!(json.contains("\"traceEvents\""));
 /// ```
 pub fn export_chrome_trace(records: &[KernelRecord]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    for r in records {
-        push_event(&mut out, &mut first, 0, r);
-    }
-    out.push_str("],\"displayTimeUnit\":\"ns\"}");
-    out
+    trace_document(records.iter().map(|r| kernel_event(0, r)).collect())
 }
 
 /// Exports several record sets into one Chrome-trace document, one
@@ -128,58 +123,50 @@ pub fn export_chrome_trace(records: &[KernelRecord]) -> String {
 /// assert!(json.contains("process_name") && json.contains("worker-0"));
 /// ```
 pub fn export_chrome_trace_grouped(groups: &[(&str, &[KernelRecord])]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    for (pid, (name, _)) in groups.iter().enumerate() {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            concat!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},",
-                "\"args\":{{\"name\":\"{}\"}}}}"
-            ),
-            pid,
-            escape_json(name),
-        );
-    }
-    for (pid, (_, records)) in groups.iter().enumerate() {
-        for r in *records {
-            push_event(&mut out, &mut first, pid, r);
-        }
-    }
-    out.push_str("],\"displayTimeUnit\":\"ns\"}");
-    out
+    let names = groups.iter().enumerate().map(|(pid, (name, _))| {
+        Json::obj([
+            ("name", "process_name".into()),
+            ("ph", "M".into()),
+            ("pid", pid.into()),
+            ("args", Json::obj([("name", (*name).into())])),
+        ])
+    });
+    let kernels = groups
+        .iter()
+        .enumerate()
+        .flat_map(|(pid, (_, records))| records.iter().map(move |r| kernel_event(pid, r)));
+    trace_document(names.chain(kernels).collect())
 }
 
-fn push_event(out: &mut String, first: &mut bool, pid: usize, r: &KernelRecord) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    let _ = write!(
-        out,
-        concat!(
-            "{{\"name\":\"{}\",\"cat\":\"kernel\",\"ph\":\"X\",",
-            "\"ts\":{:.3},\"dur\":{:.3},\"pid\":{},\"tid\":{},",
-            "\"args\":{{\"dram_bytes\":{},\"tb_count\":{},",
-            "\"achieved_over_theoretical\":{:.3}}}}}"
+fn trace_document(events: Vec<Json>) -> String {
+    Json::obj([
+        ("traceEvents", Json::Arr(events)),
+        ("displayTimeUnit", "ns".into()),
+    ])
+    .to_compact()
+}
+
+fn kernel_event(pid: usize, r: &KernelRecord) -> Json {
+    Json::obj([
+        ("name", r.name.as_str().into()),
+        ("cat", "kernel".into()),
+        ("ph", "X".into()),
+        ("ts", (r.start * 1e6).into()),
+        ("dur", (r.duration() * 1e6).into()),
+        ("pid", pid.into()),
+        ("tid", r.stream.index().into()),
+        (
+            "args",
+            Json::obj([
+                ("dram_bytes", r.dram_bytes.into()),
+                ("tb_count", r.tb_count.into()),
+                (
+                    "achieved_over_theoretical",
+                    r.achieved_over_theoretical.into(),
+                ),
+            ]),
         ),
-        escape_json(&r.name),
-        r.start * 1e6,
-        r.duration() * 1e6,
-        pid,
-        r.stream.index(),
-        r.dram_bytes,
-        r.tb_count,
-        r.achieved_over_theoretical,
-    );
-}
-
-fn escape_json(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+    ])
 }
 
 #[cfg(test)]
@@ -251,6 +238,29 @@ mod tests {
         gpu.synchronize();
         let json = export_chrome_trace(gpu.records());
         assert!(json.contains("with \\\"quotes\\\""));
+    }
+
+    #[test]
+    fn chrome_trace_escapes_control_characters() {
+        let name = "a\nb\u{1}";
+        let mut gpu = Gpu::new(DeviceSpec::a100());
+        let w = TbWork {
+            cuda_flops: 1 << 16,
+            ..TbWork::default()
+        };
+        gpu.launch(
+            DEFAULT_STREAM,
+            KernelProfile::uniform(name, LaunchConfig::default(), 4, w),
+        );
+        gpu.synchronize();
+        let json = export_chrome_trace(gpu.records());
+        assert!(
+            json.bytes().all(|b| b >= 0x20),
+            "raw control byte in {json:?}"
+        );
+        let doc = crate::json::parse(&json).expect("trace parses");
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        assert_eq!(events[0].get("name").and_then(Json::as_str), Some(name));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use crate::batch::Batch;
 use crate::cache::PlanCache;
+use mg_gpusim::digest::Fnv1a;
 use mg_gpusim::{DeviceSpec, Gpu, KernelRecord};
 use mg_sparse::SparseError;
 use mg_tensor::{par, Half, Matrix};
@@ -456,9 +457,7 @@ impl Dispatcher {
 /// are a pure function of each request's id and plan dimensions, so the
 /// digest is reproducible across runs, workers, and thread counts.
 fn batch_numeric_digest(plans: &[Arc<Attention>], request_ids: &[usize]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut digest = FNV_OFFSET;
+    let mut h = Fnv1a::new();
     for (plan, &id) in plans.iter().zip(request_ids) {
         let dims = plan.problem().dims();
         let seed = id as u64;
@@ -467,13 +466,10 @@ fn batch_numeric_digest(plans: &[Arc<Attention>], request_ids: &[usize]) -> u64 
         let v = Matrix::<Half>::random(dims.seq_len, dims.head_dim, seed * 3 + 3);
         let context = plan.execute_numeric(&q, &k, &v);
         for value in context.as_slice() {
-            for byte in value.to_bits().to_le_bytes() {
-                digest ^= u64::from(byte);
-                digest = digest.wrapping_mul(FNV_PRIME);
-            }
+            h.write(&value.to_bits().to_le_bytes());
         }
     }
-    digest
+    h.finish()
 }
 
 /// The serial baseline: the batch's merged phase profiles launch on the

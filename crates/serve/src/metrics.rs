@@ -5,6 +5,7 @@ use crate::cache::CacheStats;
 use crate::dispatch::{BatchOutcome, Dispatcher};
 use crate::request::{Request, RequestClass};
 use crate::tune::TuneStats;
+use mg_gpusim::digest::Fnv1a;
 use mg_gpusim::export_chrome_trace_grouped;
 
 /// Per-request latency decomposition, seconds.
@@ -117,14 +118,11 @@ impl ServeReport {
         if self.batches.iter().all(|b| b.numeric_digest == 0) {
             return 0;
         }
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = Fnv1a::new();
         for batch in &self.batches {
-            for byte in batch.numeric_digest.to_le_bytes() {
-                digest ^= u64::from(byte);
-                digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            h.write_u64(batch.numeric_digest);
         }
-        digest
+        h.finish()
     }
 
     /// The `p`-th percentile (0–100) of total latency, by the
