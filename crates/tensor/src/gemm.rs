@@ -6,19 +6,27 @@
 //! in `f32` regardless of the storage type, matching the tensor-core
 //! `HMMA.16816.F32` semantics the paper relies on.
 //!
-//! ## Packed-panel microkernels
+//! ## Cache-blocked slab GEMM
 //!
-//! [`gemm`] and [`gemm_nt`] stage the B operand into a packed `f32`
-//! [`crate::pack::Panel`] **once** and decode each A row once, instead of
-//! re-converting every FP16 element inside the MAC loop. The inner loops
-//! are register-tiled over [`NR`]-wide output blocks with the k-loop kept
-//! whole and sequential, so every output element still accumulates its
-//! products in ascending-k order — exactly the order the retained
-//! [`naive`] reference uses. Decode is exact and the per-element
-//! accumulation order is unchanged, so the packed path is bit-identical
-//! to the reference by construction (property-tested in
-//! `tests/pack_props.rs` over subnormals, ±Inf, and NaN at multiple
-//! thread counts).
+//! [`gemm`] and [`gemm_nt`] decode the B operand (Bᵀ for `gemm_nt`) once
+//! into [`crate::pack::Slabs`]: contiguous, k-major column slabs of width
+//! [`simd::SPAN`], the last one ragged. The output is cut into blocks of
+//! [`MC`] rows, one parallel work item each. A block decodes its A rows
+//! once, then walks the slabs in the outer loop and its row pairs in the
+//! inner loop. A slab (at most `k × SPAN` floats, 384 KiB at `k = 3072`)
+//! and the block's A rows then stay cache-resident while every row of the
+//! block reuses them. A whole-width panel walked row pair by row pair
+//! does not: once it outgrows L2, each pair re-streams it from memory.
+//!
+//! Inside a slab the row microkernels are register-tiled: a [`simd::SPAN`]
+//! wide span kernel when the vector dispatch is active and the slab is
+//! full, [`NR`]-wide register blocks otherwise. Every output element is
+//! still one uninterrupted ascending-k chain of mul-then-add from `+0.0`,
+//! the order the retained [`naive`] reference uses. Blocking changes only
+//! *when* an element is computed, never how, and decode is exact, so the
+//! result is bit-identical to the reference at any thread count and
+//! dispatch mode by construction (property-tested in `tests/pack_props.rs`
+//! over subnormals, ±Inf, and NaN, across row-block and slab boundaries).
 
 use crate::{pack, par, scratch, simd, Matrix, Scalar};
 
@@ -26,80 +34,76 @@ use crate::{pack, par, scratch, simd, Matrix, Scalar};
 /// accumulates up to this many output columns in a local register block.
 pub const NR: usize = 8;
 
-/// The shared row microkernel: multiplies one decoded A row against a
-/// k-major packed panel (`bp[kk * n + j]` holds `B[kk][j]`), producing
-/// `n` outputs in `NR`-wide register blocks.
+/// Output rows per parallel work item of the blocked GEMM. A fixed
+/// constant: it sizes the A block that stays cache-resident beside one
+/// slab, which has nothing to do with how many threads share the work.
+const MC: usize = 32;
+
+/// Multiplies one decoded A row against one `k × w` slab (`bp[kk * w + j]`
+/// holds `B[kk][j0 + j]`), producing the row's `w = out.len()` outputs of
+/// that slab.
+///
+/// A full slab goes through the explicit span kernel when the
+/// [`crate::simd`] dispatch is active; otherwise, and for the ragged last
+/// slab, [`mul_row_blocks`] runs. Both perform the same per-lane
+/// mul-then-add sequence, so the choice is invisible in the bits.
+#[inline]
+fn mul_row_slab<O: Scalar>(a_f: &[f32], bp: &[f32], out: &mut [O]) {
+    let mut span = [0.0f32; simd::SPAN];
+    if simd::row_panel_span(a_f, bp, out.len(), 0, &mut span) {
+        pack::encode_slice(&span, out);
+    } else {
+        mul_row_blocks(a_f, bp, out);
+    }
+}
+
+/// Paired-row form of [`mul_row_slab`]: two output rows at once, so the
+/// span kernel reuses each loaded B vector for both rows
+/// ([`simd::row_panel_span2`]). Per row the computation, and therefore
+/// every output bit, is identical to two [`mul_row_slab`] calls; when the
+/// vector path declines, that is literally what runs.
+#[inline]
+fn mul_row_slab2<O: Scalar>(
+    a0_f: &[f32],
+    a1_f: &[f32],
+    bp: &[f32],
+    out0: &mut [O],
+    out1: &mut [O],
+) {
+    let mut span0 = [0.0f32; simd::SPAN];
+    let mut span1 = [0.0f32; simd::SPAN];
+    if simd::row_panel_span2(a0_f, a1_f, bp, out0.len(), 0, &mut span0, &mut span1) {
+        pack::encode_slice(&span0, out0);
+        pack::encode_slice(&span1, out1);
+    } else {
+        mul_row_blocks(a0_f, bp, out0);
+        mul_row_blocks(a1_f, bp, out1);
+    }
+}
+
+/// The register-block form of the row microkernel over one `k × w` slab:
+/// `NR`-wide blocks, then the ragged final block.
 ///
 /// Full blocks go through fixed-size `[f32; NR]` windows so the compiler
 /// can keep the `NR` accumulator chains in vector registers — the lanes
 /// are *independent* sums, so vectorizing across them reorders nothing:
 /// each output element still accumulates its products in ascending-k
 /// order from a `+0.0` seed, exactly like [`naive::gemm`] /
-/// [`naive::gemm_nt`].
-///
-/// When the [`crate::simd`] dispatch is active, wide interior spans of
-/// the row go through the explicit AVX2 span kernel (four independent
-/// 8-lane accumulator chains) and leftover full blocks through the
-/// vector block kernel; both perform the identical mul-then-add sequence
-/// per lane, so the choice is invisible in the bits.
+/// [`naive::gemm_nt`]. With the vector dispatch active, full blocks use
+/// the explicit AVX2 block kernel, which performs the identical sequence.
 #[inline]
-fn mul_row_panel<O: Scalar>(a_f: &[f32], bp: &[f32], n: usize, out_row: &mut [O]) {
+fn mul_row_blocks<O: Scalar>(a_f: &[f32], bp: &[f32], out: &mut [O]) {
+    let w = out.len();
     let mut j0 = 0;
-    let mut span = [0.0f32; simd::SPAN];
-    while j0 + simd::SPAN <= n && simd::row_panel_span(a_f, bp, n, j0, &mut span) {
-        pack::encode_slice(&span, &mut out_row[j0..j0 + simd::SPAN]);
-        j0 += simd::SPAN;
-    }
-    mul_row_panel_tail(a_f, bp, n, out_row, j0);
-}
-
-/// Paired-row form of [`mul_row_panel`]: produces two output rows at
-/// once so the span microkernel can reuse each loaded B vector for both
-/// rows ([`simd::row_panel_span2`]), halving panel traffic — the dense
-/// GEMMs here are panel-bandwidth bound, not ALU bound. Per row the
-/// computation (and therefore every output bit) is identical to two
-/// [`mul_row_panel`] calls; when the vector path declines, that is
-/// literally what runs.
-#[inline]
-fn mul_row_panel2<O: Scalar>(
-    a0_f: &[f32],
-    a1_f: &[f32],
-    bp: &[f32],
-    n: usize,
-    out0: &mut [O],
-    out1: &mut [O],
-) {
-    let mut j0 = 0;
-    let mut span0 = [0.0f32; simd::SPAN];
-    let mut span1 = [0.0f32; simd::SPAN];
-    while j0 + simd::SPAN <= n
-        && simd::row_panel_span2(a0_f, a1_f, bp, n, j0, &mut span0, &mut span1)
-    {
-        pack::encode_slice(&span0, &mut out0[j0..j0 + simd::SPAN]);
-        pack::encode_slice(&span1, &mut out1[j0..j0 + simd::SPAN]);
-        j0 += simd::SPAN;
-    }
-    if j0 < n {
-        mul_row_panel_tail(a0_f, bp, n, out0, j0);
-        mul_row_panel_tail(a1_f, bp, n, out1, j0);
-    }
-}
-
-/// The tail of the row microkernel: the `NR`-wide register blocks (and
-/// the ragged final block) from column `j0` to `n`. This is the whole
-/// kernel when the span microkernel is not dispatched.
-#[inline]
-fn mul_row_panel_tail<O: Scalar>(a_f: &[f32], bp: &[f32], n: usize, out_row: &mut [O], j0: usize) {
-    let mut j0 = j0;
-    while j0 < n {
-        let jw = NR.min(n - j0);
+    while j0 < w {
+        let jw = NR.min(w - j0);
         let mut regs = [0.0f32; NR];
         if jw == NR {
-            if let Some(v) = simd::row_panel_block(a_f, bp, n, j0) {
+            if let Some(v) = simd::row_panel_block(a_f, bp, w, j0) {
                 regs = v;
             } else {
                 for (kk, &av) in a_f.iter().enumerate() {
-                    let b_blk: &[f32; NR] = bp[kk * n + j0..kk * n + j0 + NR]
+                    let b_blk: &[f32; NR] = bp[kk * w + j0..kk * w + j0 + NR]
                         .try_into()
                         .expect("full register block");
                     for (reg, &bv) in regs.iter_mut().zip(b_blk) {
@@ -109,24 +113,52 @@ fn mul_row_panel_tail<O: Scalar>(a_f: &[f32], bp: &[f32], n: usize, out_row: &mu
             }
         } else {
             for (kk, &av) in a_f.iter().enumerate() {
-                let b_blk = &bp[kk * n + j0..kk * n + j0 + jw];
+                let b_blk = &bp[kk * w + j0..kk * w + j0 + jw];
                 for (reg, &bv) in regs[..jw].iter_mut().zip(b_blk.iter()) {
                     *reg += av * bv;
                 }
             }
         }
-        for (slot, &v) in out_row[j0..j0 + jw].iter_mut().zip(regs[..jw].iter()) {
+        for (slot, &v) in out[j0..j0 + jw].iter_mut().zip(regs[..jw].iter()) {
             *slot = O::from_f32(v);
         }
         j0 += jw;
     }
 }
 
+/// The blocked loop nest shared by [`gemm`] and [`gemm_nt`], whose only
+/// difference is how the slabs were packed: one parallel work item per
+/// [`MC`]-row output block, slabs outer, row pairs inner.
+fn gemm_slabs<A: Scalar, O: Scalar>(a: &Matrix<A>, b: &pack::Slabs) -> Matrix<O> {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let mut out = Matrix::<O>::zeros(m, n);
+    par::for_each_chunk_mut(out.as_mut_slice(), MC * n, |blk, out_blk| {
+        // A non-empty chunk implies `n > 0`.
+        let r0 = blk * MC;
+        let rows = out_blk.len() / n;
+        let mut a_f = scratch::take_zeroed(rows * k);
+        pack::decode_slice(&a.as_slice()[r0 * k..(r0 + rows) * k], &mut a_f);
+        for (j0, w, bp) in b.iter() {
+            for (p, pair) in out_blk.chunks_mut(2 * n).enumerate() {
+                let a0_f = &a_f[2 * p * k..(2 * p + 1) * k];
+                if pair.len() == 2 * n {
+                    let a1_f = &a_f[(2 * p + 1) * k..(2 * p + 2) * k];
+                    let (out0, out1) = pair.split_at_mut(n);
+                    mul_row_slab2(a0_f, a1_f, bp, &mut out0[j0..j0 + w], &mut out1[j0..j0 + w]);
+                } else {
+                    mul_row_slab(a0_f, bp, &mut pair[j0..j0 + w]);
+                }
+            }
+        }
+    });
+    out
+}
+
 /// Computes `A × B` where `A` is `m×k` and `B` is `k×n`.
 ///
 /// Inputs may be `Half` or `f32`; products are accumulated in `f32` and the
-/// result is rounded to the output scalar type `O`. `B` is packed into an
-/// `f32` panel once up front; results are bit-identical to
+/// result is rounded to the output scalar type `O`. `B` is packed into
+/// `f32` column slabs once up front; results are bit-identical to
 /// [`naive::gemm`].
 ///
 /// # Panics
@@ -153,52 +185,15 @@ pub fn gemm<A: Scalar, B: Scalar, O: Scalar>(a: &Matrix<A>, b: &Matrix<B>) -> Ma
         b.rows(),
         b.cols()
     );
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let b_panel = pack::Panel::from_matrix(b);
-    let mut out = Matrix::<O>::zeros(m, n);
-    // Rows are independent. Within a row, the output is produced in NR-wide
-    // register blocks; the k-loop stays whole and sequential per block, so
-    // each output element accumulates in ascending-k order — the same order
-    // as the naive reference, hence bit-identical at any thread count.
-    // Rows are walked in pairs so the vector span kernel can share each
-    // loaded B vector between two rows; pairing changes panel traffic
-    // only, never the per-element arithmetic.
-    par::for_each_chunk_mut(out.as_mut_slice(), 2 * n, |i, out_chunk| {
-        mul_row_pair(a, &b_panel, k, n, 2 * i, out_chunk);
-    });
-    out
-}
-
-/// Decodes the one or two A rows backing `out_chunk` (rows `r0` and,
-/// when the chunk is full, `r0 + 1`) and runs the row microkernels over
-/// the packed panel. Shared by [`gemm`] and [`gemm_nt`], whose only
-/// difference is how the panel was packed.
-fn mul_row_pair<A: Scalar, O: Scalar>(
-    a: &Matrix<A>,
-    b_panel: &pack::Panel,
-    k: usize,
-    n: usize,
-    r0: usize,
-    out_chunk: &mut [O],
-) {
-    let mut a0_f = scratch::take_zeroed(k);
-    pack::decode_slice(a.row(r0), &mut a0_f);
-    if out_chunk.len() == 2 * n {
-        let mut a1_f = scratch::take_zeroed(k);
-        pack::decode_slice(a.row(r0 + 1), &mut a1_f);
-        let (out0, out1) = out_chunk.split_at_mut(n);
-        mul_row_panel2(&a0_f, &a1_f, b_panel.as_slice(), n, out0, out1);
-    } else {
-        mul_row_panel(&a0_f, b_panel.as_slice(), n, out_chunk);
-    }
+    gemm_slabs(a, &pack::Slabs::from_matrix(b))
 }
 
 /// Computes `A × Bᵀ` where `A` is `m×k` and `B` is `n×k`.
 ///
 /// This is the shape of the attention-score computation `Q × Kᵀ`, provided
-/// directly so callers do not materialise the transpose. `B` is packed into
-/// an `f32` panel once up front; results are bit-identical to
-/// [`naive::gemm_nt`].
+/// directly so callers do not materialise the transpose. `Bᵀ` is packed
+/// into `f32` column slabs once up front, the exact memory shape [`gemm`]
+/// walks; results are bit-identical to [`naive::gemm_nt`].
 ///
 /// # Panics
 ///
@@ -213,23 +208,14 @@ pub fn gemm_nt<A: Scalar, B: Scalar, O: Scalar>(a: &Matrix<A>, b: &Matrix<B>) ->
         b.rows(),
         b.cols()
     );
-    let (m, k, n) = (a.rows(), a.cols(), b.rows());
-    // Packing Bᵀ in k-major order turns A × Bᵀ into the exact memory shape
-    // of A × B: the microkernel reads contiguous NR-wide column blocks
-    // instead of walking NR separate B rows in lockstep.
-    let b_panel = pack::Panel::from_matrix_transposed(b);
-    let mut out = Matrix::<O>::zeros(m, n);
-    par::for_each_chunk_mut(out.as_mut_slice(), 2 * n, |i, out_chunk| {
-        mul_row_pair(a, &b_panel, k, n, 2 * i, out_chunk);
-    });
-    out
+    gemm_slabs(a, &pack::Slabs::from_matrix_transposed(b))
 }
 
 /// The shared gathered-row microkernel: dots one decoded `f32` row
 /// against up to [`NR`] gathered panel rows at once, returning the
 /// register block of sums.
 ///
-/// This is the sparse-column counterpart of the dense panel microkernel
+/// This is the sparse-column counterpart of the dense slab microkernel
 /// above: the caller gathers up to `NR` row slices (arbitrary, possibly
 /// repeated columns of a [`crate::pack::Panel`]) and the `NR` accumulator
 /// chains interleave and pipeline. The lanes are *independent* sums, so

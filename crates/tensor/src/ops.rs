@@ -2,6 +2,47 @@
 
 use crate::{pack, scratch, Matrix, Scalar};
 
+/// Applies `f` to every element of `x`, decoding one row at a time into
+/// a scratch buffer and writing each output row in place.
+fn map_rows<T: Scalar, O: Scalar>(x: &Matrix<T>, f: impl Fn(f32) -> f32) -> Matrix<O> {
+    let mut out = Matrix::<O>::zeros(x.rows(), x.cols());
+    let mut row = scratch::take_zeroed(x.cols());
+    for r in 0..x.rows() {
+        pack::decode_slice(x.row(r), &mut row);
+        for (slot, &v) in out.row_mut(r).iter_mut().zip(row.iter()) {
+            *slot = O::from_f32(f(v));
+        }
+    }
+    out
+}
+
+/// Applies `f` to every pair of same-position elements of `a` and `b`,
+/// row by row like [`map_rows`].
+///
+/// # Panics
+///
+/// Panics if the shapes differ.
+fn zip_rows<A: Scalar, B: Scalar, O: Scalar>(
+    a: &Matrix<A>,
+    b: &Matrix<B>,
+    f: impl Fn(f32, f32) -> f32,
+) -> Matrix<O> {
+    assert_eq!(a.rows(), b.rows(), "row mismatch");
+    assert_eq!(a.cols(), b.cols(), "col mismatch");
+    let mut out = Matrix::<O>::zeros(a.rows(), a.cols());
+    let mut a_row = scratch::take_zeroed(a.cols());
+    let mut b_row = scratch::take_zeroed(b.cols());
+    for r in 0..a.rows() {
+        pack::decode_slice(a.row(r), &mut a_row);
+        pack::decode_slice(b.row(r), &mut b_row);
+        let out_row = out.row_mut(r);
+        for ((slot, &av), &bv) in out_row.iter_mut().zip(a_row.iter()).zip(b_row.iter()) {
+            *slot = O::from_f32(f(av, bv));
+        }
+    }
+    out
+}
+
 /// Returns `a + b` element-wise, accumulating in `f32`.
 ///
 /// Used to merge the partial contexts produced by the coarse-grained and
@@ -11,18 +52,12 @@ use crate::{pack, scratch, Matrix, Scalar};
 ///
 /// Panics if the shapes differ.
 pub fn add<A: Scalar, B: Scalar, O: Scalar>(a: &Matrix<A>, b: &Matrix<B>) -> Matrix<O> {
-    assert_eq!(a.rows(), b.rows(), "row mismatch");
-    assert_eq!(a.cols(), b.cols(), "col mismatch");
-    Matrix::from_fn(a.rows(), a.cols(), |r, c| {
-        O::from_f32(a.get(r, c).to_f32() + b.get(r, c).to_f32())
-    })
+    zip_rows(a, b, |av, bv| av + bv)
 }
 
 /// Returns `scale * x` element-wise.
 pub fn scale<T: Scalar, O: Scalar>(x: &Matrix<T>, scale: f32) -> Matrix<O> {
-    Matrix::from_fn(x.rows(), x.cols(), |r, c| {
-        O::from_f32(x.get(r, c).to_f32() * scale)
-    })
+    map_rows(x, |v| v * scale)
 }
 
 /// Returns `x + mask` element-wise; `-inf` mask entries invalidate elements.
@@ -31,19 +66,14 @@ pub fn scale<T: Scalar, O: Scalar>(x: &Matrix<T>, scale: f32) -> Matrix<O> {
 ///
 /// Panics if the shapes differ.
 pub fn apply_mask<T: Scalar, O: Scalar>(x: &Matrix<T>, mask: &Matrix<f32>) -> Matrix<O> {
-    assert_eq!(x.rows(), mask.rows(), "row mismatch");
-    assert_eq!(x.cols(), mask.cols(), "col mismatch");
-    Matrix::from_fn(x.rows(), x.cols(), |r, c| {
-        O::from_f32(x.get(r, c).to_f32() + mask.get(r, c))
-    })
+    zip_rows(x, mask, |v, m| v + m)
 }
 
 /// GELU activation (tanh approximation), used by transformer FFN blocks.
 pub fn gelu<T: Scalar, O: Scalar>(x: &Matrix<T>) -> Matrix<O> {
-    Matrix::from_fn(x.rows(), x.cols(), |r, c| {
-        let v = x.get(r, c).to_f32();
+    map_rows(x, |v| {
         let inner = 0.797_884_6 * (v + 0.044_715 * v * v * v);
-        O::from_f32(0.5 * v * (1.0 + inner.tanh()))
+        0.5 * v * (1.0 + inner.tanh())
     })
 }
 
@@ -74,6 +104,7 @@ pub fn layer_norm<T: Scalar, O: Scalar>(x: &Matrix<T>, gamma: &[f32], beta: &[f3
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Half;
 
     #[test]
     fn add_is_elementwise() {
@@ -107,6 +138,48 @@ mod tests {
         assert_eq!(y.get(0, 0), 0.0);
         assert!((y.get(0, 1) - 100.0).abs() < 1e-3);
         assert!(y.get(0, 2).abs() < 1e-3);
+    }
+
+    #[test]
+    fn row_wise_ops_match_per_element_expressions_bitwise() {
+        // Every Half bit pattern once (NaN payloads, ±Inf, subnormals),
+        // against a reversed copy: each row-wise op must reproduce its
+        // per-element expression bit for bit.
+        let x = Matrix::<Half>::from_fn(256, 256, |r, c| Half::from_bits((r * 256 + c) as u16));
+        let y = Matrix::<Half>::from_fn(256, 256, |r, c| x.get(255 - r, 255 - c));
+        let mask = y.cast::<f32>();
+        let reference = |f: &dyn Fn(usize, usize) -> f32| Matrix::<f32>::from_fn(256, 256, f);
+        let cases: [(&str, Matrix<f32>, Matrix<f32>); 4] = [
+            (
+                "add",
+                add(&x, &y),
+                reference(&|r, c| x.get(r, c).to_f32() + y.get(r, c).to_f32()),
+            ),
+            (
+                "scale",
+                scale(&x, 0.37),
+                reference(&|r, c| x.get(r, c).to_f32() * 0.37),
+            ),
+            (
+                "apply_mask",
+                apply_mask(&x, &mask),
+                reference(&|r, c| x.get(r, c).to_f32() + mask.get(r, c)),
+            ),
+            (
+                "gelu",
+                gelu(&x),
+                reference(&|r, c| {
+                    let v = x.get(r, c).to_f32();
+                    let inner = 0.797_884_6 * (v + 0.044_715 * v * v * v);
+                    0.5 * v * (1.0 + inner.tanh())
+                }),
+            ),
+        ];
+        for (name, got, want) in cases {
+            for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "{name}: element {i}");
+            }
+        }
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! kernels (SPLAT, Fused3S) win by staging operands into registers or
 //! shared memory once and running the MAC loop over the staged tile;
 //! this module is the CPU analogue. [`decode_slice`] converts a slice in
-//! one pass, and [`Panel`] stages a whole matrix as a row-major `f32`
-//! panel in a pooled [`crate::scratch`] buffer.
+//! one pass, [`Panel`] stages a whole matrix as a row-major `f32` panel
+//! in a pooled [`crate::scratch`] buffer, and [`Slabs`] stages a dense
+//! GEMM's B operand as cache-sized column slabs.
 //!
 //! Bit-identity: FP16→FP32 decode is exact, so replacing a per-use
 //! conversion with a staged panel changes *where* the conversion
@@ -16,6 +17,7 @@
 //! accumulation order, results are bit-identical by construction.
 
 use crate::scratch::{self, ScratchF32};
+use crate::simd::SPAN;
 use crate::{Matrix, Scalar};
 
 /// Decodes `src` into `dst` element-wise (exact for both scalar types).
@@ -132,6 +134,93 @@ impl Panel {
     }
 }
 
+/// A `k × n` operand decoded once into **column slabs** of width
+/// [`SPAN`]: slab `s` holds columns `SPAN·s .. SPAN·s + w` as a
+/// contiguous, k-major `k × w` block (`slab[kk * w + j]` is element
+/// `(kk, SPAN·s + j)`), and only the last slab may be narrower than
+/// `SPAN`. A blocked GEMM streams one slab at a time: the slab is small
+/// enough to stay cache-resident while many output rows reuse it, where a
+/// whole-width row-major panel would be re-read from memory per row.
+///
+/// This is its own type rather than a [`Panel`] constructor so that
+/// [`Panel::row`] can never index a slab-ordered buffer. Decode is exact,
+/// so the layout changes where values sit, never what they are.
+///
+/// # Examples
+///
+/// ```
+/// use mg_tensor::{pack::Slabs, Half, Matrix};
+///
+/// let b = Matrix::<Half>::random(3, 40, 1);
+/// let slabs = Slabs::from_matrix(&b);
+/// let (j0, w, last) = slabs.iter().last().expect("two slabs");
+/// assert_eq!((j0, w), (32, 8));
+/// assert_eq!(last[2 * w + 5], b.get(2, 37).to_f32());
+/// ```
+pub struct Slabs {
+    buf: ScratchF32,
+    depth: usize,
+    cols: usize,
+}
+
+impl Slabs {
+    /// Decodes the `k × n` matrix `m` into column slabs, one contiguous
+    /// run of at most [`SPAN`] elements per source row and slab.
+    pub fn from_matrix<T: Scalar>(m: &Matrix<T>) -> Slabs {
+        let (depth, cols) = (m.rows(), m.cols());
+        let mut buf = scratch::take_zeroed(depth * cols);
+        for (j0, w) in slab_spans(cols) {
+            let slab = &mut buf[j0 * depth..(j0 + w) * depth];
+            for (kk, dst) in slab.chunks_exact_mut(w).enumerate() {
+                decode_slice(&m.row(kk)[j0..j0 + w], dst);
+            }
+        }
+        Slabs { buf, depth, cols }
+    }
+
+    /// Decodes the column slabs of `mᵀ` for an `n × k` matrix `m`, so
+    /// `A × Bᵀ` walks the same slabs [`Slabs::from_matrix`] gives `A × B`.
+    /// The `w` source rows behind one slab are contiguous, so each slab
+    /// is decoded in one run and then transposed into k-major order.
+    pub fn from_matrix_transposed<T: Scalar>(m: &Matrix<T>) -> Slabs {
+        let (cols, depth) = (m.rows(), m.cols());
+        let mut buf = scratch::take_zeroed(depth * cols);
+        let mut rows = scratch::take_zeroed(SPAN * depth);
+        for (j0, w) in slab_spans(cols) {
+            let rows = &mut rows[..w * depth];
+            decode_slice(&m.as_slice()[j0 * depth..(j0 + w) * depth], rows);
+            let slab = &mut buf[j0 * depth..(j0 + w) * depth];
+            for (j, row) in rows.chunks_exact(depth.max(1)).enumerate() {
+                for (kk, &v) in row.iter().enumerate() {
+                    slab[kk * w + j] = v;
+                }
+            }
+        }
+        Slabs { buf, depth, cols }
+    }
+
+    /// Number of columns `n` of the operand.
+    #[inline]
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// The slabs in column order, as `(j0, w, slab)`: the first column,
+    /// the width, and the `k × w` k-major block. An operand with `k = 0`
+    /// still yields its (empty) slabs, so every output column is visited.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, &[f32])> + '_ {
+        slab_spans(self.cols)
+            .map(|(j0, w)| (j0, w, &self.buf[j0 * self.depth..(j0 + w) * self.depth]))
+    }
+}
+
+/// The `(j0, w)` column spans of the slabs covering `cols` columns.
+fn slab_spans(cols: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..cols)
+        .step_by(SPAN)
+        .map(move |j0| (j0, SPAN.min(cols - j0)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,6 +277,38 @@ mod tests {
             for r in 0..5 {
                 assert_eq!(t.row(c)[r], m.get(r, c).to_f32());
             }
+        }
+    }
+
+    /// Slab `s`, row `kk` must equal `B[kk][32s..32s + w]`, ragged last
+    /// slab included, whichever constructor built the slabs.
+    fn assert_slabs_hold_columns(slabs: &Slabs, b: &Matrix<Half>) {
+        assert_eq!(slabs.cols(), b.cols());
+        let spans: Vec<(usize, usize)> = slabs.iter().map(|(j0, w, _)| (j0, w)).collect();
+        let want: Vec<(usize, usize)> = (0..b.cols().div_ceil(SPAN))
+            .map(|s| (s * SPAN, SPAN.min(b.cols() - s * SPAN)))
+            .collect();
+        assert_eq!(spans, want);
+        for (j0, w, slab) in slabs.iter() {
+            assert_eq!(slab.len(), b.rows() * w);
+            for kk in 0..b.rows() {
+                let want: Vec<f32> = b.row(kk)[j0..j0 + w].iter().map(|v| v.to_f32()).collect();
+                assert_eq!(
+                    &slab[kk * w..(kk + 1) * w],
+                    &want[..],
+                    "slab at {j0}, row {kk}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn slabs_hold_column_runs_including_the_ragged_last() {
+        for (k, n) in [(5, 2 * SPAN + 7), (3, SPAN), (4, SPAN - 1), (0, 40), (6, 0)] {
+            let b = Matrix::<Half>::random(k, n, 7);
+            assert_slabs_hold_columns(&Slabs::from_matrix(&b), &b);
+            let bt = b.transpose();
+            assert_slabs_hold_columns(&Slabs::from_matrix_transposed(&bt), &b);
         }
     }
 

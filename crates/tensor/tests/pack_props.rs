@@ -5,7 +5,8 @@
 //! exact and the per-element accumulation order is unchanged. These tests
 //! pin that promise over matrices drawn from the **full** `Half` bit
 //! space — which naturally includes subnormals, ±Inf, and NaN — plus
-//! empty and degenerate shapes, under 1-thread and 4-thread pools.
+//! empty and degenerate shapes and shapes crossing the blocked GEMM's
+//! row-block and slab boundaries, under 1-thread and 4-thread pools.
 
 use mg_tensor::{dot, dot_f32, gemm, gemm_nt, naive, simd, Half, Matrix};
 use rayon::ThreadPoolBuilder;
@@ -65,11 +66,33 @@ const SHAPES: &[(usize, usize, usize)] = &[
     (16, 64, 33),
 ];
 
+/// Shapes that cross the blocked GEMM's 32-row output blocks and
+/// 32-column B slabs: one below, at, and above each boundary, and several
+/// blocks in (a ragged last block and slab), at a one-deep and a deep k.
+/// The empty extent of each dimension comes at blocked size too.
+fn blocked_shapes() -> Vec<(usize, usize, usize)> {
+    let mut shapes = vec![(0, 97, 101), (67, 0, 101), (67, 97, 0)];
+    for m in [31, 32, 33, 67] {
+        for n in [31, 32, 33, 101] {
+            for k in [1, 97] {
+                shapes.push((m, k, n));
+            }
+        }
+    }
+    shapes
+}
+
+/// Every shape the GEMM bit-equality tests run: the register-tiler
+/// shapes, then the blocked geometry.
+fn all_shapes() -> Vec<(usize, usize, usize)> {
+    SHAPES.iter().copied().chain(blocked_shapes()).collect()
+}
+
 #[test]
 fn packed_gemm_matches_naive_bitwise_over_full_half_space() {
     let mut rng = BitRng(0x5eed_0001);
     for threads in [1, 4] {
-        for &(m, k, n) in SHAPES {
+        for (m, k, n) in all_shapes() {
             for round in 0..4 {
                 let a = rng.matrix(m, k);
                 let b = rng.matrix(k, n);
@@ -92,7 +115,7 @@ fn packed_gemm_matches_naive_bitwise_over_full_half_space() {
 fn packed_gemm_nt_matches_naive_bitwise_over_full_half_space() {
     let mut rng = BitRng(0x5eed_0002);
     for threads in [1, 4] {
-        for &(m, k, n) in SHAPES {
+        for (m, k, n) in all_shapes() {
             for round in 0..4 {
                 let a = rng.matrix(m, k);
                 let b = rng.matrix(n, k);
@@ -139,7 +162,7 @@ fn simd_and_scalar_dispatch_agree_bitwise() {
     // transient mode flip cannot fail a concurrent packed-vs-naive check.
     let mut rng = BitRng(0x5eed_0005);
     for threads in [1, 4] {
-        for &(m, k, n) in SHAPES {
+        for (m, k, n) in all_shapes() {
             let a = rng.matrix(m, k);
             let b = rng.matrix(k, n);
             let bt = rng.matrix(n, k);
