@@ -1,6 +1,7 @@
 //! Compound sparse patterns: unions of atomic patterns with padding
 //! support, plus conversions to the sparse formats the kernels consume.
 
+use crate::slicing::walk_block_rows;
 use crate::{AtomicPattern, Grain};
 use mg_sparse::{Bsr, Csr, SparseError};
 use mg_tensor::{Half, Matrix, Scalar};
@@ -232,21 +233,35 @@ impl CompoundPattern {
 
     /// Renders the whole pattern as an element-wise CSR structure (zero
     /// values) — what the fine-grained-only (Sputnik-style) baseline uses.
+    /// Offsets and columns are filled row by row.
     pub fn to_csr<T: Scalar>(&self) -> Csr<T> {
-        Csr::from_coords(self.seq_len, self.seq_len, &self.coords())
-            .expect("compound coords are sorted, unique, and in bounds")
+        let mut row_offsets = Vec::with_capacity(self.seq_len + 1);
+        row_offsets.push(0);
+        let mut col_indices = Vec::new();
+        for r in 0..self.seq_len {
+            col_indices.extend(self.row_columns(r));
+            row_offsets.push(col_indices.len());
+        }
+        let col_indices = col_indices.to_vec();
+        let values = vec![T::ZERO; col_indices.len()];
+        Csr::try_new(self.seq_len, self.seq_len, row_offsets, col_indices, values)
+            .expect("compound row columns are sorted and in bounds")
     }
 
     /// Renders the whole pattern as a blocked BSR structure plus validity
     /// mask — what the coarse-grained-only (Triton-style) baseline uses.
-    /// Every block containing at least one valid element is stored whole.
+    /// Every block containing at least one valid element is stored whole:
+    /// the slicing walk with every part marking and no rows skipped.
     ///
     /// # Errors
     ///
     /// Returns [`SparseError::BlockMisaligned`] if `seq_len` is not
     /// divisible by `block_size`.
     pub fn to_blocked(&self, block_size: usize) -> Result<BlockedPattern, SparseError> {
-        blocked_from_coords(self.seq_len, block_size, &self.coords())
+        let every_part: Vec<&AtomicPattern> = self.parts.iter().collect();
+        let (blocked, fine) = walk_block_rows(self, block_size, &every_part, &[])?;
+        debug_assert!(fine.is_none(), "every element lies in a marked block");
+        Ok(blocked)
     }
 
     /// A dense `seq_len × seq_len` attention mask: `0.0` on valid
@@ -260,40 +275,6 @@ impl CompoundPattern {
         }
         mask
     }
-}
-
-/// Builds a [`BlockedPattern`] from element coordinates: every touched
-/// block is stored whole, and the mask flags the untouched slots.
-///
-/// # Errors
-///
-/// Returns [`SparseError::BlockMisaligned`] if `seq_len` is not divisible
-/// by `block_size`.
-pub(crate) fn blocked_from_coords(
-    seq_len: usize,
-    block_size: usize,
-    coords: &[(usize, usize)],
-) -> Result<BlockedPattern, SparseError> {
-    let mut block_coords: Vec<(usize, usize)> = coords
-        .iter()
-        .map(|&(r, c)| (r / block_size, c / block_size))
-        .collect();
-    block_coords.sort_unstable();
-    block_coords.dedup();
-    let structure = Bsr::<Half>::from_block_coords(seq_len, seq_len, block_size, &block_coords)?;
-
-    // `block_coords` is sorted and deduplicated — storage order — so a
-    // binary search resolves each element's block index without a
-    // hash-ordered side table (mg-lint D1).
-    let sq = block_size * block_size;
-    let mut mask = vec![f32::NEG_INFINITY; structure.nnz_blocks() * sq];
-    for &(r, c) in coords {
-        let i = block_coords
-            .binary_search(&(r / block_size, c / block_size))
-            .expect("every coord's block is in block_coords");
-        mask[i * sq + (r % block_size) * block_size + (c % block_size)] = 0.0;
-    }
-    Ok(BlockedPattern { structure, mask })
 }
 
 #[cfg(test)]

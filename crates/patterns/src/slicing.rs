@@ -12,12 +12,143 @@
 //!    block mask.
 //! 3. **Fine elements** — everything left: fine-grain-pattern elements
 //!    outside global rows and outside coarse blocks.
+//!
+//! # The walk
+//!
+//! [`walk_block_rows`] builds every plan in one pass per block row,
+//! derived from the atomic parts' row columns rather than from a
+//! materialised coordinate list:
+//!
+//! 1. mark the block columns the marking parts touch in a reused
+//!    `Vec<bool>` of length `L/B` (valid, non-global rows; columns below
+//!    `valid_len`);
+//! 2. read the marks out in ascending order — that block row's BSR
+//!    column list;
+//! 3. map block column → block index through a reused slot table, reset
+//!    after the block row;
+//! 4. walk each row's compound columns once: a column inside a stored
+//!    block sets its mask slot to `0.0`, any other is appended to the
+//!    fine CSR row, whose offset is written as the walk goes.
+//!
+//! Steps 1–2 run for every block row before steps 3–4, so the block count
+//! is known first and the mask is allocated at exact size. The index
+//! lists grow in temporary buffers and are copied once into exact-size
+//! allocations, so cached plans carry no spare capacity.
+//! The work is `O(nnz + (L/B)²)`: the compound elements once, the
+//! marking parts' elements once, and one scan of the marks per block row.
+//! Multigrain marks with the coarse-grain parts and skips global rows;
+//! the Triton-style [`CompoundPattern::to_blocked`] marks with every part
+//! and skips nothing, so every element owns its block.
 
-use crate::compound::{blocked_from_coords, BlockedPattern};
-use crate::{CompoundPattern, Grain};
-use mg_sparse::{Csr, SparseError};
+use crate::compound::BlockedPattern;
+use crate::{AtomicPattern, CompoundPattern, Grain};
+use mg_sparse::{Bsr, Csr, SparseError};
 use mg_tensor::Half;
-use std::collections::HashSet;
+
+/// Slot-table entry of a block column with no stored block in the current
+/// block row.
+const NO_BLOCK: usize = usize::MAX;
+
+/// Walks `pattern` once per block row of size `block_size` (see the module
+/// docs). Blocks touched by `marking` parts own every compound element
+/// inside them; the remaining elements form the fine CSR part. Rows in
+/// `skip_rows` (sorted) are neither marked nor walked. Returns the blocked
+/// part and the fine part, `None` when it is empty.
+///
+/// # Errors
+///
+/// Returns [`SparseError::BlockMisaligned`] if `block_size` is zero or does
+/// not divide the sequence length.
+pub(crate) fn walk_block_rows(
+    pattern: &CompoundPattern,
+    block_size: usize,
+    marking: &[&AtomicPattern],
+    skip_rows: &[usize],
+) -> Result<(BlockedPattern, Option<Csr<Half>>), SparseError> {
+    let seq_len = pattern.seq_len();
+    let valid_len = pattern.valid_len();
+    if block_size == 0 || !seq_len.is_multiple_of(block_size) {
+        return Err(SparseError::BlockMisaligned {
+            dim: seq_len,
+            block_size,
+        });
+    }
+    let block_rows = seq_len / block_size;
+    let block_row = |br: usize| br * block_size..(br + 1) * block_size;
+    let walked = |r: usize| r < valid_len && skip_rows.binary_search(&r).is_err();
+
+    // Steps 1–2 for every block row: the BSR structure, so the block count
+    // is known before the mask is allocated.
+    let mut marks = vec![false; block_rows];
+    let mut block_offsets = Vec::with_capacity(block_rows + 1);
+    block_offsets.push(0);
+    let mut block_cols = Vec::new();
+    for br in 0..block_rows {
+        for r in block_row(br).filter(|&r| walked(r)) {
+            for part in marking {
+                let cols = part.row_columns(seq_len, r);
+                for &c in &cols[..cols.partition_point(|&c| c < valid_len)] {
+                    marks[c / block_size] = true;
+                }
+            }
+        }
+        for (bc, mark) in marks.iter_mut().enumerate() {
+            if std::mem::take(mark) {
+                block_cols.push(bc);
+            }
+        }
+        block_offsets.push(block_cols.len());
+    }
+    let block_cols = block_cols.to_vec();
+
+    // Steps 3–4: resolve each element to its block's mask slot or to the
+    // fine part.
+    let sq = block_size * block_size;
+    let mut mask = vec![f32::NEG_INFINITY; block_cols.len() * sq];
+    let mut slots = vec![NO_BLOCK; block_rows];
+    let mut fine_offsets = Vec::with_capacity(seq_len + 1);
+    fine_offsets.push(0);
+    let mut fine_cols = Vec::new();
+    for br in 0..block_rows {
+        let blocks = block_offsets[br]..block_offsets[br + 1];
+        for i in blocks.clone() {
+            slots[block_cols[i]] = i;
+        }
+        for r in block_row(br) {
+            if walked(r) {
+                let row_base = (r % block_size) * block_size;
+                for c in pattern.row_columns(r) {
+                    match slots[c / block_size] {
+                        NO_BLOCK => fine_cols.push(c),
+                        i => mask[i * sq + row_base + c % block_size] = 0.0,
+                    }
+                }
+            }
+            fine_offsets.push(fine_cols.len());
+        }
+        for i in blocks {
+            slots[block_cols[i]] = NO_BLOCK;
+        }
+    }
+    let fine_cols = fine_cols.to_vec();
+
+    let values = vec![Half::ZERO; block_cols.len() * sq];
+    let structure = Bsr::try_new(
+        seq_len,
+        seq_len,
+        block_size,
+        block_offsets,
+        block_cols,
+        values,
+    )
+    .expect("block columns are read out sorted and in bounds");
+    let fine = (!fine_cols.is_empty()).then(|| {
+        let values = vec![Half::ZERO; fine_cols.len()];
+        Csr::try_new(seq_len, seq_len, fine_offsets, fine_cols, values)
+            .expect("compound row columns are sorted and in bounds")
+    });
+    Ok((BlockedPattern { structure, mask }, fine))
+}
 
 /// A compound pattern decomposed into the three kernel-facing parts.
 ///
@@ -56,70 +187,17 @@ impl SlicedPattern {
         pattern: &CompoundPattern,
         block_size: usize,
     ) -> Result<SlicedPattern, SparseError> {
-        if block_size == 0 || !pattern.seq_len().is_multiple_of(block_size) {
-            return Err(SparseError::BlockMisaligned {
-                dim: pattern.seq_len(),
-                block_size,
-            });
-        }
-        let seq_len = pattern.seq_len();
         let global_rows = pattern.global_rows();
-        // mg-lint: allow(D1): membership-only set (contains), never iterated
-        let global_set: HashSet<usize> = global_rows.iter().copied().collect();
-
-        // 1. Coarse part: blocks touched by coarse-grain parts, global rows
-        //    excluded. The blocks own every compound element inside them.
-        // mg-lint: allow(D1): membership-only set (insert/contains), never iterated
-        let mut coarse_blocks: HashSet<(usize, usize)> = HashSet::new();
-        for part in pattern.parts_of_grain(Grain::Coarse) {
-            for r in 0..pattern.valid_len() {
-                if global_set.contains(&r) {
-                    continue;
-                }
-                for c in part.row_columns(seq_len, r) {
-                    if c < pattern.valid_len() {
-                        coarse_blocks.insert((r / block_size, c / block_size));
-                    }
-                }
-            }
-        }
-
-        // Collect the compound elements owned by the coarse blocks (any
-        // grain — a fine element landing inside a stored block is owned by
-        // the block, per the overlap-invalidation rule) and the leftover
-        // fine elements.
-        let mut coarse_coords: Vec<(usize, usize)> = Vec::new();
-        let mut fine_coords: Vec<(usize, usize)> = Vec::new();
-        for r in 0..seq_len {
-            if global_set.contains(&r) {
-                continue; // rule 1: global rows own their whole row
-            }
-            for c in pattern.row_columns(r) {
-                if coarse_blocks.contains(&(r / block_size, c / block_size)) {
-                    coarse_coords.push((r, c));
-                } else {
-                    fine_coords.push((r, c));
-                }
-            }
-        }
-
-        let coarse = if coarse_coords.is_empty() {
-            None
-        } else {
-            Some(blocked_from_coords(seq_len, block_size, &coarse_coords)?)
-        };
-        let fine = if fine_coords.is_empty() {
-            None
-        } else {
-            Some(
-                Csr::from_coords(seq_len, seq_len, &fine_coords)
-                    .expect("coords are sorted, unique, and in bounds"),
-            )
-        };
-        Ok(SlicedPattern {
-            seq_len,
+        let (coarse, fine) = walk_block_rows(
+            pattern,
             block_size,
-            coarse,
+            &pattern.parts_of_grain(Grain::Coarse),
+            &global_rows,
+        )?;
+        Ok(SlicedPattern {
+            seq_len: pattern.seq_len(),
+            block_size,
+            coarse: (coarse.structure.nnz_blocks() > 0).then_some(coarse),
             fine,
             global_rows,
         })
@@ -199,6 +277,7 @@ pub struct SliceStats {
 mod tests {
     use super::*;
     use crate::AtomicPattern;
+    use std::collections::HashSet;
 
     fn compound() -> CompoundPattern {
         CompoundPattern::new(32)
@@ -307,6 +386,16 @@ mod tests {
         let pattern = compound();
         let sliced = SlicedPattern::from_compound(&pattern, 4).expect("aligned");
         assert_eq!(sliced.total_valid_elements(), pattern.nnz());
+    }
+
+    #[test]
+    fn mask_is_allocated_at_exact_size() {
+        // Plan caches hold sliced patterns for their whole lifetime, so the
+        // mask must not carry growth slack.
+        let pattern = crate::presets::longformer(1024, 128, &[0, 1, 500]);
+        let sliced = SlicedPattern::from_compound(&pattern, 64).expect("aligned");
+        let mask = &sliced.coarse().expect("local band is coarse").mask;
+        assert_eq!(mask.capacity(), mask.len());
     }
 
     #[test]

@@ -567,8 +567,7 @@ mod tests {
         let mut a: Vec<f32> = m.row(0).to_vec();
         a[3] = f32::INFINITY;
         a[7] = -0.0;
-        for simd_on in [false, true] {
-            simd::set_override(Some(simd_on));
+        simd::in_both_modes(|simd_on| {
             for width in 0..=NR {
                 let mut rows: [&[f32]; NR] = [&[]; NR];
                 for (j, row) in rows[..width].iter_mut().enumerate() {
@@ -586,8 +585,7 @@ mod tests {
                     assert_eq!(reg.to_bits(), (-0.0f32).to_bits(), "unused lane seed");
                 }
             }
-        }
-        simd::set_override(None);
+        });
     }
 
     #[test]
@@ -614,8 +612,7 @@ mod tests {
             .collect();
         let mut a: Vec<f32> = (0..16).map(|i| (i as f32 * 0.7).cos()).collect();
         a[4] = -0.0;
-        for simd_on in [false, true] {
-            simd::set_override(Some(simd_on));
+        simd::in_both_modes(|simd_on| {
             for width in 0..=NR {
                 for c0 in 0..=(13 - width) {
                     let regs = dot_rows_run(&a, &kt, c0, width);
@@ -631,8 +628,7 @@ mod tests {
                     }
                 }
             }
-        }
-        simd::set_override(None);
+        });
     }
 
     #[test]
@@ -649,8 +645,7 @@ mod tests {
             })
             .collect();
         let p: [f32; NR] = std::array::from_fn(|j| (j as f32 * 1.3).cos() * 2.0);
-        for simd_on in [false, true] {
-            simd::set_override(Some(simd_on));
+        simd::in_both_modes(|simd_on| {
             for dh in [0usize, 3, NR, NR + 3] {
                 let mut v_rows: [&[f32]; NR] = [&[]; NR];
                 for (slot, row) in v_rows.iter_mut().zip(rows_data.iter()) {
@@ -674,8 +669,7 @@ mod tests {
                     }
                 }
             }
-        }
-        simd::set_override(None);
+        });
     }
 
     #[test]

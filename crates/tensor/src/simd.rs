@@ -508,22 +508,31 @@ mod avx2 {
     }
 }
 
+/// Runs `body` under both forced dispatch modes (scalar, then vector),
+/// then clears the override so the environment decides again. The
+/// override is process-wide and the test harness runs tests on parallel
+/// threads, so every in-crate test that flips it goes through here: one
+/// lock, held for the whole run, keeps a dispatch-state assertion inside
+/// `body` from seeing another test's mode.
+#[cfg(test)]
+pub(crate) fn in_both_modes(mut body: impl FnMut(bool)) {
+    static OVERRIDE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A panicking test poisons the lock; the mode it left behind is
+    // overwritten below, so the next test may proceed.
+    let _guard = OVERRIDE_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    for simd_on in [false, true] {
+        set_override(Some(simd_on));
+        body(simd_on);
+    }
+    set_override(None);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{pack, Matrix};
-
-    /// Runs `body` under both forced dispatch modes, restoring the
-    /// environment-driven decision afterwards. The assertions inside must
-    /// hold in either mode (bit-identity makes them mode-independent), so
-    /// concurrent tests flipping the shared override cannot break them.
-    fn in_both_modes(mut body: impl FnMut(bool)) {
-        for simd_on in [false, true] {
-            set_override(Some(simd_on));
-            body(simd_on);
-        }
-        set_override(None);
-    }
 
     #[test]
     fn decode_is_bit_identical_over_the_entire_half_bitspace() {

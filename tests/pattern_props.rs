@@ -1,14 +1,17 @@
 //! Integration: property-based tests on the pattern substrate and the
 //! slice invariants the whole method rests on.
 
-use mg_patterns::{AtomicPattern, CompoundPattern, DecodePatternState, Grain, SlicedPattern};
+use mg_patterns::{
+    AtomicPattern, BlockedPattern, CompoundPattern, DecodePatternState, Grain, SlicedPattern,
+};
+use mg_sparse::{Bsr, Csr};
+use mg_tensor::Half;
 use proptest::prelude::*;
 use std::collections::HashSet;
 
-/// Strategy for arbitrary compound patterns over block-aligned lengths.
-fn compound_pattern() -> impl Strategy<Value = CompoundPattern> {
-    let seq_choices = prop_oneof![Just(32usize), Just(64), Just(96)];
-    let atomic = prop_oneof![
+/// Strategy for the eight atomic kinds other than `Dense`.
+fn atomic_pattern() -> impl Strategy<Value = AtomicPattern> {
+    prop_oneof![
         (1usize..16).prop_map(|w| AtomicPattern::Local { window: w }),
         (2usize..16, 1usize..4).prop_map(|(w, s)| AtomicPattern::Dilated {
             window: w,
@@ -30,10 +33,15 @@ fn compound_pattern() -> impl Strategy<Value = CompoundPattern> {
             blocks_per_row: n,
             seed
         }),
-    ];
+    ]
+}
+
+/// Strategy for arbitrary compound patterns over block-aligned lengths.
+fn compound_pattern() -> impl Strategy<Value = CompoundPattern> {
+    let seq_choices = prop_oneof![Just(32usize), Just(64), Just(96)];
     (
         seq_choices,
-        proptest::collection::vec(atomic, 1..4),
+        proptest::collection::vec(atomic_pattern(), 1..4),
         any::<bool>(),
     )
         .prop_map(|(seq_len, parts, pad)| {
@@ -46,6 +54,110 @@ fn compound_pattern() -> impl Strategy<Value = CompoundPattern> {
             }
             p
         })
+}
+
+/// Strategy for `(pattern, block_size)` over all nine atomic kinds, block
+/// sizes {4, 8, 16} and valid lengths {0, 1, a non-multiple of the block
+/// size, seq_len}.
+fn sliceable_pattern() -> impl Strategy<Value = (CompoundPattern, usize)> {
+    // `Dense` as one kind in nine.
+    let part = (atomic_pattern(), 0usize..9).prop_map(|(part, kind)| {
+        if kind == 0 {
+            AtomicPattern::Dense
+        } else {
+            part
+        }
+    });
+    (
+        prop_oneof![Just(32usize), Just(64), Just(96)],
+        proptest::collection::vec(part, 1..4),
+        prop_oneof![Just(4usize), Just(8), Just(16)],
+        0usize..4,
+        0usize..96,
+    )
+        .prop_map(|(seq_len, parts, block, pad_kind, pick)| {
+            let mut p = CompoundPattern::new(seq_len);
+            for part in parts {
+                p = p.with(part);
+            }
+            // An odd length is never a multiple of 4, 8 or 16.
+            let valid_len = [0, 1, (pick % seq_len) | 1, seq_len][pad_kind];
+            (p.with_valid_len(valid_len), block)
+        })
+}
+
+/// A blocked rendering built element by element: `blocks` flags the stored
+/// `(block_row, block_col)` cells row-major, and `valid` decides each
+/// stored element's mask value.
+fn naive_blocked(
+    seq_len: usize,
+    b: usize,
+    blocks: &[bool],
+    valid: impl Fn(usize, usize) -> bool,
+) -> BlockedPattern {
+    let nb = seq_len / b;
+    let coords: Vec<(usize, usize)> = (0..nb * nb)
+        .filter(|&i| blocks[i])
+        .map(|i| (i / nb, i % nb))
+        .collect();
+    let structure = Bsr::from_block_coords(seq_len, seq_len, b, &coords).expect("aligned");
+    let mask = coords
+        .iter()
+        .flat_map(|&(br, bc)| (0..b * b).map(move |e| (br * b + e / b, bc * b + e % b)))
+        .map(|(r, c)| if valid(r, c) { 0.0 } else { f32::NEG_INFINITY })
+        .collect();
+    BlockedPattern { structure, mask }
+}
+
+/// The slicing oracle: the three ownership rules applied element by
+/// element to dense masks. Returns the expected coarse part, fine part and
+/// global rows.
+fn naive_slice(
+    pattern: &CompoundPattern,
+    b: usize,
+) -> (Option<BlockedPattern>, Option<Csr<Half>>, Vec<usize>) {
+    let (n, valid_len) = (pattern.seq_len(), pattern.valid_len());
+    let nb = n / b;
+    let dense = pattern.to_dense_mask();
+    let in_pattern = |r: usize, c: usize| dense.get(r, c) == 0.0;
+    // Rule 1: rows made dense by a Global or Dense part own their row.
+    let global: Vec<usize> = (0..valid_len)
+        .filter(|&r| {
+            pattern.parts().iter().any(|p| match p {
+                AtomicPattern::Global { tokens } => tokens.contains(&r),
+                AtomicPattern::Dense => true,
+                _ => false,
+            })
+        })
+        .collect();
+    let owned_row = |r: usize| !global.contains(&r);
+    // Rule 2: blocks touched by the coarse-grain parts in the remaining
+    // rows own every pattern element inside them.
+    let mut coarse_only = CompoundPattern::new(n);
+    for part in pattern.parts_of_grain(Grain::Coarse) {
+        coarse_only = coarse_only.with(part.clone());
+    }
+    let coarse_dense = coarse_only.with_valid_len(valid_len).to_dense_mask();
+    let mut blocks = vec![false; nb * nb];
+    for r in (0..n).filter(|&r| owned_row(r)) {
+        for c in 0..n {
+            if coarse_dense.get(r, c) == 0.0 {
+                blocks[(r / b) * nb + c / b] = true;
+            }
+        }
+    }
+    let coarse = blocks
+        .contains(&true)
+        .then(|| naive_blocked(n, b, &blocks, |r, c| owned_row(r) && in_pattern(r, c)));
+    // Rule 3: every other pattern element is fine.
+    let fine_coords: Vec<(usize, usize)> = (0..n)
+        .filter(|&r| owned_row(r))
+        .flat_map(|r| (0..n).map(move |c| (r, c)))
+        .filter(|&(r, c)| in_pattern(r, c) && !blocks[(r / b) * nb + c / b])
+        .collect();
+    let fine = (!fine_coords.is_empty())
+        .then(|| Csr::from_coords(n, n, &fine_coords).expect("row-major unique"));
+    (coarse, fine, global)
 }
 
 proptest! {
@@ -132,6 +244,43 @@ proptest! {
             .map(|&g| pattern.parts_of_grain(g).len())
             .sum();
         prop_assert_eq!(total, by_grain);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every plan builder equals the naive oracle exactly: the sliced
+    /// parts (block order and mask storage order included), the
+    /// Triton-style blocked rendering, and the Sputnik-style CSR.
+    #[test]
+    fn plan_builders_match_naive_oracle((pattern, b) in sliceable_pattern()) {
+        let (n, dense) = (pattern.seq_len(), pattern.to_dense_mask());
+        let in_pattern = |r: usize, c: usize| dense.get(r, c) == 0.0;
+
+        let (coarse, fine, global) = naive_slice(&pattern, b);
+        let sliced = SlicedPattern::from_compound(&pattern, b).expect("aligned");
+        prop_assert_eq!(sliced.coarse(), coarse.as_ref());
+        prop_assert_eq!(sliced.fine(), fine.as_ref());
+        prop_assert_eq!(sliced.global_rows(), &global[..]);
+
+        let nb = n / b;
+        let touched: Vec<bool> = (0..nb * nb)
+            .map(|i| (0..b * b).any(|e| in_pattern((i / nb) * b + e / b, (i % nb) * b + e % b)))
+            .collect();
+        prop_assert_eq!(
+            pattern.to_blocked(b).expect("aligned"),
+            naive_blocked(n, b, &touched, in_pattern)
+        );
+
+        let coords: Vec<(usize, usize)> = (0..n)
+            .flat_map(|r| (0..n).map(move |c| (r, c)))
+            .filter(|&(r, c)| in_pattern(r, c))
+            .collect();
+        prop_assert_eq!(
+            pattern.to_csr::<Half>(),
+            Csr::from_coords(n, n, &coords).expect("row-major unique")
+        );
     }
 }
 
