@@ -149,38 +149,58 @@ fn digest_slice(values: &[Half]) -> u64 {
     h.finish()
 }
 
-/// Interleaved best-of-five timing over the three legs: the production
+/// Total seconds each leg of the fine-SDDMM regression guard runs for.
+/// Its legs take about half a millisecond, and on a shared two-core host
+/// the parallel legs can lose every rep of a short window to a busy
+/// second core while the serial naive leg does not, so the window must
+/// be long enough to also catch quiet reps: on a 2-vCPU host, 20 ms
+/// still failed 6 of 91 smoke runs and 100 ms 2 of 140; 250 ms passed
+/// all 60.
+const FINE_GUARD_LEG_S: f64 = 0.250;
+
+/// Interleaved best-of-N timing over the three legs: the production
 /// (ambient-dispatch) kernel, the same kernel with the SIMD layer
 /// forced off, and the naive reference run alternately, each keeping
 /// its minimum wall clock. Interleaving the reps means a scheduler
 /// hiccup or frequency drift on a shared box hits every side of the
 /// comparison instead of poisoning one of them, and best-of-N discards
-/// the reps it still lands on. The dispatch override is restored to the
-/// ambient (`MG_SIMD`-driven) mode before returning.
+/// the reps it still lands on. N is at least five, and reps continue
+/// until every leg has run for `min_leg_s` in total, so sub-millisecond
+/// legs still get enough reps for a stable minimum. The dispatch
+/// override is restored to the ambient (`MG_SIMD`-driven) mode before
+/// returning.
 fn time_triple<P, N>(
+    min_leg_s: f64,
     mut packed: impl FnMut() -> P,
     mut naive: impl FnMut() -> N,
 ) -> (P, P, N, f64, f64, f64) {
-    const REPS: usize = 5;
-    let mut packed_best = f64::MAX;
-    let mut scalar_best = f64::MAX;
-    let mut naive_best = f64::MAX;
+    const MIN_REPS: usize = 5;
+    let mut best = [f64::MAX; 3];
+    let mut spent = [0.0f64; 3];
     let mut packed_out = None;
     let mut scalar_out = None;
     let mut naive_out = None;
-    for _ in 0..REPS {
+    let mut reps = 0;
+    while reps < MIN_REPS || spent.iter().any(|&s| s < min_leg_s) {
+        let mut record = |leg: usize, started: Instant| {
+            let secs = started.elapsed().as_secs_f64();
+            best[leg] = best[leg].min(secs);
+            spent[leg] += secs;
+        };
         let started = Instant::now();
         packed_out = Some(packed());
-        packed_best = packed_best.min(started.elapsed().as_secs_f64());
+        record(0, started);
         simd::set_override(Some(false));
         let started = Instant::now();
         scalar_out = Some(packed());
-        scalar_best = scalar_best.min(started.elapsed().as_secs_f64());
+        record(1, started);
         simd::set_override(None);
         let started = Instant::now();
         naive_out = Some(naive());
-        naive_best = naive_best.min(started.elapsed().as_secs_f64());
+        record(2, started);
+        reps += 1;
     }
+    let [packed_best, scalar_best, naive_best] = best;
     (
         packed_out.expect("at least one rep"),
         scalar_out.expect("at least one rep"),
@@ -272,6 +292,7 @@ fn run_class(class: RequestClass, seq_len: usize, window: usize) -> ClassResult 
 
     // Dense pair: S = QKᵀ (gemm_nt), C = S·V (gemm).
     let (s_dense, s_dense_scalar, s_dense_naive, packed_s, scalar_s, naive_s) = time_triple(
+        0.0,
         || -> Matrix<Half> { mg_tensor::gemm_nt(&q, &k) },
         || -> Matrix<Half> { naive::gemm_nt(&q, &k) },
     );
@@ -287,6 +308,7 @@ fn run_class(class: RequestClass, seq_len: usize, window: usize) -> ClassResult 
     });
 
     let (c_dense, c_dense_scalar, c_dense_naive, packed_s, scalar_s, naive_s) = time_triple(
+        0.0,
         || -> Matrix<Half> { mg_tensor::gemm(&s_dense, &v) },
         || -> Matrix<Half> { naive::gemm(&s_dense, &v) },
     );
@@ -305,6 +327,7 @@ fn run_class(class: RequestClass, seq_len: usize, window: usize) -> ClassResult 
     // compound softmax between them is shared code, not part of the
     // naive/packed delta, so it is not timed.
     let (s_fine, s_fine_scalar, s_fine_naive, packed_s, scalar_s, naive_s) = time_triple(
+        FINE_GUARD_LEG_S,
         || fine_sddmm_compute(&q, &k, &csr),
         || naive_fine_sddmm(&q, &k, &csr),
     );
@@ -326,7 +349,8 @@ fn run_class(class: RequestClass, seq_len: usize, window: usize) -> ClassResult 
     // The short-row regression guard: the packed path falls back to a
     // direct per-element pass below FINE_SDDMM_DIRECT_NNZ, so the
     // packed kernel must never lose to naive on any class — in either
-    // dispatch mode. Interleaved best-of-five keeps this stable.
+    // dispatch mode. Its legs get interleaved reps until each has run
+    // FINE_GUARD_LEG_S in total.
     for (leg, secs) in [("packed", packed_s), ("scalar", scalar_s)] {
         assert!(
             secs <= naive_s,
@@ -348,6 +372,7 @@ fn run_class(class: RequestClass, seq_len: usize, window: usize) -> ClassResult 
     let (_, p_fine) = compound_softmax_compute(None, Some(&s_fine), scale);
     let p_fine = p_fine.expect("fine part present");
     let (c_fine, c_fine_scalar, c_fine_naive, packed_s, scalar_s, naive_s) = time_triple(
+        0.0,
         || fine_spmm_compute(&p_fine, &v),
         || naive_fine_spmm(&p_fine, &v),
     );
@@ -364,6 +389,7 @@ fn run_class(class: RequestClass, seq_len: usize, window: usize) -> ClassResult 
 
     // Coarse (Triton-style) pair over the blocked rendering.
     let (s_coarse, s_coarse_scalar, s_coarse_naive, packed_s, scalar_s, naive_s) = time_triple(
+        0.0,
         || coarse_sddmm_compute(&q, &k, &blocked.structure),
         || naive_coarse_sddmm(&q, &k, &blocked.structure),
     );
@@ -389,6 +415,7 @@ fn run_class(class: RequestClass, seq_len: usize, window: usize) -> ClassResult 
     let (p_coarse, _) = compound_softmax_compute(Some((&s_coarse, &blocked.mask)), None, scale);
     let p_coarse = p_coarse.expect("coarse part present");
     let (c_coarse, c_coarse_scalar, c_coarse_naive, packed_s, scalar_s, naive_s) = time_triple(
+        0.0,
         || coarse_spmm_compute(&p_coarse, &v),
         || naive_coarse_spmm(&p_coarse, &v),
     );
@@ -407,6 +434,7 @@ fn run_class(class: RequestClass, seq_len: usize, window: usize) -> ClassResult 
     // register-tiled single-pass kernel against the library's retained
     // scalar path.
     let (c_fused, c_fused_scalar, c_fused_naive, packed_s, scalar_s, naive_s) = time_triple(
+        0.0,
         || fused_attention_compute(&q, &k, &v, &pattern, scale),
         || fused::naive::fused_attention_compute(&q, &k, &v, &pattern, scale),
     );

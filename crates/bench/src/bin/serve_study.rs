@@ -3,17 +3,20 @@
 //! batching policy × device, plus the serial-vs-multi-stream sustainable
 //! throughput comparison at a fixed p99 SLO.
 //!
-//! Usage: `cargo run --release -p mg-bench --bin serve_study -- [--smoke] [--trace <path>] [--threads N]`
+//! Usage: `cargo run --release -p mg-bench --bin serve_study -- [--smoke] [--trace <path>] [--digest <path>] [--threads N]`
 //!
 //! * `--smoke`  — tiny model and short trace; seconds, for CI.
 //! * `--trace <path>` — also write a Chrome-trace JSON (open in
 //!   `chrome://tracing` or Perfetto) of one representative run, one
 //!   process lane per simulated worker.
+//! * `--digest <path>` — one line per run with the report's FNV-1a
+//!   digest, then a study line; byte-identical across thread counts.
 //! * `--threads N` — pin the parallel layer to N threads; reports are
 //!   bit-identical at any thread count.
 
 use mg_bench::cli::{self, StudyArgs};
 use mg_bench::threads;
+use mg_gpusim::digest::Fnv1a;
 use mg_gpusim::DeviceSpec;
 use mg_models::ModelConfig;
 use mg_serve::{BatchPolicy, ServeConfig, ServeReport, ServeSim, StreamPolicy, TrafficConfig};
@@ -64,7 +67,7 @@ fn main() -> ExitCode {
 fn run() -> Result<ExitCode, String> {
     let args = StudyArgs::parse(
         std::env::args().skip(1),
-        &["--smoke", "--trace", "--threads"],
+        &["--smoke", "--trace", "--digest", "--threads"],
     )?;
     threads::init_threads(args.threads);
 
@@ -92,6 +95,8 @@ fn run() -> Result<ExitCode, String> {
     );
 
     let mut trace_json: Option<String> = None;
+    // One `<label> <digest>` line per run, in sweep order.
+    let mut digests: Vec<(String, u64)> = Vec::new();
     // Largest rate whose p99 met the SLO under FIFO + role streams,
     // per device — reused below against the serial baseline.
     let mut multi_sustained = [0.0f64; 2];
@@ -104,6 +109,10 @@ fn run() -> Result<ExitCode, String> {
                 let traffic = TrafficConfig::poisson(rate, n, Method::Multigrain, slo_s, 42);
                 let (report, sim) =
                     simulate(&model, &device, policy, StreamPolicy::RoleStreams, &traffic);
+                digests.push((
+                    format!("{} {} {rate} streams", device.name, policy.label()),
+                    report.digest(),
+                ));
                 println!(
                     "{:<10} {:<13} {:>9.0} {:>9.3} {:>9.3} {:>9.3} {:>9.0} {:>6.1}% {:>5.0}% {:>5.1}%",
                     device.name,
@@ -145,6 +154,10 @@ fn run() -> Result<ExitCode, String> {
             let traffic = TrafficConfig::poisson(rate, n, Method::Multigrain, slo_s, 42);
             let policy = policies(args.smoke)[0];
             let (report, _) = simulate(&model, &device, policy, StreamPolicy::Serial, &traffic);
+            digests.push((
+                format!("{} {} {rate} serial", device.name, policy.label()),
+                report.digest(),
+            ));
             if report.p99() <= slo_s {
                 serial_sustained = serial_sustained.max(report.throughput_rps());
             }
@@ -166,6 +179,17 @@ fn run() -> Result<ExitCode, String> {
         let json = trace_json.expect("representative run recorded");
         cli::write(&path, &json)?;
         println!("\nchrome trace written to {path}");
+    }
+    if let Some(path) = &args.digest {
+        let mut study = Fnv1a::new();
+        let mut out = String::new();
+        for (label, digest) in &digests {
+            study.write_u64(*digest);
+            out.push_str(&format!("{label} {digest:016x}\n"));
+        }
+        out.push_str(&format!("study {:016x}\n", study.finish()));
+        cli::write(path, &out)?;
+        println!("wrote {path}");
     }
     Ok(ExitCode::SUCCESS)
 }

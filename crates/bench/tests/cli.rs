@@ -59,6 +59,7 @@ fn study_bins_reject_bad_flags_and_values() {
 fn study_bins_reject_unwritable_output_paths() {
     for (exe, flag) in [
         (env!("CARGO_BIN_EXE_serve_study"), "--trace"),
+        (env!("CARGO_BIN_EXE_serve_study"), "--digest"),
         (env!("CARGO_BIN_EXE_autotune_study"), "--db"),
         (env!("CARGO_BIN_EXE_perf_study"), "--digest"),
         (env!("CARGO_BIN_EXE_cluster_study"), "--trace"),

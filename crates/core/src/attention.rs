@@ -480,25 +480,25 @@ impl Attention {
         spec: &mg_gpusim::DeviceSpec,
         op: Op,
     ) -> Vec<(StreamRole, KernelProfile)> {
-        let mut merged: Vec<(StreamRole, KernelProfile)> = Vec::new();
+        let mut groups: Vec<(StreamRole, Vec<KernelProfile>)> = Vec::new();
         for attn in attns {
             for (role, profile) in attn.phase_profiles(spec, op) {
-                if let Some((_, existing)) = merged
+                if let Some((_, parts)) = groups
                     .iter_mut()
-                    .find(|(r, p)| *r == role && p.name == profile.name)
+                    .find(|(r, parts)| *r == role && parts[0].name == profile.name)
                 {
-                    existing.extend_with(&profile);
+                    parts.push(profile);
                 } else {
-                    merged.push((role, profile));
+                    groups.push((role, vec![profile]));
                 }
             }
         }
         // Cache-capacity effects are nonlinear: re-filter each merged
         // profile against its combined working set.
-        for (_, profile) in &mut merged {
-            mg_kernels::cache::reapply_cache_model(spec, profile);
-        }
-        merged
+        groups
+            .into_iter()
+            .map(|(role, parts)| (role, mg_kernels::cache::merge_and_refilter(spec, parts)))
+            .collect()
     }
 
     /// Times a heterogeneous batch: every attention contributes its own

@@ -19,8 +19,9 @@
 //! event loop advances to each completion, re-partitioning the pool —
 //! the concurrency mechanism Multigrain exploits (§3.1).
 
+use crate::kernel::total_of;
 use crate::occupancy::{resident_tbs_per_sm, theoretical_occupancy};
-use crate::{DeviceSpec, KernelProfile};
+use crate::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -103,20 +104,44 @@ impl StreamId {
 /// The default stream, which always exists.
 pub const DEFAULT_STREAM: StreamId = StreamId(0);
 
+/// A kernel's grid as the timing model reads it: the launch, runs of
+/// equal consecutive blocks, the block count and the aggregate work.
+/// Built once per kernel, since `synchronize` re-times a kernel on every
+/// SM-share change.
+#[derive(Debug)]
+struct Grid {
+    launch: LaunchConfig,
+    runs: Vec<(TbWork, usize)>,
+    blocks: usize,
+    total: TbWork,
+}
+
+impl Grid {
+    fn of(profile: &KernelProfile) -> Grid {
+        let runs: Vec<(TbWork, usize)> = profile.runs().collect();
+        Grid {
+            launch: profile.launch,
+            blocks: profile.tb_count(),
+            total: total_of(runs.iter().copied()),
+            runs,
+        }
+    }
+}
+
 /// Duration and busy fraction of one kernel run on `sms` SMs.
-fn kernel_time_on(spec: &DeviceSpec, profile: &KernelProfile, sms: usize) -> (f64, f64, BoundKind) {
+fn kernel_time_on(spec: &DeviceSpec, grid: &Grid, sms: usize) -> (f64, f64, BoundKind) {
     let sms = sms.max(1);
-    if profile.tbs.is_empty() {
+    if grid.blocks == 0 {
         return (spec.launch_overhead_s, 1.0, BoundKind::Schedule);
     }
-    let resident = resident_tbs_per_sm(spec, &profile.launch);
+    let resident = resident_tbs_per_sm(spec, &grid.launch);
     // Blocks actually co-resident per SM: bounded by occupancy, but an
     // underfilled grid leaves SMs with fewer (or no) neighbours.
-    let concurrent = profile.tbs.len().div_ceil(sms).clamp(1, resident);
+    let concurrent = grid.blocks.div_ceil(sms).clamp(1, resident);
     let slots = sms * concurrent;
     // A block's share of the SM pipes: fair share among co-residents, but
     // never more than its own warps can issue.
-    let share = (profile.launch.warps_per_tb() as f64 / spec.warps_to_saturate)
+    let share = (grid.launch.warps_per_tb() as f64 / spec.warps_to_saturate)
         .min(1.0 / concurrent as f64)
         .min(1.0);
     let tensor_rate = spec.sm_tensor_rate() * share;
@@ -126,7 +151,7 @@ fn kernel_time_on(spec: &DeviceSpec, profile: &KernelProfile, sms: usize) -> (f6
     let l2_slot = spec.l2_bw_per_sm();
     let tb_overhead = spec.tb_overhead_s();
 
-    let tb_time = |w: &crate::TbWork| -> f64 {
+    let tb_time = |w: &TbWork| -> f64 {
         let t_tensor = 2.0 * w.tensor_macs as f64 / tensor_rate;
         let t_cuda = w.cuda_flops as f64 / cuda_rate;
         let t_sfu = w.sfu_ops as f64 / sfu_rate;
@@ -137,23 +162,46 @@ fn kernel_time_on(spec: &DeviceSpec, profile: &KernelProfile, sms: usize) -> (f6
     };
 
     // Greedy list schedule: each block goes to the earliest-free slot.
-    let mut heap: BinaryHeap<Reverse<OrderedF64>> = (0..slots.min(profile.tbs.len()))
-        .map(|_| Reverse(OrderedF64(0.0)))
-        .collect();
+    // Slots are kept as groups of equal free time, `(time, count)`. The
+    // schedule depends only on the multiset of free times, and every slot
+    // of the earliest group is served before any slot freed at `time + t`,
+    // so a run of equal blocks takes `min(count, left)` slots of the
+    // earliest group at a time — exactly the per-block schedule.
+    let mut groups: BinaryHeap<Reverse<(OrderedF64, usize)>> = BinaryHeap::new();
+    groups.push(Reverse((OrderedF64(0.0), slots.min(grid.blocks))));
     let mut busy_total = 0.0;
     let mut makespan = 0.0f64;
-    for w in &profile.tbs {
-        let Reverse(OrderedF64(free_at)) = heap.pop().expect("slots > 0");
+    for (w, n) in &grid.runs {
         let t = tb_time(w);
-        busy_total += t;
-        let end = free_at + t;
-        makespan = makespan.max(end);
-        heap.push(Reverse(OrderedF64(end)));
+        let mut left = *n;
+        while left > 0 {
+            let Reverse((OrderedF64(free_at), mut count)) = groups.pop().expect("slots > 0");
+            while let Some(Reverse((OrderedF64(next), more))) = groups.peek() {
+                if *next != free_at {
+                    break;
+                }
+                count += more;
+                groups.pop();
+            }
+            let served = count.min(left);
+            // One addition per block, in dispatch order: `served * t`
+            // rounds differently.
+            for _ in 0..served {
+                busy_total += t;
+            }
+            let end = free_at + t;
+            makespan = makespan.max(end);
+            if count > served {
+                groups.push(Reverse((OrderedF64(free_at), count - served)));
+            }
+            groups.push(Reverse((OrderedF64(end), served)));
+            left -= served;
+        }
     }
 
     // Aggregate rooflines over the allocation (bandwidth and pipes cannot
     // exceed the allocated share even with perfect balance).
-    let total = profile.total();
+    let total = grid.total;
     let frac = sms as f64 / spec.sm_count as f64;
     // Memory bandwidth is a device-wide resource: a kernel on a slice of
     // the SMs can still burst to about half the device bandwidth while
@@ -200,14 +248,15 @@ fn kernel_time_on(spec: &DeviceSpec, profile: &KernelProfile, sms: usize) -> (f6
 /// any [`Gpu`] state. The record's clock starts at zero; it is otherwise
 /// identical to `Gpu::new(spec).run_solo(profile)`.
 pub fn time_kernel(spec: &DeviceSpec, profile: &KernelProfile) -> KernelRecord {
-    let (duration, busy, bound) = kernel_time_on(spec, profile, spec.sm_count);
+    let grid = Grid::of(profile);
+    let (duration, busy, bound) = kernel_time_on(spec, &grid, spec.sm_count);
     KernelRecord {
         name: profile.name.clone(),
         stream: DEFAULT_STREAM,
         start: 0.0,
         end: duration,
-        dram_bytes: profile.total_dram_bytes(),
-        tb_count: profile.tb_count(),
+        dram_bytes: grid.total.dram_bytes(),
+        tb_count: grid.blocks,
         theoretical_occupancy: theoretical_occupancy(spec, &profile.launch),
         achieved_over_theoretical: busy,
         bound,
@@ -319,7 +368,9 @@ pub struct Gpu {
     time: f64,
     queues: Vec<Vec<Pending>>, // per stream, FIFO (drained from the front)
     records: Vec<KernelRecord>,
-    next_id: usize,
+    /// Whether each launched kernel has completed, indexed by `KernelId`
+    /// (ids are dense), so dependencies resolve across `synchronize` calls.
+    completed: Vec<bool>,
 }
 
 impl std::fmt::Debug for Pending {
@@ -343,7 +394,7 @@ impl Gpu {
             time: 0.0,
             queues: vec![Vec::new()],
             records: Vec::new(),
-            next_id: 0,
+            completed: Vec::new(),
         }
     }
 
@@ -393,8 +444,8 @@ impl Gpu {
         deps: &[KernelId],
     ) -> KernelId {
         assert!(stream.0 < self.queues.len(), "unknown stream");
-        let id = KernelId(self.next_id);
-        self.next_id += 1;
+        let id = KernelId(self.completed.len());
+        self.completed.push(false);
         self.queues[stream.0].push(Pending {
             id,
             profile,
@@ -407,9 +458,11 @@ impl Gpu {
     /// Runs every enqueued kernel to completion, co-executing across
     /// streams, and returns the simulated time.
     pub fn synchronize(&mut self) -> f64 {
-        // Active kernel state: (queue idx, solo duration cache, remaining fraction).
+        // Active kernel state: (queue idx, grid, duration at its current
+        // share, remaining fraction).
         struct Active {
             queue: usize,
+            grid: Grid,
             share: usize,
             duration_at_share: f64,
             busy_at_share: f64,
@@ -420,8 +473,6 @@ impl Gpu {
         let mut active: Vec<Active> = Vec::new();
         // Drain queues front-first; keep cursor per queue.
         let mut cursors = vec![0usize; self.queues.len()];
-        // mg-lint: allow(D1): membership-only set (insert/contains), never iterated
-        let mut completed: std::collections::HashSet<KernelId> = std::collections::HashSet::new();
 
         loop {
             // Admit the head kernel of every stream that has none active
@@ -431,9 +482,14 @@ impl Gpu {
                 let has_active = active.iter().any(|a| a.queue == q);
                 if !has_active && cursors[q] < self.queues[q].len() {
                     let pending = &self.queues[q][cursors[q]];
-                    if pending.deps.iter().all(|d| completed.contains(d)) {
+                    if pending
+                        .deps
+                        .iter()
+                        .all(|d| self.completed.get(d.0) == Some(&true))
+                    {
                         active.push(Active {
                             queue: q,
+                            grid: Grid::of(&pending.profile),
                             share: 0,
                             duration_at_share: 0.0,
                             busy_at_share: 1.0,
@@ -473,8 +529,7 @@ impl Gpu {
             // Refresh cached durations where the share changed.
             for (a, &share) in active.iter_mut().zip(shares.iter()) {
                 if a.share != share {
-                    let p = &self.queues[a.queue][cursors[a.queue]].profile;
-                    let (d, busy, bound) = kernel_time_on(&self.spec, p, share);
+                    let (d, busy, bound) = kernel_time_on(&self.spec, &a.grid, share);
                     a.share = share;
                     a.duration_at_share = d;
                     a.busy_at_share = busy;
@@ -499,15 +554,15 @@ impl Gpu {
             for &i in finished.iter().rev() {
                 let a = active.swap_remove(i);
                 let pending = &self.queues[a.queue][cursors[a.queue]];
-                completed.insert(pending.id);
+                self.completed[pending.id.0] = true;
                 let p = &pending.profile;
                 self.records.push(KernelRecord {
                     name: p.name.clone(),
                     stream: pending.stream,
                     start: a.start,
                     end: self.time,
-                    dram_bytes: p.total_dram_bytes(),
-                    tb_count: p.tb_count(),
+                    dram_bytes: a.grid.total.dram_bytes(),
+                    tb_count: a.grid.blocks,
                     theoretical_occupancy: theoretical_occupancy(&self.spec, &p.launch),
                     achieved_over_theoretical: a.busy_at_share,
                     bound: a.bound_at_share,
@@ -965,6 +1020,30 @@ mod tests {
         let _first = gpu.launch(DEFAULT_STREAM, uniform("x", 4, 1 << 16));
         let ghost = KernelId(999);
         gpu.launch_after(s1, uniform("y", 4, 1 << 16), &[ghost]);
+        gpu.synchronize();
+    }
+
+    #[test]
+    fn dependency_on_a_kernel_from_an_earlier_synchronize_resolves() {
+        let mut gpu = Gpu::new(DeviceSpec::a100());
+        let s1 = gpu.create_stream();
+        let a = gpu.launch(DEFAULT_STREAM, uniform("a", 64, 1 << 18));
+        gpu.synchronize();
+        gpu.launch_after(s1, uniform("b", 64, 1 << 18), &[a]);
+        gpu.synchronize();
+        let recs = gpu.records();
+        assert_eq!(recs.len(), 2);
+        assert!(recs[1].start >= recs[0].end);
+    }
+
+    #[test]
+    #[should_panic(expected = "dependency deadlock")]
+    fn dependency_on_a_kernel_dropped_by_a_halt_deadlocks() {
+        let mut gpu = Gpu::new(DeviceSpec::a100());
+        let s1 = gpu.create_stream();
+        let dropped = gpu.launch(DEFAULT_STREAM, uniform("dropped", 4, 1 << 16));
+        gpu.halt_at(0.0);
+        gpu.launch_after(s1, uniform("y", 4, 1 << 16), &[dropped]);
         gpu.synchronize();
     }
 

@@ -64,6 +64,19 @@ impl TbWork {
         self.dram_read + self.dram_write
     }
 
+    /// The work of `n` copies of this block, field by field.
+    pub(crate) fn times(self, n: u64) -> TbWork {
+        TbWork {
+            tensor_macs: self.tensor_macs * n,
+            cuda_flops: self.cuda_flops * n,
+            sfu_ops: self.sfu_ops * n,
+            l2_read: self.l2_read * n,
+            dram_read: self.dram_read * n,
+            dram_write: self.dram_write * n,
+            stall_cycles: self.stall_cycles * n,
+        }
+    }
+
     /// Element-wise sum of two work descriptions.
     pub fn merged(self, other: TbWork) -> TbWork {
         TbWork {
@@ -158,16 +171,23 @@ impl KernelProfile {
         self.tbs.len()
     }
 
+    /// The grid as runs of equal consecutive blocks, `(work, count)` in
+    /// dispatch order. Batched grids repeat one per-instance grid per
+    /// head, so a grid has far fewer runs than blocks.
+    pub fn runs(&self) -> impl Iterator<Item = (TbWork, usize)> + '_ {
+        self.tbs
+            .chunk_by(|a, b| a == b)
+            .map(|run| (run[0], run.len()))
+    }
+
     /// Aggregate work across all blocks.
     pub fn total(&self) -> TbWork {
-        self.tbs
-            .iter()
-            .fold(TbWork::default(), |acc, &w| acc.merged(w))
+        total_of(self.runs())
     }
 
     /// Total bytes moved to or from device memory.
     pub fn total_dram_bytes(&self) -> u64 {
-        self.tbs.iter().map(TbWork::dram_bytes).sum()
+        self.runs().map(|(w, n)| w.dram_bytes() * n as u64).sum()
     }
 
     /// Appends another kernel's blocks (used to batch per-head grids into
@@ -183,6 +203,13 @@ impl KernelProfile {
             _ => None, // mixed raw/filtered profiles cannot be re-filtered
         };
     }
+}
+
+/// Aggregate work of a grid given as runs of `(work, count)`.
+pub(crate) fn total_of(runs: impl IntoIterator<Item = (TbWork, usize)>) -> TbWork {
+    runs.into_iter().fold(TbWork::default(), |acc, (w, n)| {
+        acc.merged(w.times(n as u64))
+    })
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //! fine kernels re-touch operands per element (many raw touches, filtered
 //! by whatever locality the pattern has).
 
-use mg_gpusim::{CacheStats, DeviceSpec, KernelProfile};
+use mg_gpusim::{CacheStats, DeviceSpec, KernelProfile, LaunchConfig, TbWork};
 
 /// Locality hints a kernel provides about its loads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,24 +53,137 @@ pub fn l2_miss_rate(spec: &DeviceSpec, unique_bytes: u64) -> f64 {
     (0.08 + 0.92 * (1.0 - ratio).max(0.0)).clamp(0.08, 1.0)
 }
 
-/// Applies the cache model: rescales every block's `l2_read` (raw touches
-/// in, post-L1 traffic out) and sets its `dram_read` share.
+/// Models L2 write-back caching for intermediate tensors: an output that
+/// fits comfortably in L2 is consumed by the next kernel before most of
+/// it is ever evicted to DRAM. Only the evicted fraction of `dram_write`
+/// survives; the L2-bandwidth cost of the writes is unchanged (the engine
+/// charges `dram_write` on the L2 pipe regardless).
+pub fn apply_writeback_filter(spec: &DeviceSpec, profile: &mut KernelProfile) {
+    let mut runs: Vec<(TbWork, usize)> = profile.runs().collect();
+    let raw_write = filter_writes(spec, &mut runs, 1);
+    write_runs(&mut profile.tbs, &runs);
+    let cache = profile.cache.get_or_insert(CacheStats {
+        unique_bytes: 0,
+        reuse_footprint: 0,
+        raw_l2: 0,
+        raw_write: 0,
+    });
+    cache.raw_write = raw_write;
+}
+
+/// Finishes a kernel builder: applies the cache model and the write-back
+/// filter to `per_instance`, one instance's raw grid, and replicates it
+/// over `instances` heads.
 ///
-/// Kernels must have stored raw touch bytes in `l2_read` and left
-/// `dram_read` zero; per-block proportions are preserved so load-imbalance
-/// effects survive the filtering.
-pub fn apply_cache_model(spec: &DeviceSpec, profile: &mut KernelProfile, hints: CacheHints) {
-    let raw: u64 = profile.tbs.iter().map(|t| t.l2_read).sum();
-    // Record the filter inputs so merged profiles can be re-filtered.
-    let prior_write = profile.cache.map_or(0, |c| c.raw_write);
+/// Kernels store raw touch bytes in `l2_read` and leave `dram_read`
+/// zero. The cache model rescales every block's `l2_read` (raw touches
+/// in, post-L1 traffic out) and sets its `dram_read` share; per-block
+/// proportions are preserved so load-imbalance effects survive the
+/// filtering. The filters' sums over the replicated grid are
+/// `instances ×` the per-instance sums and every block is rescaled on its
+/// own, so filtering one instance equals filtering the replicated grid.
+pub fn filter_and_replicate(
+    spec: &DeviceSpec,
+    name: &str,
+    launch: LaunchConfig,
+    per_instance: Vec<TbWork>,
+    instances: usize,
+    hints: CacheHints,
+) -> KernelProfile {
+    let mut profile = KernelProfile {
+        name: name.to_owned(),
+        launch,
+        tbs: per_instance,
+        cache: None,
+    };
+    let mut runs: Vec<(TbWork, usize)> = profile.runs().collect();
+    let raw_l2 = filter_loads(spec, &mut runs, instances as u64, hints);
+    let raw_write = filter_writes(spec, &mut runs, instances as u64);
+    write_runs(&mut profile.tbs, &runs);
+    profile.tbs = profile.tbs.repeat(instances);
+    // The filter inputs, so merged profiles can be re-filtered.
     profile.cache = Some(CacheStats {
         unique_bytes: hints.unique_bytes,
         reuse_footprint: hints.reuse_footprint,
-        raw_l2: raw,
-        raw_write: prior_write,
+        raw_l2,
+        raw_write,
     });
+    profile
+}
+
+/// Merges the same kernel of several plans into one batched launch and
+/// re-applies the cache and write-back filters to it, using the
+/// accumulated [`CacheStats`]. Capacity effects are nonlinear, so the
+/// merged working set must be filtered as a whole — concatenating
+/// individually filtered profiles underestimates DRAM traffic badly.
+///
+/// The result equals folding [`KernelProfile::extend_with`] over `parts`
+/// and then restoring the raw loads and writes proportionally and
+/// re-filtering them with the merged working set. The whole chain is
+/// worked out once per run of equal blocks, and the merged grid is
+/// written once, at exact size, into the first part's buffer. A single
+/// part is re-filtered in place.
+///
+/// Profiles without stats (raw, or mixed raw/filtered merges) are only
+/// concatenated.
+///
+/// # Panics
+///
+/// Panics if `parts` is empty.
+pub fn merge_and_refilter(spec: &DeviceSpec, parts: Vec<KernelProfile>) -> KernelProfile {
+    let mut parts = parts.into_iter();
+    let mut merged = parts.next().expect("at least one part to merge");
+    let mut runs: Vec<(TbWork, usize)> = merged.runs().collect();
+    for part in parts {
+        debug_assert_eq!(
+            merged.launch, part.launch,
+            "batched grids share a launch config"
+        );
+        runs.extend(part.runs());
+        merged.cache = merged.cache.zip(part.cache).map(|(a, b)| a.merged(b));
+    }
+    if let Some(stats) = merged.cache {
+        let mut raw_l2 = stats.raw_l2;
+        let cur_l2 = sum(&runs, |w| w.l2_read);
+        if stats.raw_l2 > 0 && cur_l2 > 0 {
+            let scale = stats.raw_l2 as f64 / cur_l2 as f64;
+            for (w, _) in &mut runs {
+                w.l2_read = (w.l2_read as f64 * scale).round() as u64;
+                w.dram_read = 0;
+            }
+            let hints = CacheHints {
+                unique_bytes: stats.unique_bytes,
+                reuse_footprint: stats.reuse_footprint,
+            };
+            raw_l2 = filter_loads(spec, &mut runs, 1, hints);
+        }
+        let cur_w = sum(&runs, |w| w.dram_write);
+        if stats.raw_write > 0 && cur_w > 0 {
+            let scale = stats.raw_write as f64 / cur_w as f64;
+            for (w, _) in &mut runs {
+                w.dram_write = (w.dram_write as f64 * scale).round() as u64;
+            }
+            filter_writes(spec, &mut runs, 1);
+        }
+        // Keep the merged hints and raw writes for any further merging.
+        merged.cache = Some(CacheStats { raw_l2, ..stats });
+    }
+    write_runs(&mut merged.tbs, &runs);
+    merged
+}
+
+/// Applies the cache model to a grid made of `copies` back-to-back
+/// copies of `runs` (rescaling `runs` in place) and returns the raw load
+/// total.
+fn filter_loads(
+    spec: &DeviceSpec,
+    runs: &mut [(TbWork, usize)],
+    copies: u64,
+    hints: CacheHints,
+) -> u64 {
+    let raw = copies * sum(runs, |w| w.l2_read);
     if raw == 0 {
-        return;
+        return 0;
     }
     let unique = hints.unique_bytes.min(raw);
     let retouches = (raw - unique) as f64;
@@ -81,7 +194,7 @@ pub fn apply_cache_model(spec: &DeviceSpec, profile: &mut KernelProfile, hints: 
 
     let l2_scale = l2_total / raw as f64;
     let dram_scale = dram_total / raw as f64;
-    for tb in &mut profile.tbs {
+    for (tb, _) in runs {
         debug_assert_eq!(
             tb.dram_read, 0,
             "kernels must leave dram_read to the cache model"
@@ -90,111 +203,72 @@ pub fn apply_cache_model(spec: &DeviceSpec, profile: &mut KernelProfile, hints: 
         tb.l2_read = (raw_tb * l2_scale).round() as u64;
         tb.dram_read = (raw_tb * dram_scale).round() as u64;
     }
+    raw
 }
 
-/// Models L2 write-back caching for intermediate tensors: an output that
-/// fits comfortably in L2 is consumed by the next kernel before most of
-/// it is ever evicted to DRAM. Only the evicted fraction of `dram_write`
-/// survives; the L2-bandwidth cost of the writes is unchanged (the engine
-/// charges `dram_write` on the L2 pipe regardless).
-pub fn apply_writeback_filter(spec: &DeviceSpec, profile: &mut KernelProfile) {
-    let total_write: u64 = profile.tbs.iter().map(|t| t.dram_write).sum();
-    if let Some(cache) = &mut profile.cache {
-        cache.raw_write = total_write;
-    } else {
-        profile.cache = Some(CacheStats {
-            unique_bytes: 0,
-            reuse_footprint: 0,
-            raw_l2: 0,
-            raw_write: total_write,
-        });
-    }
-    if total_write == 0 {
-        return;
+/// Applies the write-back filter to a grid made of `copies` back-to-back
+/// copies of `runs` (rescaling `runs` in place) and returns the raw write
+/// total.
+fn filter_writes(spec: &DeviceSpec, runs: &mut [(TbWork, usize)], copies: u64) -> u64 {
+    let raw = copies * sum(runs, |w| w.dram_write);
+    if raw == 0 {
+        return 0;
     }
     let l2_half = spec.l2_bytes as f64 * 0.5;
-    let evicted = (total_write as f64 / l2_half).clamp(0.25, 1.0);
-    for tb in &mut profile.tbs {
+    let evicted = (raw as f64 / l2_half).clamp(0.25, 1.0);
+    for (tb, _) in runs {
         tb.dram_write = (tb.dram_write as f64 * evicted).round() as u64;
     }
+    raw
 }
 
-/// Re-applies the cache and write-back filters to a *merged* profile
-/// (e.g. several per-head plans combined into one batched launch), using
-/// the accumulated [`CacheStats`]. Capacity effects are nonlinear, so the
-/// merged working set must be filtered as a whole — concatenating
-/// individually filtered profiles underestimates DRAM traffic badly.
-///
-/// Profiles without stats (raw, or mixed raw/filtered merges) are left
-/// untouched.
-pub fn reapply_cache_model(spec: &DeviceSpec, profile: &mut KernelProfile) {
-    let Some(stats) = profile.cache else {
-        return;
-    };
-    // Restore raw loads proportionally, then re-filter with the merged
-    // working set.
-    let cur_l2: u64 = profile.tbs.iter().map(|t| t.l2_read).sum();
-    if stats.raw_l2 > 0 && cur_l2 > 0 {
-        let scale = stats.raw_l2 as f64 / cur_l2 as f64;
-        for tb in &mut profile.tbs {
-            tb.l2_read = (tb.l2_read as f64 * scale).round() as u64;
-            tb.dram_read = 0;
-        }
-        apply_cache_model(
-            spec,
-            profile,
-            CacheHints {
-                unique_bytes: stats.unique_bytes,
-                reuse_footprint: stats.reuse_footprint,
-            },
-        );
-    }
-    let cur_w: u64 = profile.tbs.iter().map(|t| t.dram_write).sum();
-    if stats.raw_write > 0 && cur_w > 0 {
-        let scale = stats.raw_write as f64 / cur_w as f64;
-        for tb in &mut profile.tbs {
-            tb.dram_write = (tb.dram_write as f64 * scale).round() as u64;
-        }
-        apply_writeback_filter(spec, profile);
-    }
-    // apply_* reset the stats from the restored raws; keep the merged
-    // hints for any further merging.
-    if let Some(cache) = &mut profile.cache {
-        cache.unique_bytes = stats.unique_bytes;
-        cache.reuse_footprint = stats.reuse_footprint;
-        cache.raw_write = stats.raw_write;
+/// `field` summed over the blocks of `runs`: `count × value` per run.
+fn sum(runs: &[(TbWork, usize)], field: fn(&TbWork) -> u64) -> u64 {
+    runs.iter().map(|(w, n)| field(w) * *n as u64).sum()
+}
+
+/// Overwrites `tbs` with the blocks of `runs`, allocating at most once,
+/// at exact size.
+fn write_runs(tbs: &mut Vec<TbWork>, runs: &[(TbWork, usize)]) {
+    tbs.clear();
+    tbs.reserve_exact(runs.iter().map(|&(_, n)| n).sum());
+    for &(w, n) in runs {
+        tbs.extend(std::iter::repeat_n(w, n));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mg_gpusim::{LaunchConfig, TbWork};
 
-    fn profile(raw_per_tb: u64, n: usize) -> KernelProfile {
-        KernelProfile::uniform(
+    /// `n` blocks of `raw_per_tb` raw load bytes, filtered with `hints`.
+    fn filtered(
+        raw_per_tb: u64,
+        n: usize,
+        unique_bytes: u64,
+        reuse_footprint: u64,
+    ) -> KernelProfile {
+        let raw = TbWork {
+            l2_read: raw_per_tb,
+            ..TbWork::default()
+        };
+        let hints = CacheHints {
+            unique_bytes,
+            reuse_footprint,
+        };
+        filter_and_replicate(
+            &DeviceSpec::a100(),
             "k",
             LaunchConfig::default(),
+            vec![raw],
             n,
-            TbWork {
-                l2_read: raw_per_tb,
-                ..TbWork::default()
-            },
+            hints,
         )
     }
 
     #[test]
     fn sliding_window_retouches_stay_in_l1() {
-        let spec = DeviceSpec::a100();
-        let mut p = profile(1 << 20, 100); // 100 MiB raw
-        apply_cache_model(
-            &spec,
-            &mut p,
-            CacheHints {
-                unique_bytes: 1 << 20,
-                reuse_footprint: 64 * 1024,
-            },
-        );
+        let p = filtered(1 << 20, 100, 1 << 20, 64 * 1024); // 100 MiB raw
         let l2: u64 = p.tbs.iter().map(|t| t.l2_read).sum();
         // 1 MiB unique + 5% of 99 MiB re-touches.
         assert!(l2 < 8 << 20, "l2 traffic filtered by L1: {l2}");
@@ -202,16 +276,7 @@ mod tests {
 
     #[test]
     fn scattered_retouches_flow_through_l2() {
-        let spec = DeviceSpec::a100();
-        let mut p = profile(1 << 20, 100);
-        apply_cache_model(
-            &spec,
-            &mut p,
-            CacheHints {
-                unique_bytes: 1 << 20,
-                reuse_footprint: 8 << 20,
-            },
-        );
+        let p = filtered(1 << 20, 100, 1 << 20, 8 << 20);
         let l2: u64 = p.tbs.iter().map(|t| t.l2_read).sum();
         // 1 MiB unique + 65% of the 99 MiB re-touches (L1 floor is 35%).
         assert!(l2 > 50 << 20, "scattered touches hit L2: {l2}");
@@ -222,33 +287,23 @@ mod tests {
 
     #[test]
     fn giant_working_set_reaches_dram() {
-        let spec = DeviceSpec::a100();
-        let mut p = profile(1 << 30, 100); // 100 GiB raw
-        apply_cache_model(
-            &spec,
-            &mut p,
-            CacheHints {
-                unique_bytes: 80 << 30,
-                reuse_footprint: 80 << 30,
-            },
-        );
+        let p = filtered(1 << 30, 100, 80 << 30, 80 << 30); // 100 GiB raw
         let dram: u64 = p.tbs.iter().map(|t| t.dram_read).sum();
         assert!(dram > 90 << 30, "little cache help: {dram}");
     }
 
     #[test]
     fn per_tb_proportions_preserved() {
+        let grid = [1000, 3000].map(|l2_read| TbWork {
+            l2_read,
+            ..TbWork::default()
+        });
+        let hints = CacheHints {
+            unique_bytes: 2000,
+            reuse_footprint: 1 << 30,
+        };
         let spec = DeviceSpec::a100();
-        let mut p = profile(1000, 2);
-        p.tbs[1].l2_read = 3000;
-        apply_cache_model(
-            &spec,
-            &mut p,
-            CacheHints {
-                unique_bytes: 2000,
-                reuse_footprint: 1 << 30,
-            },
-        );
+        let p = filter_and_replicate(&spec, "k", LaunchConfig::default(), grid.to_vec(), 1, hints);
         assert!(p.tbs[1].l2_read >= 2 * p.tbs[0].l2_read);
         assert!(p.tbs[1].dram_read >= 2 * p.tbs[0].dram_read);
     }
@@ -289,34 +344,17 @@ mod tests {
 
     #[test]
     fn reapply_restores_capacity_effects_after_merging() {
-        let spec = DeviceSpec::a100();
         // One instance: working set fits L2, DRAM stays near-compulsory.
-        let mut one = profile(1 << 22, 64); // 256 MiB raw
-        apply_cache_model(
-            &spec,
-            &mut one,
-            CacheHints {
-                unique_bytes: 8 << 20,
-                reuse_footprint: 8 << 20,
-            },
-        );
-        // Sixteen instances in one profile (ground truth).
-        let mut sixteen = profile(1 << 22, 64 * 16);
-        apply_cache_model(
-            &spec,
-            &mut sixteen,
-            CacheHints {
-                unique_bytes: 128 << 20,
-                reuse_footprint: 8 << 20,
-            },
-        );
+        let one = filtered(1 << 22, 64, 8 << 20, 8 << 20); // 256 MiB raw
+                                                           // Sixteen instances in one profile (ground truth).
+        let sixteen = filtered(1 << 22, 64 * 16, 128 << 20, 8 << 20);
         // Sixteen per-instance profiles merged, then re-filtered.
-        let mut merged = one.clone();
+        let mut naive = one.clone();
         for _ in 0..15 {
-            merged.extend_with(&one);
+            naive.extend_with(&one);
         }
-        let naive: u64 = merged.tbs.iter().map(|t| t.dram_read).sum();
-        reapply_cache_model(&spec, &mut merged);
+        let naive: u64 = naive.tbs.iter().map(|t| t.dram_read).sum();
+        let merged = merge_and_refilter(&DeviceSpec::a100(), vec![one; 16]);
         let refiltered: u64 = merged.tbs.iter().map(|t| t.dram_read).sum();
         let truth: u64 = sixteen.tbs.iter().map(|t| t.dram_read).sum();
         assert!(
@@ -329,16 +367,7 @@ mod tests {
 
     #[test]
     fn zero_raw_is_noop() {
-        let spec = DeviceSpec::a100();
-        let mut p = profile(0, 4);
-        apply_cache_model(
-            &spec,
-            &mut p,
-            CacheHints {
-                unique_bytes: 100,
-                reuse_footprint: 10,
-            },
-        );
+        let p = filtered(0, 4, 100, 10);
         assert_eq!(p.total_dram_bytes(), 0);
     }
 }

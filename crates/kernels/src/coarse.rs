@@ -13,7 +13,7 @@
 //!   reloads the LHS block for every output block and exposes per-iteration
 //!   latency (no cross-block pipelining).
 
-use crate::cache::{apply_cache_model, apply_writeback_filter, CacheHints};
+use crate::cache::{filter_and_replicate, CacheHints};
 use crate::{tuning, AttnDims};
 use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
 use mg_sparse::Bsr;
@@ -49,8 +49,6 @@ pub fn coarse_sddmm_profile(
 ) -> KernelProfile {
     let b = structure.block_size();
     let dh = dims.head_dim;
-    let launch = coarse_launch(b, dh);
-    let mut tbs = Vec::new();
     let per_instance: Vec<TbWork> = match mapping {
         CoarseMapping::BlockRowPerTb => par::map_indexed(structure.block_rows(), |br| {
             let n = structure.block_row_nnz(br) as u64;
@@ -85,27 +83,19 @@ pub fn coarse_sddmm_profile(
             })
             .collect(),
     };
-    for _ in 0..dims.instances() {
-        tbs.extend_from_slice(&per_instance);
-    }
-    let mut profile = KernelProfile {
-        name: name.to_owned(),
-        launch,
-        tbs,
-        cache: None,
-    };
     let unique = 2 * dims.operand_bytes() * dims.instances() as u64
         + structure.metadata_bytes() * dims.instances() as u64;
-    apply_cache_model(
+    filter_and_replicate(
         spec,
-        &mut profile,
+        name,
+        coarse_launch(b, dh),
+        per_instance,
+        dims.instances(),
         CacheHints {
             unique_bytes: unique,
             reuse_footprint: dims.operand_bytes(),
         },
-    );
-    apply_writeback_filter(spec, &mut profile);
-    profile
+    )
 }
 
 /// Computes the coarse SDDMM functionally: every stored block of
@@ -196,7 +186,6 @@ pub fn coarse_spmm_profile(
 ) -> KernelProfile {
     let b = structure.block_size();
     let dh = dims.head_dim;
-    let launch = coarse_launch(b, dh);
     // One output tile (block-row × head_dim) per thread block; tiles along
     // the head dimension when head_dim exceeds the block size.
     let tiles_per_row = dh.div_ceil(b).max(1);
@@ -233,28 +222,19 @@ pub fn coarse_spmm_profile(
     .into_iter()
     .flatten()
     .collect();
-    let mut tbs = Vec::new();
-    for _ in 0..dims.instances() {
-        tbs.extend_from_slice(&per_instance);
-    }
-    let mut profile = KernelProfile {
-        name: name.to_owned(),
-        launch,
-        tbs,
-        cache: None,
-    };
     let unique = (structure.value_bytes() + structure.metadata_bytes() + dims.operand_bytes())
         * dims.instances() as u64;
-    apply_cache_model(
+    filter_and_replicate(
         spec,
-        &mut profile,
+        name,
+        coarse_launch(b, dh),
+        per_instance,
+        dims.instances(),
         CacheHints {
             unique_bytes: unique,
             reuse_footprint: dims.operand_bytes(),
         },
-    );
-    apply_writeback_filter(spec, &mut profile);
-    profile
+    )
 }
 
 /// Computes the coarse SpMM functionally: `C = P × V` where `P` is the

@@ -9,7 +9,7 @@
 //! a whole decode batch fits one kernel launch with one thread block
 //! per (request, head).
 
-use crate::cache::{apply_cache_model, apply_writeback_filter, CacheHints};
+use crate::cache::{filter_and_replicate, CacheHints};
 use crate::tuning;
 use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
 
@@ -57,26 +57,21 @@ pub fn decode_step_profile(
             tbs.push(work);
         }
     }
-    let mut profile = KernelProfile {
-        name: name.to_owned(),
-        launch,
-        tbs,
-        cache: None,
-    };
     // Every K/V row is touched exactly once per step: streaming reads
     // with no intra-step reuse beyond the staged Q row.
     let total_nnz: u64 = row_nnzs.iter().map(|&n| n as u64).sum();
-    apply_cache_model(
+    filter_and_replicate(
         spec,
-        &mut profile,
+        name,
+        launch,
+        tbs,
+        1,
         CacheHints {
             unique_bytes: (total_nnz * 2 * dh * 2 + row_nnzs.len() as u64 * dh * 2)
                 * heads.max(1) as u64,
             reuse_footprint: dh * 2,
         },
-    );
-    apply_writeback_filter(spec, &mut profile);
-    profile
+    )
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! global-pattern rows (paper §3.1) and for the transformer's dense
 //! layers (projections, FFN).
 
-use crate::cache::{apply_cache_model, apply_writeback_filter, CacheHints};
+use crate::cache::{filter_and_replicate, CacheHints};
 use crate::tuning;
 use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
 use mg_tensor::{gemm, gemm_nt, Half, Matrix};
@@ -50,7 +50,7 @@ pub fn dense_gemm_profile(
         dram_write: tile_m * tile_n * if split_k > 1 { 4 } else { 2 },
         stall_cycles: tuning::PIPELINED_STALL_CYCLES,
     };
-    let mut profile = KernelProfile::uniform(name, dense_launch(), base_tbs * split_k, work);
+    let mut tbs = vec![work; base_tbs * split_k];
     if split_k > 1 {
         // Reduction pass: one block per output tile sums the partials.
         let reduce = TbWork {
@@ -62,19 +62,20 @@ pub fn dense_gemm_profile(
             dram_write: tile_m * tile_n * 2,
             stall_cycles: 0,
         };
-        profile.tbs.extend(std::iter::repeat_n(reduce, base_tbs));
+        tbs.extend(std::iter::repeat_n(reduce, base_tbs));
     }
     let unique = ((m * k + k * n) * 2 * instances) as u64;
-    apply_cache_model(
+    filter_and_replicate(
         spec,
-        &mut profile,
+        name,
+        dense_launch(),
+        tbs,
+        1,
         CacheHints {
             unique_bytes: unique,
             reuse_footprint: ((k * (tile_m as usize + tile_n as usize)) * 2) as u64,
         },
-    );
-    apply_writeback_filter(spec, &mut profile);
-    profile
+    )
 }
 
 /// Functionally computes the dense SDDMM for global rows:

@@ -4,7 +4,7 @@
 //! Provided so the padding overhead is measurable against the BSR
 //! kernels.
 
-use crate::cache::{apply_cache_model, apply_writeback_filter, CacheHints};
+use crate::cache::{filter_and_replicate, CacheHints};
 use crate::{tuning, AttnDims};
 use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
 use mg_sparse::BlockedEll;
@@ -41,23 +41,18 @@ pub fn ell_spmm_profile(
         dram_write: (b as u64) * dh * 2,
         stall_cycles: tuning::PIPELINED_STALL_CYCLES,
     };
-    let mut profile = KernelProfile::uniform(
+    let unique = (structure.value_bytes() + dims.operand_bytes()) * dims.instances() as u64;
+    filter_and_replicate(
+        spec,
         name,
         ell_launch(b, dims.head_dim),
+        vec![work],
         block_rows * dims.instances(),
-        work,
-    );
-    let unique = (structure.value_bytes() + dims.operand_bytes()) * dims.instances() as u64;
-    apply_cache_model(
-        spec,
-        &mut profile,
         CacheHints {
             unique_bytes: unique,
             reuse_footprint: dims.operand_bytes(),
         },
-    );
-    apply_writeback_filter(spec, &mut profile);
-    profile
+    )
 }
 
 /// Functional Blocked-ELL SpMM: `C = P × V`, skipping padded slots (they

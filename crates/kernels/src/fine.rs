@@ -13,7 +13,7 @@
 //! The SpMM uses Sputnik's 1D tiling over the *dense* output, which is
 //! appropriate there (every output element exists).
 
-use crate::cache::{apply_cache_model, apply_writeback_filter, CacheHints};
+use crate::cache::{filter_and_replicate, CacheHints};
 use crate::{tuning, AttnDims};
 use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
 use mg_sparse::Csr;
@@ -138,27 +138,18 @@ pub fn fine_sddmm_profile(
         FineSddmmScheme::RowSplit => row_split_launch(),
         FineSddmmScheme::OneDimTiling => one_dim_launch(),
     };
-    let mut tbs = Vec::new();
-    for _ in 0..dims.instances() {
-        tbs.extend_from_slice(&per_instance);
-    }
-    let mut profile = KernelProfile {
-        name: name.to_owned(),
-        launch,
-        tbs,
-        cache: None,
-    };
     let unique = (2 * dims.operand_bytes() + structure.metadata_bytes()) * dims.instances() as u64;
-    apply_cache_model(
+    filter_and_replicate(
         spec,
-        &mut profile,
+        name,
+        launch,
+        per_instance,
+        dims.instances(),
         CacheHints {
             unique_bytes: unique,
             reuse_footprint: fine_reuse_footprint(structure, dims.head_dim, 16),
         },
-    );
-    apply_writeback_filter(spec, &mut profile);
-    profile
+    )
 }
 
 /// Rows with fewer stored elements than this skip the chunked microkernel
@@ -275,28 +266,19 @@ pub fn fine_spmm_profile(
             stall_cycles: tuning::FINE_STALL_CYCLES,
         }
     });
-    let mut tbs = Vec::new();
-    for _ in 0..dims.instances() {
-        tbs.extend_from_slice(&per_instance);
-    }
-    let mut profile = KernelProfile {
-        name: name.to_owned(),
-        launch: row_split_launch(),
-        tbs,
-        cache: None,
-    };
     let unique = (dims.operand_bytes() + structure.value_bytes() + structure.metadata_bytes())
         * dims.instances() as u64;
-    apply_cache_model(
+    filter_and_replicate(
         spec,
-        &mut profile,
+        name,
+        row_split_launch(),
+        per_instance,
+        dims.instances(),
         CacheHints {
             unique_bytes: unique,
             reuse_footprint: fine_reuse_footprint(structure, dims.head_dim, 16),
         },
-    );
-    apply_writeback_filter(spec, &mut profile);
-    profile
+    )
 }
 
 /// Computes the fine SpMM functionally: `C = P × V` over stored non-zeros

@@ -21,7 +21,7 @@
 //! all-zero output row instead of NaN-contaminating through
 //! `exp(-inf − -inf)`.
 
-use crate::cache::{apply_cache_model, apply_writeback_filter, CacheHints};
+use crate::cache::{filter_and_replicate, CacheHints};
 use crate::fine::fine_reuse_footprint;
 use crate::{tuning, AttnDims};
 use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
@@ -334,28 +334,19 @@ pub fn fused_attention_profile(
         })
         .filter(|w| w.cuda_flops > 0)
         .collect();
-    let mut tbs = Vec::new();
-    for _ in 0..dims.instances() {
-        tbs.extend_from_slice(&per_instance);
-    }
-    let mut profile = KernelProfile {
-        name: name.to_owned(),
-        launch,
-        tbs,
-        cache: None,
-    };
     let unique = 3 * dims.operand_bytes() * dims.instances() as u64;
     let footprint = fine_reuse_footprint(&pattern.to_csr::<Half>(), dims.head_dim, 16) * 2;
-    apply_cache_model(
+    filter_and_replicate(
         spec,
-        &mut profile,
+        name,
+        launch,
+        per_instance,
+        dims.instances(),
         CacheHints {
             unique_bytes: unique,
             reuse_footprint: footprint,
         },
-    );
-    apply_writeback_filter(spec, &mut profile);
-    profile
+    )
 }
 
 #[cfg(test)]

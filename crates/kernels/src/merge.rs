@@ -3,7 +3,7 @@
 //! grain, so `C = C_coarse + C_fine` with the global rows written
 //! directly by the dense kernel).
 
-use crate::cache::{apply_cache_model, apply_writeback_filter, CacheHints};
+use crate::cache::{filter_and_replicate, CacheHints};
 use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
 use mg_tensor::{Half, Matrix};
 
@@ -36,18 +36,18 @@ pub fn merge_add_profile(
         regs_per_thread: 32,
         smem_per_tb: 0,
     };
-    let mut profile = KernelProfile::uniform(name, launch, tbs, work);
-    let raw: u64 = profile.tbs.iter().map(|t| t.l2_read).sum();
-    apply_cache_model(
+    let raw = work.l2_read * tbs as u64;
+    filter_and_replicate(
         spec,
-        &mut profile,
+        name,
+        launch,
+        vec![work],
+        tbs,
         CacheHints {
             unique_bytes: raw,
             reuse_footprint: raw,
         },
-    );
-    apply_writeback_filter(spec, &mut profile);
-    profile
+    )
 }
 
 /// Functionally merges partial contexts by element-wise addition,

@@ -14,7 +14,7 @@
 //! * [`dense_softmax_profile`] — TensorRT-style row softmax for the
 //!   global-pattern rows.
 
-use crate::cache::{apply_cache_model, apply_writeback_filter, CacheHints};
+use crate::cache::{filter_and_replicate, CacheHints};
 use crate::AttnDims;
 use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
 use mg_patterns::BlockedPattern;
@@ -164,28 +164,19 @@ fn finish_softmax_profile(
     per_instance: Vec<TbWork>,
     name: &str,
 ) -> KernelProfile {
-    let mut tbs = Vec::new();
-    for _ in 0..dims.instances() {
-        tbs.extend_from_slice(&per_instance);
-    }
-    let mut profile = KernelProfile {
-        name: name.to_owned(),
-        launch: softmax_launch(),
-        tbs,
-        cache: None,
-    };
     // Softmax streams its input once; raw touches are nearly unique.
-    let raw: u64 = profile.tbs.iter().map(|t| t.l2_read).sum();
-    apply_cache_model(
+    let raw = per_instance.iter().map(|t| t.l2_read).sum::<u64>() * dims.instances() as u64;
+    filter_and_replicate(
         spec,
-        &mut profile,
+        name,
+        softmax_launch(),
+        per_instance,
+        dims.instances(),
         CacheHints {
             unique_bytes: raw,
             reuse_footprint: raw,
         },
-    );
-    apply_writeback_filter(spec, &mut profile);
-    profile
+    )
 }
 
 /// Functionally computes the compound sparse softmax over a row-aligned

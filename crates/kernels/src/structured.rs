@@ -9,7 +9,7 @@
 //! This module models a 2:4-sparse dense attention (prune S to 2:4, run
 //! both GEMMs on sparse tensor cores) so that trade-off is measurable.
 
-use crate::cache::{apply_cache_model, apply_writeback_filter, CacheHints};
+use crate::cache::{filter_and_replicate, CacheHints};
 use crate::{tuning, AttnDims};
 use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
 use mg_tensor::{Half, Matrix};
@@ -70,18 +70,18 @@ pub fn gemm_2_4_profile(
         regs_per_thread: 128,
         smem_per_tb: 32 * 1024,
     };
-    let mut profile = KernelProfile::uniform(name, launch, tiles * instances, work);
     let unique = ((m * k + k * n * 2) * instances) as u64;
-    apply_cache_model(
+    filter_and_replicate(
         spec,
-        &mut profile,
+        name,
+        launch,
+        vec![work],
+        tiles * instances,
         CacheHints {
             unique_bytes: unique,
             reuse_footprint: (k * TILE * 2 * 2) as u64,
         },
-    );
-    apply_writeback_filter(spec, &mut profile);
-    profile
+    )
 }
 
 /// Profiles a full *dense* attention pipeline accelerated with 2:4

@@ -125,6 +125,58 @@ impl ServeReport {
         h.finish()
     }
 
+    /// FNV-1a digest over every simulated number in the report, in a
+    /// fixed order: the request outcomes, the makespan, the cache and
+    /// tuning accounting, the worker busy fractions and the batches.
+    pub fn digest(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        let mut fold = |v: u64| h.write_u64(v);
+        for o in &self.outcomes {
+            fold(o.id as u64);
+            fold(o.class as u64);
+            fold(o.arrival_s.to_bits());
+            fold(o.queue_s.to_bits());
+            fold(o.service_s.to_bits());
+            fold(u64::from(o.slo_met));
+            fold(u64::from(o.cache_hit));
+        }
+        fold(self.makespan_s.to_bits());
+        let c = &self.cache;
+        for v in [
+            c.hits,
+            c.misses,
+            c.evictions,
+            c.prefill_hits,
+            c.prefill_misses,
+            c.decode_hits,
+            c.decode_misses,
+        ] {
+            fold(v);
+        }
+        let t = &self.tuning;
+        for v in [t.hits, t.misses, t.online_tunes, t.fallbacks] {
+            fold(v);
+        }
+        fold(t.tune_cost_s.to_bits());
+        for b in &self.worker_busy_fraction {
+            fold(b.to_bits());
+        }
+        for b in &self.batches {
+            fold(b.worker as u64);
+            fold(b.admitted_s.to_bits());
+            fold(b.started_s.to_bits());
+            fold(b.finished_s.to_bits());
+            for &id in &b.request_ids {
+                fold(id as u64);
+            }
+            for &hit in &b.cache_hits {
+                fold(u64::from(hit));
+            }
+            fold(b.numeric_digest);
+        }
+        h.finish()
+    }
+
     /// The `p`-th percentile (0–100) of total latency, by the
     /// nearest-rank method. Returns `0.0` for an empty report.
     pub fn latency_percentile(&self, p: f64) -> f64 {
