@@ -41,13 +41,13 @@ use mg_bench::{threads, Table};
 use mg_gpusim::digest::Fnv1a;
 use mg_gpusim::json::Json;
 use mg_kernels::{
-    coarse_sddmm_compute, coarse_spmm_compute, compound_softmax_compute, fine_sddmm_compute,
-    fine_spmm_compute, fused, fused_attention_compute,
+    coarse, coarse_sddmm_compute, coarse_spmm_compute, compound_softmax_compute,
+    fine_sddmm_compute, fine_spmm_compute, fused, fused_attention_compute,
 };
 use mg_models::workload;
 use mg_patterns::presets;
 use mg_serve::RequestClass;
-use mg_sparse::{Bsr, Csr};
+use mg_sparse::Csr;
 use mg_tensor::{dot, naive, simd, Half, Matrix};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -56,7 +56,8 @@ use std::time::Instant;
 // Naive references: the pre-packing kernel structure, decoding FP16
 // operands per element inside the loops. Bit-identical to the packed
 // kernels by construction (decode is exact and accumulation order is
-// unchanged); the study asserts it on every output.
+// unchanged); the study asserts it on every output. The coarse kernels'
+// references live in the library as `coarse::naive`.
 // ---------------------------------------------------------------------
 
 fn naive_fine_sddmm(q: &Matrix<Half>, k: &Matrix<Half>, structure: &Csr<Half>) -> Csr<Half> {
@@ -84,49 +85,6 @@ fn naive_fine_spmm(p: &Csr<Half>, v: &Matrix<Half>) -> Matrix<Half> {
             let v_row = v.row(c);
             for (d, out_val) in out_row.iter_mut().enumerate() {
                 *out_val += pv * v_row[d].to_f32();
-            }
-        }
-    }
-    acc.cast()
-}
-
-fn naive_coarse_sddmm(q: &Matrix<Half>, k: &Matrix<Half>, structure: &Bsr<Half>) -> Bsr<Half> {
-    let b = structure.block_size();
-    let mut out = structure.clone();
-    for br in 0..structure.block_rows() {
-        for i in structure.block_row_range(br) {
-            let bc = structure.block_col_indices()[i];
-            let blk = out.block_mut(i);
-            for r in 0..b {
-                for c in 0..b {
-                    blk[r * b + c] = Half::from_f32(dot(q.row(br * b + r), k.row(bc * b + c)));
-                }
-            }
-        }
-    }
-    out
-}
-
-fn naive_coarse_spmm(p: &Bsr<Half>, v: &Matrix<Half>) -> Matrix<Half> {
-    let b = p.block_size();
-    let dh = v.cols();
-    let mut acc = Matrix::<f32>::zeros(p.rows(), dh);
-    for br in 0..p.block_rows() {
-        for i in p.block_row_range(br) {
-            let bc = p.block_col_indices()[i];
-            let blk = p.block(i);
-            for r in 0..b {
-                let out_row = acc.row_mut(br * b + r);
-                for c in 0..b {
-                    let pv = blk[r * b + c].to_f32();
-                    if pv == 0.0 {
-                        continue;
-                    }
-                    let v_row = v.row(bc * b + c);
-                    for (d, out_val) in out_row.iter_mut().enumerate() {
-                        *out_val += pv * v_row[d].to_f32();
-                    }
-                }
             }
         }
     }
@@ -391,7 +349,7 @@ fn run_class(class: RequestClass, seq_len: usize, window: usize) -> ClassResult 
     let (s_coarse, s_coarse_scalar, s_coarse_naive, packed_s, scalar_s, naive_s) = time_triple(
         0.0,
         || coarse_sddmm_compute(&q, &k, &blocked.structure),
-        || naive_coarse_sddmm(&q, &k, &blocked.structure),
+        || coarse::naive::coarse_sddmm_compute(&q, &k, &blocked.structure),
     );
     assert_values_bits_eq(
         s_coarse.values(),
@@ -417,7 +375,7 @@ fn run_class(class: RequestClass, seq_len: usize, window: usize) -> ClassResult 
     let (c_coarse, c_coarse_scalar, c_coarse_naive, packed_s, scalar_s, naive_s) = time_triple(
         0.0,
         || coarse_spmm_compute(&p_coarse, &v),
-        || naive_coarse_spmm(&p_coarse, &v),
+        || coarse::naive::coarse_spmm_compute(&p_coarse, &v),
     );
     assert_bits_eq(&c_coarse, &c_coarse_naive, "coarse_spmm vs naive");
     assert_bits_eq(&c_coarse, &c_coarse_scalar, "coarse_spmm vs scalar");

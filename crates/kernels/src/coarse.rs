@@ -17,7 +17,9 @@ use crate::cache::{filter_and_replicate, CacheHints};
 use crate::{tuning, AttnDims};
 use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
 use mg_sparse::Bsr;
-use mg_tensor::{pack::Panel, par, Half, Matrix, NR};
+use mg_tensor::pack::{decode_slice, encode_slice, Panel, Slabs};
+use mg_tensor::simd::SPAN;
+use mg_tensor::{accumulate_row_window, accumulate_row_window2, par, Half, Matrix};
 
 /// Thread-block mapping for the coarse kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,6 +105,13 @@ pub fn coarse_sddmm_profile(
 /// FP32 accumulation, rounded to FP16) — including elements at invalid
 /// positions, which is exactly the coarse method's wasted work.
 ///
+/// The dense-tile path: `Kᵀ` is packed once into k-major column
+/// [`Slabs`], and each stored block is scored by the seeded row
+/// microkernel on paired Q rows over the (at most two) slabs covering its
+/// columns. Every score is one ascending-d chain from the `-0.0` seed
+/// [`mg_tensor::dot`]'s `Sum` fold uses, so the result is bit-identical
+/// to [`naive::coarse_sddmm_compute`].
+///
 /// # Panics
 ///
 /// Panics if `q`/`k` dimensions disagree with the structure.
@@ -115,60 +124,46 @@ pub fn coarse_sddmm_compute(
     assert_eq!(k.rows(), structure.cols(), "K rows mismatch");
     assert_eq!(q.cols(), k.cols(), "head dimension mismatch");
     let b = structure.block_size();
-    let sq = b * b;
-    // Q and K staged as f32 panels once per invocation (shared-memory
-    // analogue); decode is exact so scores are bit-identical. K is packed
-    // transposed (d-major), so a block's NR adjacent columns sit in one
-    // contiguous slice per d step instead of NR strided rows.
     let q_panel = Panel::from_matrix(q);
-    let kt_panel = Panel::from_matrix_transposed(k);
-    let n = k.rows();
+    let kt = Slabs::from_matrix_transposed(k);
     // Stored blocks are independent: map block index -> owning block row
     // once, then fill each block's contiguous value slice in parallel.
     let block_rows_of: Vec<usize> = (0..structure.block_rows())
         .flat_map(|br| structure.block_row_range(br).map(move |_| br))
         .collect();
     let mut out = structure.clone();
-    par::for_each_chunk_mut(out.values_mut(), sq, |i, blk| {
-        let br = block_rows_of[i];
-        let bc = structure.block_col_indices()[i];
-        let kt = kt_panel.as_slice();
-        for r in 0..b {
-            let q_row = q_panel.row(br * b + r);
-            // NR-wide register blocks over the block's columns: the NR
-            // accumulator chains are independent, so they vectorize and
-            // pipeline, while each score still sums its products in
-            // ascending-d order with the -0.0 seed `dot`'s `Sum` fold
-            // uses — bit-identical to per-element dots.
-            let mut c0 = 0;
-            while c0 < b {
-                let cw = NR.min(b - c0);
-                let base = bc * b + c0;
-                let mut regs = [-0.0f32; NR];
-                if cw == NR {
-                    for (d, &qv) in q_row.iter().enumerate() {
-                        let k_blk: &[f32; NR] = kt[d * n + base..d * n + base + NR]
-                            .try_into()
-                            .expect("full register block");
-                        for (reg, &kv) in regs.iter_mut().zip(k_blk) {
-                            *reg += qv * kv;
-                        }
-                    }
+    par::for_each_chunk_mut(out.values_mut(), b * b, |i, blk| {
+        let r0 = block_rows_of[i] * b;
+        let c0 = structure.block_col_indices()[i] * b;
+        for s in c0 / SPAN..(c0 + b).div_ceil(SPAN) {
+            // The part of slab `s` inside the block: slab columns
+            // `off..off + w`, block columns `col..col + w`.
+            let (j0, sw, slab) = kt.slab(s);
+            let lo = j0.max(c0);
+            let w = (j0 + sw).min(c0 + b) - lo;
+            let (off, col) = (lo - j0, lo - c0);
+            for (p, rows) in blk.chunks_mut(2 * b).enumerate() {
+                let q0 = q_panel.row(r0 + 2 * p);
+                let mut acc0 = [-0.0f32; SPAN];
+                if rows.len() == 2 * b {
+                    let q1 = q_panel.row(r0 + 2 * p + 1);
+                    let mut acc1 = [-0.0f32; SPAN];
+                    accumulate_row_window2::<false>(
+                        q0,
+                        q1,
+                        slab,
+                        sw,
+                        off,
+                        &mut acc0[..w],
+                        &mut acc1[..w],
+                    );
+                    let (out0, out1) = rows.split_at_mut(b);
+                    encode_slice(&acc0[..w], &mut out0[col..col + w]);
+                    encode_slice(&acc1[..w], &mut out1[col..col + w]);
                 } else {
-                    for (d, &qv) in q_row.iter().enumerate() {
-                        let k_blk = &kt[d * n + base..d * n + base + cw];
-                        for (reg, &kv) in regs[..cw].iter_mut().zip(k_blk.iter()) {
-                            *reg += qv * kv;
-                        }
-                    }
+                    accumulate_row_window::<false>(q0, slab, sw, off, &mut acc0[..w]);
+                    encode_slice(&acc0[..w], &mut rows[col..col + w]);
                 }
-                for (slot, &v) in blk[r * b + c0..r * b + c0 + cw]
-                    .iter_mut()
-                    .zip(regs[..cw].iter())
-                {
-                    *slot = Half::from_f32(v);
-                }
-                c0 += cw;
             }
         }
     });
@@ -241,6 +236,15 @@ pub fn coarse_spmm_profile(
 /// blocked sparse matrix (masked-out positions hold zero after softmax, so
 /// they contribute nothing).
 ///
+/// The dense-tile path: `V` is packed once into k-major column
+/// [`Slabs`]; each block row decodes its own P blocks into a buffer of
+/// its own and accumulates paired output rows across its blocks with the
+/// seeded row microkernel. Every output element is one chain from `+0.0`
+/// over ascending (block column, column in block) that skips zero P
+/// elements — the order and the zero skip of
+/// [`naive::coarse_spmm_compute`], so the result is bit-identical to it
+/// for every `V`, infinities and NaNs included.
+///
 /// # Panics
 ///
 /// Panics if `v` dimensions disagree with the structure.
@@ -248,42 +252,119 @@ pub fn coarse_spmm_compute(p: &Bsr<Half>, v: &Matrix<Half>) -> Matrix<Half> {
     assert_eq!(v.rows(), p.cols(), "V rows mismatch");
     let b = p.block_size();
     let dh = v.cols();
-    // Stage V as an f32 panel once. P is deliberately NOT pre-decoded:
-    // masked positions make most block elements exactly zero after the
-    // compound softmax, and the zero test below skips them before their
-    // value is ever needed — a staged P panel would pay a full decode
-    // pass (plus the panel's memory traffic) for elements the loop then
-    // discards. Each surviving element is decoded exactly once.
-    let v_panel = Panel::from_matrix(v);
     let sq = b * b;
+    let v_slabs = Slabs::from_matrix(v);
     let mut acc = Matrix::<f32>::zeros(p.rows(), dh);
     // A block row's blocks only touch output rows br*b..(br+1)*b, so block
-    // rows parallelize cleanly. Within a block row, blocks accumulate in
-    // ascending block-column order — the same order the serial sweep used,
-    // keeping results bit-identical.
+    // rows parallelize cleanly. P is decoded one block row at a time, so
+    // the staged copy stays a few blocks in size. It is a plain allocation
+    // rather than a `scratch` buffer: the pool hands its buffers to every
+    // later kernel, which grow them, and a pooled P buffer raised the
+    // peak RSS of a two-layer QDS-base forward by 2 MiB.
     par::for_each_chunk_mut(acc.as_mut_slice(), b * dh, |br, out_rows| {
-        for i in p.block_row_range(br) {
-            let bc = p.block_col_indices()[i];
-            let elems = &p.values()[i * sq..(i + 1) * sq];
-            for r in 0..b {
-                let out_row = &mut out_rows[r * dh..(r + 1) * dh];
-                for c in 0..b {
-                    // mg-lint: allow(P1): one decode per surviving element; a staged panel would decode the skipped zeros too
-                    let pv = elems[r * b + c].to_f32();
-                    // Post-softmax values are finite; zero-skipping is
-                    // safe here (cannot hide a NaN/Inf product).
-                    if pv == 0.0 {
-                        continue;
-                    }
-                    let v_row = v_panel.row(bc * b + c);
-                    for (d, out_val) in out_row.iter_mut().enumerate() {
-                        *out_val += pv * v_row[d];
+        let blocks = p.block_row_range(br);
+        let mut p_f = vec![0.0f32; blocks.len() * sq];
+        decode_slice(&p.values()[blocks.start * sq..blocks.end * sq], &mut p_f);
+        let block_cols = &p.block_col_indices()[blocks];
+        for (j0, w, slab) in v_slabs.iter() {
+            for (pr, pair) in out_rows.chunks_mut(2 * dh).enumerate() {
+                let r = 2 * pr;
+                for (blk, &bc) in p_f.chunks_exact(sq).zip(block_cols) {
+                    let v_rows = &slab[bc * b * w..(bc + 1) * b * w];
+                    let p0 = &blk[r * b..(r + 1) * b];
+                    if pair.len() == 2 * dh {
+                        let p1 = &blk[(r + 1) * b..(r + 2) * b];
+                        let (out0, out1) = pair.split_at_mut(dh);
+                        accumulate_row_window2::<true>(
+                            p0,
+                            p1,
+                            v_rows,
+                            w,
+                            0,
+                            &mut out0[j0..j0 + w],
+                            &mut out1[j0..j0 + w],
+                        );
+                    } else {
+                        accumulate_row_window::<true>(p0, v_rows, w, 0, &mut pair[j0..j0 + w]);
                     }
                 }
             }
         }
     });
     acc.cast()
+}
+
+/// The pre-slab reference implementations: one score or one output
+/// element at a time, operands decoded per element straight from the FP16
+/// storage, on one thread. Kept as the bit-level oracle for the slab
+/// kernels, exactly like `gemm::naive` and `fused::naive`.
+pub mod naive {
+    use mg_sparse::Bsr;
+    use mg_tensor::{dot, Half, Matrix};
+
+    /// Reference coarse SDDMM; same contract (and bit-identical output)
+    /// as [`super::coarse_sddmm_compute`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q`/`k` dimensions disagree with the structure.
+    pub fn coarse_sddmm_compute(
+        q: &Matrix<Half>,
+        k: &Matrix<Half>,
+        structure: &Bsr<Half>,
+    ) -> Bsr<Half> {
+        assert_eq!(q.rows(), structure.rows(), "Q rows mismatch");
+        assert_eq!(k.rows(), structure.cols(), "K rows mismatch");
+        assert_eq!(q.cols(), k.cols(), "head dimension mismatch");
+        let b = structure.block_size();
+        let mut out = structure.clone();
+        for br in 0..structure.block_rows() {
+            for i in structure.block_row_range(br) {
+                let bc = structure.block_col_indices()[i];
+                let blk = out.block_mut(i);
+                for r in 0..b {
+                    for c in 0..b {
+                        blk[r * b + c] = Half::from_f32(dot(q.row(br * b + r), k.row(bc * b + c)));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Reference coarse SpMM; same contract (and bit-identical output)
+    /// as [`super::coarse_spmm_compute`]. A zero P element is skipped,
+    /// so it contributes nothing even against an infinite or NaN V.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` dimensions disagree with the structure.
+    pub fn coarse_spmm_compute(p: &Bsr<Half>, v: &Matrix<Half>) -> Matrix<Half> {
+        assert_eq!(v.rows(), p.cols(), "V rows mismatch");
+        let b = p.block_size();
+        let mut acc = Matrix::<f32>::zeros(p.rows(), v.cols());
+        for br in 0..p.block_rows() {
+            for i in p.block_row_range(br) {
+                let bc = p.block_col_indices()[i];
+                let blk = p.block(i);
+                for r in 0..b {
+                    let out_row = acc.row_mut(br * b + r);
+                    for c in 0..b {
+                        // mg-lint: allow(P1): the naive path decodes per element by design, like gemm::naive
+                        let pv = blk[r * b + c].to_f32();
+                        if pv == 0.0 {
+                            continue;
+                        }
+                        for (out_val, vv) in out_row.iter_mut().zip(v.row(bc * b + c)) {
+                            // mg-lint: allow(P1): the naive path decodes per element by design, like gemm::naive
+                            *out_val += pv * vv.to_f32();
+                        }
+                    }
+                }
+            }
+        }
+        acc.cast()
+    }
 }
 
 #[cfg(test)]

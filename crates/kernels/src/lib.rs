@@ -22,7 +22,7 @@
 
 pub mod cache;
 mod chunked;
-mod coarse;
+pub mod coarse;
 mod decode;
 mod dense;
 mod dims;

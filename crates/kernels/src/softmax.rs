@@ -19,7 +19,8 @@ use crate::AttnDims;
 use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
 use mg_patterns::BlockedPattern;
 use mg_sparse::{Bsr, Csr};
-use mg_tensor::{par, Half, Matrix};
+use mg_tensor::pack::{decode_slice, encode_slice};
+use mg_tensor::{par, scratch, Half, Matrix};
 
 fn softmax_launch() -> LaunchConfig {
     LaunchConfig {
@@ -303,6 +304,13 @@ pub fn compound_softmax_compute(
 /// `coarse_vals` is `(group's block values, index of the group's first
 /// stored block)`; `fine_vals` is `(group's CSR values, index of the
 /// group's first stored element)`.
+///
+/// The row's coarse and fine values are decoded once into a pooled
+/// buffer, in visiting order (block by block, then the CSR elements).
+/// Pass 2 keeps each valid element's `(v·scale − max).exp()` in place of
+/// its value, so pass 3 only scales and encodes: the expressions and the
+/// summation order are the three-pass sweep's, with `exp` evaluated once
+/// per element instead of twice.
 fn softmax_one_row(
     coarse: Option<(&Bsr<Half>, &[f32])>,
     fine: Option<&Csr<Half>>,
@@ -312,79 +320,75 @@ fn softmax_one_row(
     block: usize,
     scale: f32,
 ) {
+    let (lr, sq) = (r % block, block * block);
+    let blocks = coarse.map_or(0..0, |(bsr, _)| bsr.block_row_range(r / block));
+    let elems = fine.map_or(0..0, |csr| csr.row_range(r));
+    let mut row = scratch::take_zeroed(blocks.len() * block + elems.len());
+    let (coarse_row, fine_row) = row.split_at_mut(blocks.len() * block);
+    // The row's slice of each stored block, with its validity mask.
+    let segments = || {
+        coarse.into_iter().flat_map(|(bsr, mask)| {
+            blocks.clone().map(move |i| {
+                let at = i * sq + lr * block..i * sq + (lr + 1) * block;
+                (&bsr.values()[at.clone()], &mask[at])
+            })
+        })
+    };
+    for ((src, _), dst) in segments().zip(coarse_row.chunks_exact_mut(block)) {
+        decode_slice(src, dst);
+    }
+    if let Some(csr) = fine {
+        decode_slice(&csr.values()[elems], fine_row);
+    }
     // Pass 1: max over valid elements of the row.
     let mut max = f32::NEG_INFINITY;
-    for_each_row_element(coarse, fine, r, block, |v, valid| {
-        if valid {
-            max = max.max(v * scale);
-        }
-    });
-    // Pass 2: exponential sum.
-    let mut sum = 0.0f32;
-    for_each_row_element(coarse, fine, r, block, |v, valid| {
-        if valid {
-            sum += (v * scale - max).exp();
-        }
-    });
-    let inv = if sum > 0.0 { 1.0 / sum } else { 0.0 };
-    // Pass 3: normalize and write back.
-    let sq = block * block;
-    if let (Some((bsr, mask)), Some((vals, first_block))) = (coarse, coarse_vals) {
-        let br = r / block;
-        let lr = r % block;
-        for i in bsr.block_row_range(br) {
-            let src = bsr.block(i);
-            for lc in 0..block {
-                let valid = mask[i * sq + lr * block + lc] == 0.0;
-                let out = if valid && inv > 0.0 {
-                    // mg-lint: allow(P1): in-place softmax over FP16 storage; each value is decoded once per pass
-                    Half::from_f32((src[lr * block + lc].to_f32() * scale - max).exp() * inv)
-                } else {
-                    Half::ZERO
-                };
-                vals[(i - first_block) * sq + lr * block + lc] = out;
+    for ((_, mask), vals) in segments().zip(coarse_row.chunks_exact(block)) {
+        for (&v, &m) in vals.iter().zip(mask) {
+            if m == 0.0 {
+                max = max.max(v * scale);
             }
         }
     }
-    if let (Some(csr), Some((vals, base))) = (fine, fine_vals) {
-        for i in csr.row_range(r) {
-            // mg-lint: allow(P1): in-place softmax over FP16 storage; each value is decoded once per pass
-            let v = csr.values()[i].to_f32();
-            vals[i - base] = if inv > 0.0 {
-                Half::from_f32((v * scale - max).exp() * inv)
+    for &v in fine_row.iter() {
+        max = max.max(v * scale);
+    }
+    // Pass 2: exponential sum, keeping each exponential (invalid slots
+    // become the zero pass 3 writes for them).
+    let mut sum = 0.0f32;
+    for ((_, mask), vals) in segments().zip(coarse_row.chunks_exact_mut(block)) {
+        for (v, &m) in vals.iter_mut().zip(mask) {
+            *v = if m == 0.0 {
+                let e = (*v * scale - max).exp();
+                sum += e;
+                e
             } else {
-                Half::ZERO
+                0.0
             };
         }
     }
-}
-
-/// Visits every stored element of row `r` across both parts.
-fn for_each_row_element(
-    coarse: Option<(&Bsr<Half>, &[f32])>,
-    fine: Option<&Csr<Half>>,
-    r: usize,
-    block: usize,
-    mut f: impl FnMut(f32, bool),
-) {
-    if let Some((bsr, mask)) = coarse {
-        let br = r / block;
-        let lr = r % block;
-        let sq = block * block;
-        for i in bsr.block_row_range(br) {
-            let blk = bsr.block(i);
-            for lc in 0..block {
-                let valid = mask[i * sq + lr * block + lc] == 0.0;
-                // mg-lint: allow(P1): streaming reduction over FP16 storage; one decode per visit
-                f(blk[lr * block + lc].to_f32(), valid);
-            }
+    for v in fine_row.iter_mut() {
+        *v = (*v * scale - max).exp();
+        sum += *v;
+    }
+    // Pass 3: normalize and write back. A positive sum is at least 1 (the
+    // element attaining the max contributes `exp(0)`), so `inv` is finite
+    // and scaling an invalid slot's zero leaves it `+0.0`.
+    if sum > 0.0 {
+        let inv = 1.0 / sum;
+        row.iter_mut().for_each(|v| *v *= inv);
+    } else {
+        row.fill(0.0);
+    }
+    let (coarse_row, fine_row) = row.split_at(blocks.len() * block);
+    if let Some((vals, first_block)) = coarse_vals {
+        for (i, src) in blocks.zip(coarse_row.chunks_exact(block)) {
+            let at = (i - first_block) * sq + lr * block;
+            encode_slice(src, &mut vals[at..at + block]);
         }
     }
-    if let Some(csr) = fine {
-        for i in csr.row_range(r) {
-            // mg-lint: allow(P1): streaming reduction over FP16 storage; one decode per visit
-            f(csr.values()[i].to_f32(), true);
-        }
+    if let (Some(csr), Some((vals, base))) = (fine, fine_vals) {
+        let at = csr.row_range(r).start - base;
+        encode_slice(fine_row, &mut vals[at..at + fine_row.len()]);
     }
 }
 

@@ -18,11 +18,12 @@
 //! block reuses them. A whole-width panel walked row pair by row pair
 //! does not: once it outgrows L2, each pair re-streams it from memory.
 //!
-//! Inside a slab the row microkernels are register-tiled: a [`simd::SPAN`]
-//! wide span kernel when the vector dispatch is active and the slab is
-//! full, [`NR`]-wide register blocks otherwise. Every output element is
-//! still one uninterrupted ascending-k chain of mul-then-add from `+0.0`,
-//! the order the retained [`naive`] reference uses. Blocking changes only
+//! Inside a slab the seeded row microkernel [`accumulate_row_window`] is
+//! register-tiled: a [`simd::SPAN`] wide span kernel when the vector
+//! dispatch is active and the slab is full, [`NR`]-wide register blocks
+//! otherwise. Every output element is still one uninterrupted
+//! ascending-k chain of mul-then-add from `+0.0`, the order the retained
+//! [`naive`] reference uses. Blocking changes only
 //! *when* an element is computed, never how, and decode is exact, so the
 //! result is bit-identical to the reference at any thread count and
 //! dispatch mode by construction (property-tested in `tests/pack_props.rs`
@@ -39,96 +40,143 @@ pub const NR: usize = 8;
 /// slab, which has nothing to do with how many threads share the work.
 const MC: usize = 32;
 
-/// Multiplies one decoded A row against one `k × w` slab (`bp[kk * w + j]`
-/// holds `B[kk][j0 + j]`), producing the row's `w = out.len()` outputs of
-/// that slab.
+/// The seeded row microkernel: continues the accumulator chains `acc`
+/// holds with one decoded A row against a window of a k-major panel,
+/// `acc[j] += Σ_kk a[kk] * bp[kk*n + j0 + j]` in ascending `kk`.
 ///
-/// A full slab goes through the explicit span kernel when the
-/// [`crate::simd`] dispatch is active; otherwise, and for the ragged last
-/// slab, [`mul_row_blocks`] runs. Both perform the same per-lane
-/// mul-then-add sequence, so the choice is invisible in the bits.
+/// This one routine runs every dense-tile product in the workspace: the
+/// slab GEMM seeds `+0.0`, the coarse SDDMM seeds `-0.0` (the seed
+/// [`dot`]'s `Sum` fold uses), and the coarse SpMM passes the running sum
+/// of a block row's earlier blocks. With `SKIP_ZEROS`, a zero `a[kk]`
+/// contributes nothing — exactly a `continue` on zero, even against an
+/// infinite or NaN panel element — as long as no accumulator holds
+/// `-0.0`. A chain seeded at `+0.0` never does.
+///
+/// [`simd::SPAN`]-wide windows go through the explicit span kernel when
+/// the [`crate::simd`] dispatch is active, then [`NR`]-wide blocks
+/// through the block kernel, and the ragged tail (and everything, when
+/// the dispatch is off) through fixed-size `[f32; NR]` register windows
+/// the compiler keeps in vector registers. The lanes are *independent*
+/// sums, so vectorizing across them reorders nothing: every path performs
+/// the same per-lane mul-then-add sequence, and the choice is invisible
+/// in the bits.
+///
+/// # Panics
+///
+/// Panics if the window `j0..j0 + acc.len()` does not fit in a panel row
+/// of `n` columns, or `bp` holds fewer than `a.len()` rows.
 #[inline]
-fn mul_row_slab<O: Scalar>(a_f: &[f32], bp: &[f32], out: &mut [O]) {
-    let mut span = [0.0f32; simd::SPAN];
-    if simd::row_panel_span(a_f, bp, out.len(), 0, &mut span) {
-        pack::encode_slice(&span, out);
-    } else {
-        mul_row_blocks(a_f, bp, out);
-    }
-}
-
-/// Paired-row form of [`mul_row_slab`]: two output rows at once, so the
-/// span kernel reuses each loaded B vector for both rows
-/// ([`simd::row_panel_span2`]). Per row the computation, and therefore
-/// every output bit, is identical to two [`mul_row_slab`] calls; when the
-/// vector path declines, that is literally what runs.
-#[inline]
-fn mul_row_slab2<O: Scalar>(
-    a0_f: &[f32],
-    a1_f: &[f32],
+pub fn accumulate_row_window<const SKIP_ZEROS: bool>(
+    a: &[f32],
     bp: &[f32],
-    out0: &mut [O],
-    out1: &mut [O],
+    n: usize,
+    j0: usize,
+    acc: &mut [f32],
 ) {
-    let mut span0 = [0.0f32; simd::SPAN];
-    let mut span1 = [0.0f32; simd::SPAN];
-    if simd::row_panel_span2(a0_f, a1_f, bp, out0.len(), 0, &mut span0, &mut span1) {
-        pack::encode_slice(&span0, out0);
-        pack::encode_slice(&span1, out1);
-    } else {
-        mul_row_blocks(a0_f, bp, out0);
-        mul_row_blocks(a1_f, bp, out1);
+    assert!(j0 + acc.len() <= n, "window exceeds the panel row");
+    assert!(a.len() * n <= bp.len(), "panel shorter than the A row");
+    let mut j = 0;
+    for span in acc.chunks_exact_mut(simd::SPAN) {
+        let span: &mut [f32; simd::SPAN] = span.try_into().expect("SPAN-wide chunk");
+        if !simd::row_panel_span::<SKIP_ZEROS>(a, bp, n, j0 + j, span) {
+            break;
+        }
+        j += simd::SPAN;
+    }
+    for blk in acc[j..].chunks_exact_mut(NR) {
+        let blk: &mut [f32; NR] = blk.try_into().expect("NR-wide chunk");
+        if !simd::row_panel_block::<SKIP_ZEROS>(a, bp, n, j0 + j, blk) {
+            register_window::<SKIP_ZEROS>(a, bp, n, j0 + j, blk);
+        }
+        j += NR;
+    }
+    let tail = acc.len() - j;
+    if tail > 0 {
+        let mut regs = [0.0f32; NR];
+        regs[..tail].copy_from_slice(&acc[j..]);
+        for (kk, &av) in a.iter().enumerate() {
+            if SKIP_ZEROS && av == 0.0 {
+                continue;
+            }
+            let b_blk = &bp[kk * n + j0 + j..kk * n + j0 + j + tail];
+            for (reg, &bv) in regs[..tail].iter_mut().zip(b_blk.iter()) {
+                *reg += av * bv;
+            }
+        }
+        acc[j..].copy_from_slice(&regs[..tail]);
     }
 }
 
-/// The register-block form of the row microkernel over one `k × w` slab:
-/// `NR`-wide blocks, then the ragged final block.
+/// Paired-row form of [`accumulate_row_window`]: two A rows over the same
+/// window, so the span kernel reuses each loaded panel vector for both
+/// rows ([`simd::row_panel_span2`]). Per row the computation, and
+/// therefore every output bit, is identical to two
+/// [`accumulate_row_window`] calls; past the spans, that is literally
+/// what runs.
 ///
-/// Full blocks go through fixed-size `[f32; NR]` windows so the compiler
-/// can keep the `NR` accumulator chains in vector registers — the lanes
-/// are *independent* sums, so vectorizing across them reorders nothing:
-/// each output element still accumulates its products in ascending-k
-/// order from a `+0.0` seed, exactly like [`naive::gemm`] /
-/// [`naive::gemm_nt`]. With the vector dispatch active, full blocks use
-/// the explicit AVX2 block kernel, which performs the identical sequence.
+/// # Panics
+///
+/// As [`accumulate_row_window`], and if the two rows or the two
+/// accumulators differ in length.
 #[inline]
-fn mul_row_blocks<O: Scalar>(a_f: &[f32], bp: &[f32], out: &mut [O]) {
-    let w = out.len();
-    let mut j0 = 0;
-    while j0 < w {
-        let jw = NR.min(w - j0);
-        let mut regs = [0.0f32; NR];
-        if jw == NR {
-            if let Some(v) = simd::row_panel_block(a_f, bp, w, j0) {
-                regs = v;
-            } else {
-                for (kk, &av) in a_f.iter().enumerate() {
-                    let b_blk: &[f32; NR] = bp[kk * w + j0..kk * w + j0 + NR]
-                        .try_into()
-                        .expect("full register block");
-                    for (reg, &bv) in regs.iter_mut().zip(b_blk) {
-                        *reg += av * bv;
-                    }
-                }
-            }
-        } else {
-            for (kk, &av) in a_f.iter().enumerate() {
-                let b_blk = &bp[kk * w + j0..kk * w + j0 + jw];
-                for (reg, &bv) in regs[..jw].iter_mut().zip(b_blk.iter()) {
-                    *reg += av * bv;
-                }
-            }
+pub fn accumulate_row_window2<const SKIP_ZEROS: bool>(
+    a0: &[f32],
+    a1: &[f32],
+    bp: &[f32],
+    n: usize,
+    j0: usize,
+    acc0: &mut [f32],
+    acc1: &mut [f32],
+) {
+    assert_eq!(a0.len(), a1.len(), "paired rows differ in length");
+    assert_eq!(acc0.len(), acc1.len(), "paired windows differ in width");
+    let mut j = 0;
+    for (s0, s1) in acc0
+        .chunks_exact_mut(simd::SPAN)
+        .zip(acc1.chunks_exact_mut(simd::SPAN))
+    {
+        let s0: &mut [f32; simd::SPAN] = s0.try_into().expect("SPAN-wide chunk");
+        let s1: &mut [f32; simd::SPAN] = s1.try_into().expect("SPAN-wide chunk");
+        if !simd::row_panel_span2::<SKIP_ZEROS>(a0, a1, bp, n, j0 + j, s0, s1) {
+            break;
         }
-        for (slot, &v) in out[j0..j0 + jw].iter_mut().zip(regs[..jw].iter()) {
-            *slot = O::from_f32(v);
-        }
-        j0 += jw;
+        j += simd::SPAN;
     }
+    accumulate_row_window::<SKIP_ZEROS>(a0, bp, n, j0 + j, &mut acc0[j..]);
+    accumulate_row_window::<SKIP_ZEROS>(a1, bp, n, j0 + j, &mut acc1[j..]);
+}
+
+/// One full [`NR`]-wide scalar register window of
+/// [`accumulate_row_window`]: a fixed-size array, so the `NR` chains stay
+/// in vector registers across the whole `kk` loop.
+#[inline]
+fn register_window<const SKIP_ZEROS: bool>(
+    a: &[f32],
+    bp: &[f32],
+    n: usize,
+    j0: usize,
+    acc: &mut [f32; NR],
+) {
+    let mut regs = *acc;
+    for (kk, &av) in a.iter().enumerate() {
+        if SKIP_ZEROS && av == 0.0 {
+            continue;
+        }
+        let b_blk: &[f32; NR] = bp[kk * n + j0..kk * n + j0 + NR]
+            .try_into()
+            .expect("full register block");
+        for (reg, &bv) in regs.iter_mut().zip(b_blk) {
+            *reg += av * bv;
+        }
+    }
+    *acc = regs;
 }
 
 /// The blocked loop nest shared by [`gemm`] and [`gemm_nt`], whose only
 /// difference is how the slabs were packed: one parallel work item per
-/// [`MC`]-row output block, slabs outer, row pairs inner.
+/// [`MC`]-row output block, slabs outer, row pairs inner. Each output
+/// element is one [`accumulate_row_window`] chain from `+0.0`, rounded
+/// to `O` once.
 fn gemm_slabs<A: Scalar, O: Scalar>(a: &Matrix<A>, b: &pack::Slabs) -> Matrix<O> {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let mut out = Matrix::<O>::zeros(m, n);
@@ -141,12 +189,25 @@ fn gemm_slabs<A: Scalar, O: Scalar>(a: &Matrix<A>, b: &pack::Slabs) -> Matrix<O>
         for (j0, w, bp) in b.iter() {
             for (p, pair) in out_blk.chunks_mut(2 * n).enumerate() {
                 let a0_f = &a_f[2 * p * k..(2 * p + 1) * k];
+                let mut acc0 = [0.0f32; simd::SPAN];
+                let mut acc1 = [0.0f32; simd::SPAN];
                 if pair.len() == 2 * n {
                     let a1_f = &a_f[(2 * p + 1) * k..(2 * p + 2) * k];
+                    accumulate_row_window2::<false>(
+                        a0_f,
+                        a1_f,
+                        bp,
+                        w,
+                        0,
+                        &mut acc0[..w],
+                        &mut acc1[..w],
+                    );
                     let (out0, out1) = pair.split_at_mut(n);
-                    mul_row_slab2(a0_f, a1_f, bp, &mut out0[j0..j0 + w], &mut out1[j0..j0 + w]);
+                    pack::encode_slice(&acc0[..w], &mut out0[j0..j0 + w]);
+                    pack::encode_slice(&acc1[..w], &mut out1[j0..j0 + w]);
                 } else {
-                    mul_row_slab(a0_f, bp, &mut pair[j0..j0 + w]);
+                    accumulate_row_window::<false>(a0_f, bp, w, 0, &mut acc0[..w]);
+                    pack::encode_slice(&acc0[..w], &mut pair[j0..j0 + w]);
                 }
             }
         }

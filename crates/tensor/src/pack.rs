@@ -38,14 +38,17 @@ pub fn decode_slice<T: Scalar>(src: &[T], dst: &mut [f32]) {
 /// Rounds `src` into `dst` element-wise (round-to-nearest-even for
 /// `Half` outputs, identity for `f32`).
 ///
+/// `Half` outputs route through the F16C conversion in [`crate::simd`]
+/// when the dispatch is active; it rounds exactly as per-element
+/// [`crate::Half::from_f32`] does, NaNs included, so the two paths are
+/// bit-identical.
+///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
 pub fn encode_slice<O: Scalar>(src: &[f32], dst: &mut [O]) {
     assert_eq!(src.len(), dst.len(), "encode length mismatch");
-    for (d, s) in dst.iter_mut().zip(src.iter()) {
-        *d = O::from_f32(*s);
-    }
+    O::encode_from(src, dst);
 }
 
 /// A matrix decoded once into a row-major `f32` panel.
@@ -205,12 +208,26 @@ impl Slabs {
         self.cols
     }
 
-    /// The slabs in column order, as `(j0, w, slab)`: the first column,
-    /// the width, and the `k × w` k-major block. An operand with `k = 0`
-    /// still yields its (empty) slabs, so every output column is visited.
+    /// Slab `s` as `(j0, w, slab)`: its first column `j0 = SPAN·s`, its
+    /// width `w`, and its `k × w` k-major block. The slab holding column
+    /// `c` is `c / SPAN`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is not below `cols().div_ceil(SPAN)`.
+    #[inline]
+    pub fn slab(&self, s: usize) -> (usize, usize, &[f32]) {
+        let j0 = s * SPAN;
+        assert!(j0 < self.cols, "slab {s} out of range");
+        let w = SPAN.min(self.cols - j0);
+        (j0, w, &self.buf[j0 * self.depth..(j0 + w) * self.depth])
+    }
+
+    /// The slabs in column order, as [`Slabs::slab`] gives them. An
+    /// operand with `k = 0` still yields its (empty) slabs, so every
+    /// output column is visited.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, &[f32])> + '_ {
-        slab_spans(self.cols)
-            .map(|(j0, w)| (j0, w, &self.buf[j0 * self.depth..(j0 + w) * self.depth]))
+        (0..self.cols.div_ceil(SPAN)).map(|s| self.slab(s))
     }
 }
 

@@ -53,6 +53,21 @@ pub trait Scalar:
             *d = s.to_f32();
         }
     }
+
+    /// Encodes a whole `f32` slice, element `i` of `dst` receiving exactly
+    /// `Self::from_f32(src[i])` — the mirror of [`Scalar::decode_into`].
+    /// `Half` overrides this to route through the F16C conversion in
+    /// [`crate::simd`] when the dispatch is active, which rounds every
+    /// input exactly as `from_f32` does.
+    ///
+    /// Callers guarantee `src.len() == dst.len()`
+    /// ([`crate::pack::encode_slice`] asserts it).
+    #[inline]
+    fn encode_from(src: &[f32], dst: &mut [Self]) {
+        for (d, s) in dst.iter_mut().zip(src.iter()) {
+            *d = Self::from_f32(*s);
+        }
+    }
 }
 
 impl Scalar for Half {
@@ -78,6 +93,15 @@ impl Scalar for Half {
         if !crate::simd::decode_f16(src, dst) {
             for (d, s) in dst.iter_mut().zip(src.iter()) {
                 *d = s.to_f32();
+            }
+        }
+    }
+
+    #[inline]
+    fn encode_from(src: &[f32], dst: &mut [Half]) {
+        if !crate::simd::encode_f16(src, dst) {
+            for (d, s) in dst.iter_mut().zip(src.iter()) {
+                *d = Half::from_f32(*s);
             }
         }
     }

@@ -6,9 +6,11 @@
 //! pin that promise over matrices drawn from the **full** `Half` bit
 //! space — which naturally includes subnormals, ±Inf, and NaN — plus
 //! empty and degenerate shapes and shapes crossing the blocked GEMM's
-//! row-block and slab boundaries, under 1-thread and 4-thread pools.
+//! row-block and slab boundaries, under 1-thread and 4-thread pools. The
+//! vector FP16 encode is pinned to per-element `Half::from_f32` at every
+//! rounding boundary, and (ignored by default) over all 2³² inputs.
 
-use mg_tensor::{dot, dot_f32, gemm, gemm_nt, naive, simd, Half, Matrix};
+use mg_tensor::{dot, dot_f32, gemm, gemm_nt, naive, pack, simd, Half, Matrix};
 use rayon::ThreadPoolBuilder;
 
 /// Deterministic LCG over raw u16 bit patterns (MMIX constants). Unlike
@@ -201,5 +203,56 @@ fn packed_f16_output_matches_naive_rounding() {
     let reference: Matrix<Half> = naive::gemm(&a, &b);
     for (p, r) in packed.as_slice().iter().zip(reference.as_slice()) {
         assert_eq!(p.to_bits(), r.to_bits());
+    }
+}
+
+/// Encodes `src` with [`pack::encode_slice`] under both forced dispatch
+/// modes and checks every output against per-element `Half::from_f32`.
+fn assert_encode_matches_from_f32(src: &[f32]) {
+    let want: Vec<u16> = src.iter().map(|&v| Half::from_f32(v).to_bits()).collect();
+    let mut dst = vec![Half::ZERO; src.len()];
+    for simd_on in [false, true] {
+        simd::set_override(Some(simd_on));
+        pack::encode_slice(src, &mut dst);
+        for (i, (d, w)) in dst.iter().zip(&want).enumerate() {
+            assert_eq!(
+                d.to_bits(),
+                *w,
+                "encode of {:#010x} (simd {simd_on})",
+                src[i].to_bits()
+            );
+        }
+    }
+    simd::set_override(None);
+}
+
+#[test]
+fn encode_slice_matches_from_f32_at_every_rounding_boundary() {
+    // f32 → f16 keeps the top 10 mantissa bits of a normal result and
+    // rounds on the 13 below them; subnormal results round on more. So for
+    // every high half (sign, exponent and the top 7 mantissa bits), the low
+    // half's three kept bits take all 8 values, each with the truncated
+    // bits just below, at, and above the halfway point and at the ends.
+    // Halfway points above bit 15 (deep subnormal results) are swept by
+    // the high half itself against low halves of 0 and 0xFFFF.
+    let rounding = [0x0000u32, 0x0001, 0x0FFF, 0x1000, 0x1001, 0x1FFF];
+    let lows: Vec<u32> = (0..8u32)
+        .flat_map(|kept| rounding.iter().map(move |r| kept << 13 | r))
+        .collect();
+    let src: Vec<f32> = (0..=u16::MAX as u32)
+        .flat_map(|hi| lows.iter().map(move |lo| f32::from_bits(hi << 16 | lo)))
+        .collect();
+    assert_encode_matches_from_f32(&src);
+}
+
+#[test]
+#[ignore = "all 2^32 inputs; run in release"]
+fn encode_slice_matches_from_f32_over_every_f32() {
+    const CHUNK: u64 = 1 << 22;
+    for start in (0..1u64 << 32).step_by(CHUNK as usize) {
+        let src: Vec<f32> = (start..start + CHUNK)
+            .map(|bits| f32::from_bits(bits as u32))
+            .collect();
+        assert_encode_matches_from_f32(&src);
     }
 }
