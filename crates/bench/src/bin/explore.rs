@@ -47,8 +47,8 @@ fn parse_args() -> Result<Option<Args>, String> {
         match flag.as_str() {
             "--pattern" => args.pattern = flags.value(&flag)?,
             "--seq" => args.seq = flags.parse(&flag)?,
-            "--heads" => args.heads = flags.parse(&flag)?,
-            "--batch" => args.batch = flags.parse(&flag)?,
+            "--heads" => args.heads = at_least_one(&flag, flags.parse(&flag)?)?,
+            "--batch" => args.batch = at_least_one(&flag, flags.parse(&flag)?)?,
             "--block" => args.block = flags.parse(&flag)?,
             "--device" => {
                 args.device = match flags.value(&flag)?.to_lowercase().as_str() {
@@ -65,6 +65,16 @@ fn parse_args() -> Result<Option<Args>, String> {
         }
     }
     Ok(Some(args))
+}
+
+/// A count that sizes the kernel grids: zero would leave no thread
+/// blocks to divide the work over.
+fn at_least_one(flag: &str, n: usize) -> Result<usize, String> {
+    if n == 0 {
+        Err(format!("{flag}: must be at least 1"))
+    } else {
+        Ok(n)
+    }
 }
 
 fn main() -> ExitCode {

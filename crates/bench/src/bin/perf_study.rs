@@ -7,8 +7,9 @@
 //! (`mg_tensor::simd`), runtime-dispatched and bit-identical to scalar.
 //! This study times three legs per kernel:
 //!
-//! * **naive** — the retained pre-packing references (per-element LUT
-//!   decode inside the loops);
+//! * **naive** — the library's retained pre-packing references
+//!   (`naive`, `fine::naive`, `coarse::naive`, `fused::naive`), which
+//!   decode per element inside the loops;
 //! * **scalar** — the packed production kernels with the SIMD layer
 //!   forced off (`simd::set_override(Some(false))`);
 //! * **packed** — the production kernels under the ambient `MG_SIMD`
@@ -41,55 +42,16 @@ use mg_bench::{threads, Table};
 use mg_gpusim::digest::Fnv1a;
 use mg_gpusim::json::Json;
 use mg_kernels::{
-    coarse, coarse_sddmm_compute, coarse_spmm_compute, compound_softmax_compute,
+    coarse, coarse_sddmm_compute, coarse_spmm_compute, compound_softmax_compute, fine,
     fine_sddmm_compute, fine_spmm_compute, fused, fused_attention_compute,
 };
 use mg_models::workload;
 use mg_patterns::presets;
 use mg_serve::RequestClass;
 use mg_sparse::Csr;
-use mg_tensor::{dot, naive, simd, Half, Matrix};
+use mg_tensor::{naive, simd, Half, Matrix};
 use std::process::ExitCode;
 use std::time::Instant;
-
-// ---------------------------------------------------------------------
-// Naive references: the pre-packing kernel structure, decoding FP16
-// operands per element inside the loops. Bit-identical to the packed
-// kernels by construction (decode is exact and accumulation order is
-// unchanged); the study asserts it on every output. The coarse kernels'
-// references live in the library as `coarse::naive`.
-// ---------------------------------------------------------------------
-
-fn naive_fine_sddmm(q: &Matrix<Half>, k: &Matrix<Half>, structure: &Csr<Half>) -> Csr<Half> {
-    let mut out = structure.clone();
-    for r in 0..structure.rows() {
-        for i in structure.row_range(r) {
-            let c = structure.col_indices()[i];
-            out.values_mut()[i] = Half::from_f32(dot(q.row(r), k.row(c)));
-        }
-    }
-    out
-}
-
-fn naive_fine_spmm(p: &Csr<Half>, v: &Matrix<Half>) -> Matrix<Half> {
-    let dh = v.cols();
-    let mut acc = Matrix::<f32>::zeros(p.rows(), dh);
-    for r in 0..p.rows() {
-        let out_row = acc.row_mut(r);
-        for i in p.row_range(r) {
-            let c = p.col_indices()[i];
-            let pv = p.values()[i].to_f32();
-            if pv == 0.0 {
-                continue;
-            }
-            let v_row = v.row(c);
-            for (d, out_val) in out_row.iter_mut().enumerate() {
-                *out_val += pv * v_row[d].to_f32();
-            }
-        }
-    }
-    acc.cast()
-}
 
 // ---------------------------------------------------------------------
 // Harness
@@ -287,7 +249,7 @@ fn run_class(class: RequestClass, seq_len: usize, window: usize) -> ClassResult 
     let (s_fine, s_fine_scalar, s_fine_naive, packed_s, scalar_s, naive_s) = time_triple(
         FINE_GUARD_LEG_S,
         || fine_sddmm_compute(&q, &k, &csr),
-        || naive_fine_sddmm(&q, &k, &csr),
+        || fine::naive::fine_sddmm_compute(&q, &k, &csr),
     );
     assert_eq!(
         s_fine.values().len(),
@@ -332,7 +294,7 @@ fn run_class(class: RequestClass, seq_len: usize, window: usize) -> ClassResult 
     let (c_fine, c_fine_scalar, c_fine_naive, packed_s, scalar_s, naive_s) = time_triple(
         0.0,
         || fine_spmm_compute(&p_fine, &v),
-        || naive_fine_spmm(&p_fine, &v),
+        || fine::naive::fine_spmm_compute(&p_fine, &v),
     );
     assert_bits_eq(&c_fine, &c_fine_naive, "fine_spmm vs naive");
     assert_bits_eq(&c_fine, &c_fine_scalar, "fine_spmm vs scalar");

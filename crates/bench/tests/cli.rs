@@ -31,6 +31,9 @@ fn explore_rejects_bad_input_with_exit_2() {
     assert_bad_input(exe, &["--bogus"], "--bogus");
     assert_bad_input(exe, &["--pattern", "Q9"], "Q9");
     assert_bad_input(exe, &["--seq", "many"], "--seq");
+    // Zero heads or batch would divide by zero in the kernel profiles.
+    assert_bad_input(exe, &["--heads", "0"], "--heads");
+    assert_bad_input(exe, &["--batch", "0"], "--batch");
     assert_bad_input(exe, &["--device", "v100"], "v100");
     assert_bad_input(
         exe,

@@ -3,7 +3,7 @@
 
 use crate::config::Routing;
 use mg_gpusim::digest::Fnv1a;
-use mg_serve::RequestClass;
+use mg_serve::{nearest_rank_percentile, RequestClass};
 
 /// Per-request latency decomposition for a completed request, seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,13 +99,10 @@ impl ClusterReport {
     /// by the nearest-rank method. Returns `0.0` when nothing completed
     /// (the all-shed degenerate run).
     pub fn latency_percentile(&self, p: f64) -> f64 {
-        if self.outcomes.is_empty() {
-            return 0.0;
-        }
-        let mut latencies: Vec<f64> = self.outcomes.iter().map(ClusterOutcome::total_s).collect();
-        latencies.sort_by(f64::total_cmp);
-        let rank = ((p / 100.0) * latencies.len() as f64).ceil() as usize;
-        latencies[rank.clamp(1, latencies.len()) - 1]
+        nearest_rank_percentile(
+            self.outcomes.iter().map(ClusterOutcome::total_s).collect(),
+            p,
+        )
     }
 
     /// Median total latency of completed requests.

@@ -16,7 +16,7 @@ use mg_kernels::decode_step_profile;
 use mg_models::workload::{chat_sessions, ChatSession, WorkloadSample};
 use mg_models::{ModelConfig, SparseTransformer};
 use mg_patterns::DecodePatternState;
-use mg_serve::{CacheStats, PlanCache, RequestClass};
+use mg_serve::{nearest_rank_percentile, CacheStats, PlanCache, RequestClass};
 use mg_sparse::SparseError;
 use multigrain::{Attention, Method};
 
@@ -152,17 +152,17 @@ pub struct DecodeReport {
 impl DecodeReport {
     /// Median decode-token latency.
     pub fn decode_p50(&self) -> f64 {
-        percentile(&self.decode_latencies_s, 0.50)
+        nearest_rank_percentile(self.decode_latencies_s.clone(), 50.0)
     }
 
     /// Tail decode-token latency.
     pub fn decode_p99(&self) -> f64 {
-        percentile(&self.decode_latencies_s, 0.99)
+        nearest_rank_percentile(self.decode_latencies_s.clone(), 99.0)
     }
 
     /// Tail prefill latency.
     pub fn prefill_p99(&self) -> f64 {
-        percentile(&self.prefill_latencies_s, 0.99)
+        nearest_rank_percentile(self.prefill_latencies_s.clone(), 99.0)
     }
 
     /// Mean decode steps per decode launch (1.0 with no batching).
@@ -209,17 +209,6 @@ impl DecodeReport {
         fold(self.kv.appended_tokens);
         h.finish()
     }
-}
-
-/// Nearest-rank percentile of an unsorted slice; 0 when empty.
-fn percentile(values: &[f64], p: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 /// One pending unit of work for a session.

@@ -12,7 +12,9 @@
 use crate::cache::apply_writeback_filter;
 use crate::{dense_gemm_profile, AttnDims};
 use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
-use mg_tensor::{dot_f32, pack::Panel, scratch, softmax_row_in_place, Half, Matrix};
+use mg_tensor::{
+    accumulate_row_window, pack, pack::Panel, scratch, softmax_row_in_place, Half, Matrix,
+};
 
 /// Functional sliding-chunk attention: computes exactly the local-window
 /// attention `softmax(scale·QKᵀ + band_mask) V` with half-window
@@ -38,45 +40,48 @@ pub fn sliding_chunk_attention_compute(
     let dh = q.cols();
     let chunks = l / h;
     let mut out = Matrix::<Half>::zeros(l, dh);
-    // Operands staged as f32 panels once for the whole computation.
+    // Operands staged as f32 panels once for the whole computation; K
+    // d-major, so a row's band of keys is a contiguous window of Kᵀ.
     let q_panel = Panel::from_matrix(q);
-    let k_panel = Panel::from_matrix(k);
+    let k_t = Panel::from_matrix_transposed(k);
     let v_panel = Panel::from_matrix(v);
+    let mut acc = vec![0.0f32; dh];
 
     for ci in 0..chunks {
         // Key/value span: chunks ci-1, ci, ci+1 (clipped at the edges).
         let span_lo = ci.saturating_sub(1) * h;
         let span_hi = ((ci + 2) * h).min(l);
         let span = span_hi - span_lo;
-        // Scores for the chunk's rows over the span, band-masked.
         for r in ci * h..(ci + 1) * h {
+            // Scores for the row's band `|r - c| <= h` inside the span,
+            // each lane from the `-0.0` seed `dot` uses; the rest of the
+            // span stays masked at -inf.
+            let band_lo = r.saturating_sub(h).max(span_lo);
+            let band_hi = (r + h + 1).min(span_hi);
             let mut row = scratch::take_zeroed(span);
             row.fill(f32::NEG_INFINITY);
-            for (j, slot) in row.iter_mut().enumerate() {
-                let c = span_lo + j;
-                if (r as isize - c as isize).unsigned_abs() <= h {
-                    // Same FP16 rounding as the sparse kernels: S is
-                    // stored in FP16 before the softmax.
-                    let s = Half::from_f32(dot_f32(q_panel.row(r), k_panel.row(c)));
-                    // mg-lint: allow(P1): single rounding of an f32 score, not an operand decode
-                    *slot = s.to_f32() * scale;
-                }
+            let band = &mut row[band_lo - span_lo..band_hi - span_lo];
+            band.fill(-0.0);
+            accumulate_row_window::<false>(q_panel.row(r), k_t.as_slice(), l, band_lo, band);
+            for slot in band.iter_mut() {
+                // Same FP16 rounding as the sparse kernels: S is stored
+                // in FP16 before the softmax.
+                // mg-lint: allow(P1): single rounding of an f32 score, not an operand decode
+                *slot = Half::from_f32(*slot).to_f32() * scale;
             }
             softmax_row_in_place(&mut row);
             // P is rounded through FP16 like the sparse pipeline's stored
             // probabilities before the context GEMM.
-            // mg-lint: allow(P1): intentional FP16 round-trip of P, not an operand decode
-            let p: Vec<f32> = row.iter().map(|&x| Half::from_f32(x).to_f32()).collect();
-            let out_row = out.row_mut(r);
-            for (d, out_val) in out_row.iter_mut().enumerate().take(dh) {
-                let mut acc = 0.0f32;
-                for (j, &pj) in p.iter().enumerate() {
-                    if pj != 0.0 {
-                        acc += pj * v_panel.row(span_lo + j)[d];
-                    }
-                }
-                *out_val = Half::from_f32(acc);
+            for x in row.iter_mut() {
+                // mg-lint: allow(P1): intentional FP16 round-trip of P, not an operand decode
+                *x = Half::from_f32(*x).to_f32();
             }
+            // Context: a zero-skipping row-microkernel pass from `+0.0`
+            // over the span's contiguous V rows.
+            acc.fill(0.0);
+            let v_span = &v_panel.as_slice()[span_lo * dh..span_hi * dh];
+            accumulate_row_window::<true>(&row, v_span, dh, 0, &mut acc);
+            pack::encode_slice(&acc, out.row_mut(r));
         }
     }
     out

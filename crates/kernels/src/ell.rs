@@ -8,7 +8,7 @@ use crate::cache::{filter_and_replicate, CacheHints};
 use crate::{tuning, AttnDims};
 use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
 use mg_sparse::BlockedEll;
-use mg_tensor::{pack::Panel, Half, Matrix};
+use mg_tensor::{accumulate_row_window, pack::Panel, Half, Matrix};
 
 fn ell_launch(block: usize, head_dim: usize) -> LaunchConfig {
     LaunchConfig {
@@ -55,8 +55,10 @@ pub fn ell_spmm_profile(
     )
 }
 
-/// Functional Blocked-ELL SpMM: `C = P × V`, skipping padded slots (they
-/// hold zeros, so skipping matches computing them).
+/// Functional Blocked-ELL SpMM: `C = P × V` over the dense rendering of
+/// `P`. Every zero element is skipped — padded slots, the empty blocks
+/// of the rendering and stored zeros alike — so a zero contributes
+/// nothing even against an infinite or NaN V.
 ///
 /// # Panics
 ///
@@ -66,23 +68,19 @@ pub fn ell_spmm_compute(p: &BlockedEll<Half>, v: &Matrix<Half>) -> Matrix<Half> 
     let dh = v.cols();
     let mut acc = Matrix::<f32>::zeros(p.rows(), dh);
     // The format's semantics are its dense rendering; padded slots
-    // (column index ELL_PAD) contribute nothing. Both operands are
-    // decoded into f32 panels once up front.
-    let dense = p.to_dense();
-    let dense_panel = Panel::from_matrix(&dense);
+    // (column index ELL_PAD) render as zeros. Both operands are decoded
+    // into f32 panels once up front, and each output row is one
+    // zero-skipping row-microkernel pass from `+0.0` over all of V.
+    let dense_panel = Panel::from_matrix(&p.to_dense());
     let v_panel = Panel::from_matrix(v);
     for r in 0..p.rows() {
-        let out_row = acc.row_mut(r);
-        let p_row = dense_panel.row(r);
-        for (c, &pv) in p_row.iter().enumerate() {
-            if pv == 0.0 {
-                continue;
-            }
-            let v_row = v_panel.row(c);
-            for (d, out_val) in out_row.iter_mut().enumerate() {
-                *out_val += pv * v_row[d];
-            }
-        }
+        accumulate_row_window::<true>(
+            dense_panel.row(r),
+            v_panel.as_slice(),
+            dh,
+            0,
+            acc.row_mut(r),
+        );
     }
     acc.cast()
 }

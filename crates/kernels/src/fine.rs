@@ -17,7 +17,9 @@ use crate::cache::{filter_and_replicate, CacheHints};
 use crate::{tuning, AttnDims};
 use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
 use mg_sparse::Csr;
-use mg_tensor::{dot_f32, dot_rows_block, dot_rows_run, pack::Panel, par, Half, Matrix, NR};
+use mg_tensor::{
+    accumulate_row_window, dot_f32, dot_rows_block, pack, pack::Panel, par, Half, Matrix, NR,
+};
 
 /// Output mapping of the fine SDDMM kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,38 +211,46 @@ pub fn fine_sddmm_compute(q: &Matrix<Half>, k: &Matrix<Half>, structure: &Csr<Ha
             }
             return;
         }
-        // NR-wide register blocks over the row's non-zeros through the
-        // shared gathered-row microkernel: the NR accumulator chains
-        // interleave and pipeline, while each stored element still sums
-        // its products in ascending-d order with the -0.0 seed `dot`'s
-        // `Sum` fold uses — bit-identical to dotting the FP16 rows one
-        // non-zero at a time.
-        let mut o0 = 0;
-        while o0 < vals.len() {
-            let ow = NR.min(vals.len() - o0);
-            let cols = &structure.col_indices()[base + o0..base + o0 + ow];
-            // CSR columns are sorted, so a chunk is a consecutive run iff
-            // its endpoints are `ow - 1` apart — those runs stream the
-            // d-major panel with contiguous loads; everything else takes
-            // the gathered-row path. Both microkernels accumulate in
-            // ascending-d order from the -0.0 seed, so the routing choice
-            // never changes a bit of the output.
-            let regs = if cols[ow - 1] == cols[0] + ow - 1 {
-                dot_rows_run(q_row, &k_t, cols[0], ow)
-            } else {
-                let mut k_rows: [&[f32]; NR] = [&[]; NR];
-                for (oo, row) in k_rows[..ow].iter_mut().enumerate() {
-                    *row = k_panel.row(cols[oo]);
-                }
-                dot_rows_block(q_row, &k_rows, ow)
-            };
-            for (slot, &v) in vals[o0..o0 + ow].iter_mut().zip(regs[..ow].iter()) {
-                *slot = Half::from_f32(v);
-            }
-            o0 += ow;
+        // NR-wide register blocks over the row's non-zeros: the NR
+        // accumulator chains interleave and pipeline, while each stored
+        // element still sums its products in ascending-d order from the
+        // -0.0 seed — bit-identical to dotting the FP16 rows one non-zero
+        // at a time.
+        let cols = &structure.col_indices()[base..base + vals.len()];
+        for (chunk, slots) in cols.chunks(NR).zip(vals.chunks_mut(NR)) {
+            let regs = score_chunk(q_row, chunk, &k_panel, &k_t);
+            pack::encode_slice(&regs[..chunk.len()], slots);
         }
     });
     out
+}
+
+/// Whether a non-empty list of sorted, distinct columns is consecutive:
+/// exactly when its endpoints are `len - 1` apart.
+pub(crate) fn is_run(cols: &[usize]) -> bool {
+    cols[cols.len() - 1] == cols[0] + cols.len() - 1
+}
+
+/// Scores one chunk of at most [`NR`] sorted, distinct columns against
+/// `q_row`: lane `j` is `dot_f32(q_row, K row cols[j])`, the ascending-d
+/// chain from the `-0.0` seed `dot`'s `Sum` fold uses. A consecutive run
+/// reads a contiguous window of the d-major `k_t` through the shared row
+/// microkernel; any other chunk gathers its rows of `k` for
+/// [`dot_rows_block`]. Both orders are the same, so the route never
+/// changes a bit. The fine SDDMM and the fused kernel score through it.
+pub(crate) fn score_chunk(q_row: &[f32], cols: &[usize], k: &Panel, k_t: &Panel) -> [f32; NR] {
+    let mut regs = [-0.0f32; NR];
+    if is_run(cols) {
+        let window = &mut regs[..cols.len()];
+        accumulate_row_window::<false>(q_row, k_t.as_slice(), k_t.cols(), cols[0], window);
+        regs
+    } else {
+        let mut rows: [&[f32]; NR] = [&[]; NR];
+        for (row, &c) in rows.iter_mut().zip(cols) {
+            *row = k.row(c);
+        }
+        dot_rows_block(q_row, &rows, cols.len())
+    }
 }
 
 /// Builds the timing profile of the fine SpMM `C = P_csr × V` (1D tiling
@@ -302,8 +312,8 @@ pub fn fine_spmm_compute(p: &Csr<Half>, v: &Matrix<Half>) -> Matrix<Half> {
         for i in p.row_range(r) {
             let c = p.col_indices()[i];
             let pv = p_vals[i];
-            // Post-softmax probabilities are finite, so skipping exact
-            // zeros cannot drop a NaN/Inf contribution here.
+            // `fine::naive`'s rule: a zero probability is skipped, so
+            // it contributes nothing even where `0 × Inf` would be NaN.
             if pv == 0.0 {
                 continue;
             }
@@ -346,6 +356,33 @@ pub mod naive {
         }
         out
     }
+
+    /// Scalar fine SpMM: both operands decoded per element, stored
+    /// elements in CSR order. A zero P element is skipped, so it
+    /// contributes nothing even against an infinite or NaN V.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` row count disagrees with the structure's columns.
+    pub fn fine_spmm_compute(p: &Csr<Half>, v: &Matrix<Half>) -> Matrix<Half> {
+        assert_eq!(v.rows(), p.cols(), "V rows mismatch");
+        let mut acc = Matrix::<f32>::zeros(p.rows(), v.cols());
+        for r in 0..p.rows() {
+            let out_row = acc.row_mut(r);
+            for i in p.row_range(r) {
+                // mg-lint: allow(P1): the naive path decodes per element by design, like gemm::naive
+                let pv = p.values()[i].to_f32();
+                if pv == 0.0 {
+                    continue;
+                }
+                for (out_val, vv) in out_row.iter_mut().zip(v.row(p.col_indices()[i])) {
+                    // mg-lint: allow(P1): the naive path decodes per element by design, like gemm::naive
+                    *out_val += pv * vv.to_f32();
+                }
+            }
+        }
+        acc.cast()
+    }
 }
 
 #[cfg(test)]
@@ -384,9 +421,9 @@ mod tests {
 
     #[test]
     fn sddmm_run_routing_is_bit_identical_to_naive() {
-        // Sliding-window rows are all consecutive runs (the dot_rows_run
-        // path); the scattered structure above exercises the gathered
-        // path; a mix of both covers the routing boundary.
+        // Sliding-window rows are all consecutive runs (the contiguous
+        // d-major path); the scattered structure above exercises the
+        // gathered path; a mix of both covers the routing boundary.
         let window: Csr<Half> = {
             let coords: Vec<(usize, usize)> = (0..32)
                 .flat_map(|r: usize| (r.saturating_sub(5)..=(r + 5).min(31)).map(move |c| (r, c)))

@@ -11,7 +11,9 @@
 //!
 //! * [`fused_attention_compute`] — the register-tiled block-wise kernel:
 //!   Q/K/V staged as f32 panels once, [`NR`] scores per step through the
-//!   shared [`dot_rows_block`] microkernel, rows in parallel.
+//!   shared microkernels ([`accumulate_row_window`] on consecutive-column
+//!   runs, [`mg_tensor::dot_rows_block`] on gathered columns), rows in
+//!   parallel.
 //! * [`naive`] — the retained scalar per-element path the tiled kernel is
 //!   property-tested against, bit for bit.
 //!
@@ -22,14 +24,11 @@
 //! `exp(-inf − -inf)`.
 
 use crate::cache::{filter_and_replicate, CacheHints};
-use crate::fine::fine_reuse_footprint;
+use crate::fine::{fine_reuse_footprint, is_run, score_chunk};
 use crate::{tuning, AttnDims};
 use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
 use mg_patterns::CompoundPattern;
-use mg_tensor::{
-    accumulate_rows_block, dot_rows_block, dot_rows_run, pack::Panel, par, scratch, Half, Matrix,
-    NR,
-};
+use mg_tensor::{accumulate_row_window, pack::Panel, par, scratch, Half, Matrix, NR};
 
 /// The online-softmax update chain for one row: feeds one already-scaled
 /// score into the running max/sum/accumulator state, in strictly
@@ -86,11 +85,16 @@ fn online_update(
 /// per inlining context, and x86 propagates the first operand's payload).
 ///
 /// Q, K, and V are staged as f32 panels once for the whole kernel; each
-/// row gathers [`NR`] K rows at a time and scores them through the shared
-/// [`dot_rows_block`] microkernel (eight independent accumulator chains
-/// that pipeline, instead of one serial dependent-add chain per score).
-/// The online update chain then consumes the score tile in strictly
-/// per-column order, so tiling changes no accumulation order anywhere.
+/// row scores [`NR`] columns at a time, eight independent accumulator
+/// chains that pipeline instead of one serial dependent-add chain per
+/// score. A chunk of consecutive columns runs on the shared row
+/// microkernel [`accumulate_row_window`] over a d-major Kᵀ panel; a
+/// chunk of scattered columns gathers its K rows for
+/// [`mg_tensor::dot_rows_block`]. The online update chain then consumes
+/// the score tile in strictly per-column order. Where a run chunk raises
+/// no running max, its accumulate is one more [`accumulate_row_window`]
+/// call: the probabilities against the run's contiguous V rows. Tiling
+/// changes no accumulation order anywhere.
 /// Rows run on the deterministic parallel layer and are independent, so
 /// the output is bit-identical at any `MG_THREADS`.
 ///
@@ -129,20 +133,11 @@ pub fn fused_attention_compute(
         // Per-row accumulator from the pooled scratch arena instead of a
         // fresh allocation per row.
         let mut acc = scratch::take_zeroed(dh);
-        let mut c0 = 0;
-        while c0 < cols.len() {
-            let cw = NR.min(cols.len() - c0);
-            // `cols` is sorted and deduplicated, so the chunk is a
-            // consecutive run iff its endpoints are `cw - 1` apart.
-            let regs = if cols[c0 + cw - 1] == cols[c0] + cw - 1 {
-                dot_rows_run(q_row, &k_t, cols[c0], cw)
-            } else {
-                let mut k_rows: [&[f32]; NR] = [&[]; NR];
-                for (j, row) in k_rows[..cw].iter_mut().enumerate() {
-                    *row = k_panel.row(cols[c0 + j]);
-                }
-                dot_rows_block(q_row, &k_rows, cw)
-            };
+        // `cols` is sorted and deduplicated, so `is_run` spots the
+        // chunks of consecutive columns.
+        for chunk in cols.chunks(NR) {
+            let cw = chunk.len();
+            let regs = score_chunk(q_row, chunk, &k_panel, &k_t);
             let mut s = [f32::NEG_INFINITY; NR];
             for (sj, &raw) in s[..cw].iter_mut().zip(regs[..cw].iter()) {
                 // Score rounded through FP16 like the pipeline's stored
@@ -154,11 +149,12 @@ pub fn fused_attention_compute(
             // `running_max.max(s)` chain, so a chunk of NaN scores still
             // takes whichever branch the per-column chain would.
             let chunk_max = s[..cw].iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
-            if running_max != f32::NEG_INFINITY && chunk_max <= running_max {
-                // No score in this chunk raises the running max, so every
+            if is_run(chunk) && running_max != f32::NEG_INFINITY && chunk_max <= running_max {
+                // No score in this run raises the running max, so every
                 // column is the equal-max case: `correction = 1` for all
-                // of them, and the whole chunk collapses to one pass over
-                // the accumulator. Each element still receives its
+                // of them, and the run's V rows are one contiguous panel
+                // that the row microkernel walks in one pass over the
+                // accumulator. Each element still receives its
                 // `p_j * v_j` terms in strictly ascending column order,
                 // so this is bit-identical to `online_update` per column.
                 let mut p = [0.0f32; NR];
@@ -166,23 +162,19 @@ pub fn fused_attention_compute(
                     *pj = (sj - running_max).exp();
                     running_sum += *pj;
                 }
-                let mut v_rows: [&[f32]; NR] = [&[]; NR];
-                for (j, row) in v_rows[..cw].iter_mut().enumerate() {
-                    *row = v_panel.row(cols[c0 + j]);
-                }
-                accumulate_rows_block(&mut acc, &p, &v_rows, cw);
+                let v_run = &v_panel.as_slice()[chunk[0] * dh..(chunk[0] + cw) * dh];
+                accumulate_row_window::<false>(&p[..cw], v_run, dh, 0, &mut acc);
             } else {
-                for (j, &sj) in s[..cw].iter().enumerate() {
+                for (&sj, &c) in s[..cw].iter().zip(chunk) {
                     online_update(
                         sj,
                         &mut running_max,
                         &mut running_sum,
                         &mut acc,
-                        v_panel.row(cols[c0 + j]),
+                        v_panel.row(c),
                     );
                 }
             }
-            c0 += cw;
         }
         if running_max == f32::NEG_INFINITY {
             // Every score was -inf (or the row's only scores were NaN

@@ -8,7 +8,10 @@
 //! Inputs are drawn from the **full** `Half` bit space (normals,
 //! subnormals, ±0, ±Inf, NaN payloads) over patterns with empty rows,
 //! padded rows, global tokens, and scattered columns, under 1-thread and
-//! 4-thread pools.
+//! 4-thread pools. A second, finite-operand corpus over window-plus-
+//! scattered patterns keeps the running max settled, so the chunk-batched
+//! accumulate runs on window runs and the per-column update on gathered
+//! chunks; with no NaN in play it is held to strict bit equality.
 
 use mg_kernels::fused;
 use mg_kernels::fused_attention_compute;
@@ -266,4 +269,50 @@ fn subnormal_operands_round_trip_bitwise() {
     let reference = fused::naive::fused_attention_compute(&q, &k, &v, &p, 1.0);
     assert_bits_eq(&tiled, &reference, "subnormal");
     assert!(tiled.as_slice().iter().all(|h| !h.to_f32().is_nan()));
+}
+
+#[test]
+fn finite_operands_match_naive_strictly_on_run_and_gathered_chunks() {
+    // Matrix::random-scale operands keep every score finite, so once a
+    // row's first chunk has set the running max, most later chunks raise
+    // nothing: window runs take the chunk-batched accumulate and the
+    // scattered columns between them take the per-column update. With no
+    // NaN anywhere, tiled and naive must agree strictly, in both dispatch
+    // modes.
+    for (l, window, per_row) in [(64, 24, 6), (100, 40, 9)] {
+        let p = CompoundPattern::new(l)
+            .with(AtomicPattern::Local { window })
+            .with(AtomicPattern::Random { per_row, seed: 5 })
+            .with(AtomicPattern::Global { tokens: vec![3] });
+        for dh in [8, 13, 40, 64, 70] {
+            let seed = (l * 1000 + dh) as u64;
+            let q = Matrix::<Half>::random(l, dh, seed);
+            let k = Matrix::<Half>::random(l, dh, seed + 1);
+            let v = Matrix::<Half>::random(l, dh, seed + 2);
+            let scale = 1.0 / (dh as f32).sqrt();
+            let reference = fused::naive::fused_attention_compute(&q, &k, &v, &p, scale);
+            for threads in [1, 4] {
+                for simd_on in [false, true] {
+                    let tiled = pool(threads).install(|| {
+                        simd::set_override(Some(simd_on));
+                        fused_attention_compute(&q, &k, &v, &p, scale)
+                    });
+                    for (i, (a, b)) in tiled
+                        .as_slice()
+                        .iter()
+                        .zip(reference.as_slice())
+                        .enumerate()
+                    {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "l={l} dh={dh} threads {threads} simd {simd_on}: element {i} \
+                             diverges: tiled {a:?} vs naive {b:?}"
+                        );
+                    }
+                }
+            }
+            simd::set_override(None);
+        }
+    }
 }

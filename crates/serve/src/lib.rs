@@ -56,7 +56,7 @@ mod tune;
 pub use batch::{Batch, BatchPolicy, Batcher};
 pub use cache::{canonicalize, CacheStats, PlanCache, PlanKey};
 pub use dispatch::{BatchOutcome, DispatchAttempt, Dispatcher, StreamPolicy, WorkerState};
-pub use metrics::{export_serve_trace, RequestOutcome, ServeReport};
+pub use metrics::{export_serve_trace, nearest_rank_percentile, RequestOutcome, ServeReport};
 pub use request::{ArrivalProcess, Request, RequestClass, TrafficConfig};
 pub use sim::{ServeConfig, ServeSim};
 pub use tune::{TunePolicy, TuneStats, Tuner};

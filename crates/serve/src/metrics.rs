@@ -180,13 +180,10 @@ impl ServeReport {
     /// The `p`-th percentile (0–100) of total latency, by the
     /// nearest-rank method. Returns `0.0` for an empty report.
     pub fn latency_percentile(&self, p: f64) -> f64 {
-        if self.outcomes.is_empty() {
-            return 0.0;
-        }
-        let mut latencies: Vec<f64> = self.outcomes.iter().map(RequestOutcome::total_s).collect();
-        latencies.sort_by(f64::total_cmp);
-        let rank = ((p / 100.0) * latencies.len() as f64).ceil() as usize;
-        latencies[rank.clamp(1, latencies.len()) - 1]
+        nearest_rank_percentile(
+            self.outcomes.iter().map(RequestOutcome::total_s).collect(),
+            p,
+        )
     }
 
     /// Median total latency.
@@ -259,6 +256,20 @@ pub fn export_serve_trace(dispatcher: &Dispatcher) -> String {
         .map(|(w, name)| (name.as_str(), dispatcher.worker_records(w)))
         .collect();
     export_chrome_trace_grouped(&groups)
+}
+
+/// The `p`-th percentile (0–100) of `values` by the nearest-rank
+/// method: the value at rank `⌈p/100 · n⌉` (at least 1) in
+/// `f64::total_cmp` order. Returns `0.0` when `values` is empty. The
+/// serve, cluster and decode reports all read their latency percentiles
+/// through this one rule.
+pub fn nearest_rank_percentile(mut values: Vec<f64>, p: f64) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    values.sort_by(f64::total_cmp);
+    let rank = ((p / 100.0) * values.len() as f64).ceil() as usize;
+    values[rank.clamp(1, values.len()) - 1]
 }
 
 #[cfg(test)]

@@ -44,13 +44,24 @@ const MC: usize = 32;
 /// holds with one decoded A row against a window of a k-major panel,
 /// `acc[j] += Σ_kk a[kk] * bp[kk*n + j0 + j]` in ascending `kk`.
 ///
-/// This one routine runs every dense-tile product in the workspace: the
-/// slab GEMM seeds `+0.0`, the coarse SDDMM seeds `-0.0` (the seed
-/// [`dot`]'s `Sum` fold uses), and the coarse SpMM passes the running sum
-/// of a block row's earlier blocks. With `SKIP_ZEROS`, a zero `a[kk]`
-/// contributes nothing — exactly a `continue` on zero, even against an
-/// infinite or NaN panel element — as long as no accumulator holds
-/// `-0.0`. A chain seeded at `+0.0` never does.
+/// This one routine runs every product over a contiguous operand in the
+/// workspace; the callers choose only the seed and whether zeros are
+/// skipped:
+///
+/// * `+0.0`: the slab GEMM, and with `SKIP_ZEROS` the Blocked-ELL SpMM
+///   and the sliding-chunk context product;
+/// * `-0.0`, the seed [`dot`]'s `Sum` fold uses, so each lane equals
+///   [`dot_f32`] against one panel column: the coarse SDDMM, the
+///   consecutive-column runs of the fine SDDMM and the fused kernel's
+///   scores (over a d-major Kᵀ panel), and the sliding-chunk band scores;
+/// * a running sum: the coarse SpMM (a block row's earlier blocks, with
+///   `SKIP_ZEROS`) and the fused kernel's chunk-batched accumulate (a
+///   probability row against consecutive V rows).
+///
+/// With `SKIP_ZEROS`, a zero `a[kk]` contributes nothing — exactly a
+/// `continue` on zero, even against an infinite or NaN panel element —
+/// as long as no accumulator holds `-0.0`. A chain seeded at `+0.0`
+/// never does.
 ///
 /// [`simd::SPAN`]-wide windows go through the explicit span kernel when
 /// the [`crate::simd`] dispatch is active, then [`NR`]-wide blocks
@@ -318,91 +329,6 @@ pub fn dot_rows_block(a: &[f32], rows: &[&[f32]; NR], width: usize) -> [f32; NR]
     regs
 }
 
-/// The consecutive-run counterpart of [`dot_rows_block`]: dots `a`
-/// against `width` **consecutive** rows `c0..c0 + width` of the d-major
-/// (transposed) panel `kt`, returning the register block of sums.
-///
-/// At each position `d` the lanes read `width` *contiguous* floats from
-/// the transposed panel — a broadcast-multiply-accumulate the compiler
-/// vectorizes, unlike the strided loads a gathered-row block forces.
-/// Sorted sparse column lists are dominated by consecutive runs (windows,
-/// block patterns), so this is the fused kernel's hot microkernel; lane
-/// `j` still accumulates in ascending-`d` order from the `-0.0` seed, so
-/// it is bit-identical to `dot_f32(a, row of K at c0 + j)`.
-///
-/// # Panics
-///
-/// Panics if `a` is longer than the panel's dim count or the run
-/// `c0..c0 + width` falls outside a panel row, or `width > NR`.
-#[inline]
-pub fn dot_rows_run(a: &[f32], kt: &pack::Panel, c0: usize, width: usize) -> [f32; NR] {
-    assert!(width <= NR, "run width exceeds NR");
-    if width == NR {
-        if let Some(regs) = simd::dot_rows_run(a, kt, c0) {
-            return regs;
-        }
-    }
-    let mut regs = [-0.0f32; NR];
-    if width == NR {
-        // Fixed-width fast path: the inner loop is a contiguous 8-wide
-        // broadcast multiply-add the auto-vectorizer turns into vector ops.
-        for (d, &av) in a.iter().enumerate() {
-            let slab: &[f32; NR] = kt.row(d)[c0..c0 + NR].try_into().expect("run in range");
-            for (reg, &kv) in regs.iter_mut().zip(slab.iter()) {
-                *reg += av * kv;
-            }
-        }
-    } else {
-        for (d, &av) in a.iter().enumerate() {
-            let slab = &kt.row(d)[c0..c0 + width];
-            for (reg, &kv) in regs[..width].iter_mut().zip(slab.iter()) {
-                *reg += av * kv;
-            }
-        }
-    }
-    regs
-}
-
-/// The chunk-batched fused accumulate microkernel: adds `Σ_j p[j] ·
-/// v_rows[j]` into `acc` in one pass. Each accumulator element receives
-/// its `width` terms in strictly ascending column order — the same add
-/// sequence `width` successive per-column passes produce, so the result
-/// is bit-identical — but the traversal is blocked [`NR`] elements at a
-/// time so the `v` loads are contiguous and the adds vectorize across
-/// the head dim instead of re-walking `acc` per column. Full `NR`-wide
-/// destination blocks go through the explicit AVX2 kernel when the
-/// [`crate::simd`] dispatch is active (same mul-then-add sequence per
-/// lane, so the bits never change); the ragged tail is always scalar.
-///
-/// The fused single-pass attention kernel batches its chunk-max fast
-/// path through this one function.
-///
-/// # Panics
-///
-/// Panics if any of the first `width` rows is shorter than `acc`.
-#[inline]
-pub fn accumulate_rows_block(acc: &mut [f32], p: &[f32; NR], v_rows: &[&[f32]; NR], width: usize) {
-    let dh = acc.len();
-    let mut d0 = 0;
-    while d0 + NR <= dh {
-        let x: &mut [f32; NR] = (&mut acc[d0..d0 + NR]).try_into().expect("block in range");
-        if !simd::accumulate_block(x, p, v_rows, width, d0) {
-            for (&pj, row) in p[..width].iter().zip(v_rows[..width].iter()) {
-                let slab: &[f32; NR] = row[d0..d0 + NR].try_into().expect("row in range");
-                for (xt, &vv) in x.iter_mut().zip(slab.iter()) {
-                    *xt += pj * vv;
-                }
-            }
-        }
-        d0 += NR;
-    }
-    for (d, slot) in acc.iter_mut().enumerate().skip(d0) {
-        for (&pj, row) in p[..width].iter().zip(v_rows[..width].iter()) {
-            *slot += pj * row[d];
-        }
-    }
-}
-
 /// Computes the dot product of two equal-length slices, accumulating in
 /// `f32`. This is the inner primitive every fine-grained kernel uses.
 ///
@@ -660,32 +586,32 @@ mod tests {
     }
 
     #[test]
-    fn dot_rows_run_lanes_match_dot_f32_bitwise() {
-        // The consecutive-run kernel over the transposed panel must agree
-        // bit-for-bit with `dot_f32` against each matrix row of the run,
-        // at every width and every run start, non-finite values included.
-        let mut k = Matrix::<Half>::random(13, 16, 21);
+    fn accumulate_row_window_runs_match_dot_f32_bitwise() {
+        // Over the d-major panel of K from a `-0.0` seed, each lane of a
+        // window must equal `dot_f32` against its K row bit for bit, at
+        // every width (tail, block and span paths) and every start,
+        // non-finite values included, in both dispatch modes.
+        let rows = simd::SPAN + NR + 5;
+        let mut k = Matrix::<Half>::random(rows, 16, 21);
         k.set(2, 5, Half::INFINITY);
         k.set(9, 0, Half::NEG_INFINITY);
         let kt = pack::Panel::from_matrix_transposed(&k);
-        let k_rows: Vec<Vec<f32>> = (0..13)
+        let k_rows: Vec<Vec<f32>> = (0..rows)
             .map(|r| k.row(r).iter().map(|h| h.to_f32()).collect())
             .collect();
         let mut a: Vec<f32> = (0..16).map(|i| (i as f32 * 0.7).cos()).collect();
         a[4] = -0.0;
         simd::in_both_modes(|simd_on| {
-            for width in 0..=NR {
-                for c0 in 0..=(13 - width) {
-                    let regs = dot_rows_run(&a, &kt, c0, width);
-                    for (j, &reg) in regs[..width].iter().enumerate() {
+            for width in 0..=rows {
+                for c0 in 0..=(rows - width) {
+                    let mut regs = vec![-0.0f32; width];
+                    accumulate_row_window::<false>(&a, kt.as_slice(), rows, c0, &mut regs);
+                    for (j, &reg) in regs.iter().enumerate() {
                         assert_eq!(
                             reg.to_bits(),
                             dot_f32(&a, &k_rows[c0 + j]).to_bits(),
                             "lane {j} at width {width} start {c0} (simd {simd_on})"
                         );
-                    }
-                    for &reg in &regs[width..] {
-                        assert_eq!(reg.to_bits(), (-0.0f32).to_bits(), "unused lane seed");
                     }
                 }
             }
@@ -693,34 +619,28 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_rows_block_matches_per_column_passes_bitwise() {
-        // The chunk-batched accumulate must equal `width` successive
-        // per-column `acc += p_j * v_j` passes bit-for-bit, at every
-        // width, for head dims with and without a ragged tail, in both
+    fn accumulate_row_window_matches_per_column_passes_bitwise() {
+        // A probability row against consecutive V rows must equal
+        // `width` successive per-column `acc += p_j * v_j` passes bit for
+        // bit, for head dims with and without a ragged tail, in both
         // dispatch modes.
-        let rows_data: Vec<Vec<f32>> = (0..NR)
-            .map(|j| {
-                (0..NR + 3)
-                    .map(|d| ((j * 13 + d * 7) as f32).sin() * 4.0 - 1.0)
-                    .collect()
-            })
-            .collect();
-        let p: [f32; NR] = std::array::from_fn(|j| (j as f32 * 1.3).cos() * 2.0);
+        let max_dh = simd::SPAN + NR + 3;
+        let v = Matrix::<f32>::from_fn(NR, max_dh, |j, d| {
+            ((j * 13 + d * 7) as f32).sin() * 4.0 - 1.0
+        });
+        let p: Vec<f32> = (0..NR).map(|j| (j as f32 * 1.3).cos() * 2.0).collect();
         simd::in_both_modes(|simd_on| {
-            for dh in [0usize, 3, NR, NR + 3] {
-                let mut v_rows: [&[f32]; NR] = [&[]; NR];
-                for (slot, row) in v_rows.iter_mut().zip(rows_data.iter()) {
-                    *slot = &row[..dh];
-                }
+            for dh in [0usize, 3, NR, NR + 3, simd::SPAN, max_dh] {
+                let panel: Vec<f32> = (0..NR).flat_map(|j| v.row(j)[..dh].to_vec()).collect();
                 for width in 0..=NR {
                     let mut acc: Vec<f32> = (0..dh).map(|d| d as f32 * 0.5 - 1.0).collect();
                     let mut want = acc.clone();
-                    for (pj, row) in p[..width].iter().zip(v_rows[..width].iter()) {
-                        for (slot, &vv) in want.iter_mut().zip(row.iter()) {
+                    for (j, &pj) in p[..width].iter().enumerate() {
+                        for (slot, &vv) in want.iter_mut().zip(&v.row(j)[..dh]) {
                             *slot += pj * vv;
                         }
                     }
-                    accumulate_rows_block(&mut acc, &p, &v_rows, width);
+                    accumulate_row_window::<false>(&p[..width], &panel, dh, 0, &mut acc);
                     for (d, (got, w)) in acc.iter().zip(want.iter()).enumerate() {
                         assert_eq!(
                             got.to_bits(),
@@ -734,10 +654,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "run width exceeds NR")]
-    fn dot_rows_run_rejects_wide_runs() {
-        let k = Matrix::<Half>::random(12, 4, 2);
-        let kt = pack::Panel::from_matrix_transposed(&k);
-        let _ = dot_rows_run(&[1.0; 4], &kt, 0, NR + 1);
+    #[should_panic(expected = "window exceeds the panel row")]
+    fn accumulate_row_window_rejects_windows_past_the_row() {
+        let mut acc = [0.0f32; NR];
+        accumulate_row_window::<false>(&[1.0; 4], &[0.0; 4 * 12], 12, 5, &mut acc);
     }
 }

@@ -41,8 +41,8 @@ pub mod simd;
 mod softmax;
 
 pub use gemm::{
-    accumulate_row_window, accumulate_row_window2, accumulate_rows_block, dot, dot_f32,
-    dot_rows_block, dot_rows_run, gemm, gemm_nt, naive, NR,
+    accumulate_row_window, accumulate_row_window2, dot, dot_f32, dot_rows_block, gemm, gemm_nt,
+    naive, NR,
 };
 pub use half::Half;
 pub use matrix::Matrix;

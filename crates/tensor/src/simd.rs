@@ -1,15 +1,16 @@
 //! The explicit SIMD layer under the `NR = 8` microkernels.
 //!
-//! Every hot kernel in the workspace funnels through four shared
-//! microkernels (the seeded dense row microkernel behind
-//! [`crate::accumulate_row_window`], which GEMM and the coarse SDDMM and
-//! SpMM share, [`crate::dot_rows_block`], [`crate::dot_rows_run`], and
-//! the chunk-batched fused accumulate) plus the f16↔f32 conversions in
-//! [`crate::pack::decode_slice`] (a LUT gather) and
-//! [`crate::pack::encode_slice`] (F16C). This module reimplements those
-//! six on stable `std::arch` x86_64 AVX2 and F16C intrinsics and
-//! dispatches to them at runtime; the scalar register-window code stays
-//! in place as the fallback and the only path on non-x86_64 targets.
+//! Every hot kernel in the workspace funnels through two shared
+//! microkernels plus the f16↔f32 conversions: the seeded dense row
+//! microkernel behind [`crate::accumulate_row_window`] (every product
+//! over a contiguous operand), the gathered-column
+//! [`crate::dot_rows_block`], [`crate::pack::decode_slice`] (a LUT
+//! gather) and [`crate::pack::encode_slice`] (F16C). This module
+//! reimplements their inner loops — the row microkernel's span, paired
+//! span and block forms, the gathered dot, and the two conversions — on
+//! stable `std::arch` x86_64 AVX2 and F16C intrinsics and dispatches to
+//! them at runtime; the scalar register-window code stays in place as
+//! the fallback and the only path on non-x86_64 targets.
 //!
 //! ## The no-FMA bit-equality argument
 //!
@@ -61,7 +62,6 @@
 #![allow(unsafe_code)]
 
 use crate::gemm::NR;
-use crate::pack::Panel;
 use crate::Half;
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -242,50 +242,6 @@ pub fn dot_rows_block(a: &[f32], lanes: &[&[f32]; NR]) -> Option<[f32; NR]> {
     }
     let _ = (a, lanes);
     None
-}
-
-/// Vector form of [`crate::dot_rows_run`] at full width: dots `a`
-/// against the `NR` consecutive columns `c0..c0 + NR` of the d-major
-/// panel `kt`. `None` when not dispatched or the run does not fit (the
-/// scalar path owns the panic semantics).
-#[inline]
-pub fn dot_rows_run(a: &[f32], kt: &Panel, c0: usize) -> Option<[f32; NR]> {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if active() {
-        let stride = kt.cols();
-        let data = kt.as_slice();
-        if c0 + NR <= stride && a.len().saturating_mul(stride) <= data.len() {
-            // SAFETY: AVX2 is present, and the guard proves every NR-wide
-            // load at `data[d*stride + c0]` with `d < a.len()` lies inside
-            // `data` (since `c0 + NR <= stride`).
-            return Some(unsafe { avx2::dot_rows_run(a, data, stride, c0) });
-        }
-    }
-    let _ = (a, kt, c0);
-    None
-}
-
-/// Vector form of one `NR`-wide destination block of the chunk-batched
-/// fused accumulate: `x[t] += Σ_j p[j] * v_rows[j][d0 + t]` with the
-/// `j` loop outermost, exactly like the scalar window. Returns `false`
-/// (leaving `x` untouched) when not dispatched or a V row is too short.
-#[inline]
-pub fn accumulate_block(
-    x: &mut [f32; NR],
-    p: &[f32; NR],
-    v_rows: &[&[f32]; NR],
-    width: usize,
-    d0: usize,
-) -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if active() && width <= NR && v_rows[..width].iter().all(|row| d0 + NR <= row.len()) {
-        // SAFETY: AVX2 is present and every active V row was just checked
-        // to contain the NR-wide slab starting at `d0`.
-        unsafe { avx2::accumulate_block(x, p, v_rows, width, d0) };
-        return true;
-    }
-    let _ = (x, p, v_rows, width, d0);
-    false
 }
 
 /// Vector form of the f16→f32 decode in [`crate::pack::decode_slice`]:
@@ -542,44 +498,6 @@ mod avx2 {
         store8(acc)
     }
 
-    // SAFETY: callers verified AVX2 and `c0 + NR <= stride`,
-    // `a.len() * stride <= kt.len()`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_rows_run(a: &[f32], kt: &[f32], stride: usize, c0: usize) -> [f32; NR] {
-        // Seed every lane with -0.0, matching the `Sum` fold `dot` uses.
-        let mut acc = _mm256_set1_ps(-0.0);
-        for (d, &av) in a.iter().enumerate() {
-            let avv = _mm256_set1_ps(av);
-            // SAFETY: `d*stride + c0 + NR <= (d+1)*stride <= kt.len()` per
-            // the wrapper's guard.
-            let kv = unsafe { _mm256_loadu_ps(kt.as_ptr().add(d * stride + c0)) };
-            acc = _mm256_add_ps(_mm256_mul_ps(avv, kv), acc);
-        }
-        store8(acc)
-    }
-
-    // SAFETY: callers verified AVX2, `width <= NR`, and that every active
-    // V row contains `d0 + NR` elements.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn accumulate_block(
-        x: &mut [f32; NR],
-        p: &[f32; NR],
-        v_rows: &[&[f32]; NR],
-        width: usize,
-        d0: usize,
-    ) {
-        // SAFETY: `x` is exactly NR floats.
-        let mut xv = unsafe { _mm256_loadu_ps(x.as_ptr()) };
-        for (pj, row) in p[..width].iter().zip(v_rows[..width].iter()) {
-            let pv = _mm256_set1_ps(*pj);
-            // SAFETY: `d0 + NR <= row.len()` per the wrapper's guard.
-            let vv = unsafe { _mm256_loadu_ps(row.as_ptr().add(d0)) };
-            xv = _mm256_add_ps(_mm256_mul_ps(pv, vv), xv);
-        }
-        // SAFETY: `x` is exactly NR floats.
-        unsafe { _mm256_storeu_ps(x.as_mut_ptr(), xv) };
-    }
-
     // SAFETY: callers verified AVX2 and `src.len() == dst.len()`; gather
     // indices are zero-extended u16s, always inside the 2^16-entry LUT.
     #[target_feature(enable = "avx2")]
@@ -800,43 +718,6 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_block_matches_scalar_window_bitwise() {
-        let dh = NR;
-        let rows: Vec<Vec<f32>> = (0..NR)
-            .map(|j| {
-                (0..dh + 2)
-                    .map(|d| ((j * 17 + d * 5) as f32).sin() * 2.0)
-                    .collect()
-            })
-            .collect();
-        let mut v_rows: [&[f32]; NR] = [&[]; NR];
-        for (slot, row) in v_rows.iter_mut().zip(rows.iter()) {
-            *slot = row;
-        }
-        let p: [f32; NR] = std::array::from_fn(|j| (j as f32 * 0.9).cos());
-        in_both_modes(|simd_on| {
-            for width in 0..=NR {
-                for d0 in [0usize, 2] {
-                    let mut x: [f32; NR] = std::array::from_fn(|t| t as f32 * 0.25 - 1.0);
-                    let mut want = x;
-                    for (pj, row) in p[..width].iter().zip(v_rows[..width].iter()) {
-                        for (t, w) in want.iter_mut().enumerate() {
-                            *w += pj * row[d0 + t];
-                        }
-                    }
-                    let took = accumulate_block(&mut x, &p, &v_rows, width, d0);
-                    assert_eq!(took, simd_on && available(), "dispatch at width {width}");
-                    if took {
-                        for (t, (got, w)) in x.iter().zip(want.iter()).enumerate() {
-                            assert_eq!(got.to_bits(), w.to_bits(), "lane {t} width {width}");
-                        }
-                    }
-                }
-            }
-        });
-    }
-
-    #[test]
     fn wrappers_decline_cleanly_when_geometry_does_not_fit() {
         in_both_modes(|_| {
             // Mismatched lane length: the wrapper must decline so the
@@ -845,10 +726,6 @@ mod tests {
             let short = [1.0f32; 3];
             let lanes: [&[f32]; NR] = [&short; NR];
             assert!(dot_rows_block(&a, &lanes).is_none());
-            // A run falling outside the panel likewise declines.
-            let k = Matrix::<Half>::random(4, 4, 7);
-            let kt = pack::Panel::from_matrix_transposed(&k);
-            assert!(dot_rows_run(&[1.0f32; 4], &kt, 1).is_none());
             // Length-mismatched decode and encode decline (the slice
             // helpers assert).
             let src = [Half::ONE; 4];

@@ -46,14 +46,19 @@ fn mg_simd_override_actually_switches_the_dispatch() {
 
     // The override decides timings, never values: a microkernel driven
     // through both modes produces identical bits (spot check; the full
-    // corpus lives in pack_props/fused_props).
+    // corpus lives in pack_props/fused_props). The window spans one
+    // SPAN-wide span, one NR block and a ragged tail from an unaligned
+    // start, so every path of the row microkernel runs.
     let a: Vec<f32> = (0..64).map(|i| (i as f32 * 0.37).sin()).collect();
-    let k = mg_tensor::Matrix::<mg_tensor::Half>::random(16, 64, 11);
+    let k = mg_tensor::Matrix::<mg_tensor::Half>::random(48, 64, 11);
     let kt = mg_tensor::pack::Panel::from_matrix_transposed(&k);
-    simd::set_override(Some(false));
-    let scalar = mg_tensor::dot_rows_run(&a, &kt, 4, 8);
-    simd::set_override(Some(true));
-    let vector = mg_tensor::dot_rows_run(&a, &kt, 4, 8);
+    let run = |on| {
+        simd::set_override(Some(on));
+        let mut regs = [-0.0f32; simd::SPAN + mg_tensor::NR + 3];
+        mg_tensor::accumulate_row_window::<false>(&a, kt.as_slice(), kt.cols(), 4, &mut regs);
+        regs
+    };
+    let (scalar, vector) = (run(false), run(true));
     simd::set_override(None);
     for (lane, (s, v)) in scalar.iter().zip(vector.iter()).enumerate() {
         assert_eq!(s.to_bits(), v.to_bits(), "lane {lane}");
