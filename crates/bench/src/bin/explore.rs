@@ -46,7 +46,7 @@ fn parse_args() -> Result<Option<Args>, String> {
     while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
             "--pattern" => args.pattern = flags.value(&flag)?,
-            "--seq" => args.seq = flags.parse(&flag)?,
+            "--seq" => args.seq = at_least_one(&flag, flags.parse(&flag)?)?,
             "--heads" => args.heads = at_least_one(&flag, flags.parse(&flag)?)?,
             "--batch" => args.batch = at_least_one(&flag, flags.parse(&flag)?)?,
             "--block" => args.block = flags.parse(&flag)?,
@@ -68,7 +68,7 @@ fn parse_args() -> Result<Option<Args>, String> {
 }
 
 /// A count that sizes the kernel grids: zero would leave no thread
-/// blocks to divide the work over.
+/// blocks to divide the work over (zero tokens is an empty problem).
 fn at_least_one(flag: &str, n: usize) -> Result<usize, String> {
     if n == 0 {
         Err(format!("{flag}: must be at least 1"))

@@ -34,6 +34,8 @@ fn explore_rejects_bad_input_with_exit_2() {
     // Zero heads or batch would divide by zero in the kernel profiles.
     assert_bad_input(exe, &["--heads", "0"], "--heads");
     assert_bad_input(exe, &["--batch", "0"], "--batch");
+    // Zero tokens is an empty problem, not a pattern to time.
+    assert_bad_input(exe, &["--seq", "0"], "--seq");
     assert_bad_input(exe, &["--device", "v100"], "v100");
     assert_bad_input(
         exe,

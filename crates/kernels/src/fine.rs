@@ -70,17 +70,19 @@ pub fn fine_reuse_footprint(structure: &Csr<Half>, head_dim: usize, group: usize
     let mut samples = 0u64;
     let mut total_distinct = 0u64;
     let mut start = 0;
+    // Distinct columns per sample are counted on a bitset over the
+    // columns, cleared between samples.
+    let mut seen = vec![0u64; structure.cols().div_ceil(64)];
     while start < rows && samples < 8 {
-        let mut cols: Vec<usize> = (0..group)
-            .map(|i| (start + i * stride) % rows)
-            .flat_map(|r| {
-                let range = structure.row_range(r);
-                structure.col_indices()[range].iter().copied()
-            })
-            .collect();
-        cols.sort_unstable();
-        cols.dedup();
-        total_distinct += cols.len() as u64;
+        seen.fill(0);
+        for i in 0..group {
+            let r = (start + i * stride) % rows;
+            for &c in &structure.col_indices()[structure.row_range(r)] {
+                let (word, bit) = (c / 64, 1u64 << (c % 64));
+                total_distinct += u64::from(seen[word] & bit == 0);
+                seen[word] |= bit;
+            }
+        }
         samples += 1;
         start += (rows / 8).max(1);
     }
@@ -534,6 +536,85 @@ mod tests {
             "local {f_local} vs scattered {f_scattered}"
         );
         assert!(f_local > 0 && f_scattered > 0);
+    }
+
+    /// Reference footprint: collect, sort and dedup each sample's
+    /// columns.
+    fn footprint_by_sorting(structure: &Csr<Half>, head_dim: usize, group: usize) -> u64 {
+        let rows = structure.rows();
+        if rows == 0 {
+            return 0;
+        }
+        let group = group.max(1);
+        let stride = 101.min(rows.max(1));
+        let mut samples = 0u64;
+        let mut total_distinct = 0u64;
+        let mut start = 0;
+        while start < rows && samples < 8 {
+            let mut cols: Vec<usize> = (0..group)
+                .map(|i| (start + i * stride) % rows)
+                .flat_map(|r| {
+                    let range = structure.row_range(r);
+                    structure.col_indices()[range].iter().copied()
+                })
+                .collect();
+            cols.sort_unstable();
+            cols.dedup();
+            total_distinct += cols.len() as u64;
+            samples += 1;
+            start += (rows / 8).max(1);
+        }
+        total_distinct / samples.max(1) * head_dim as u64 * 2
+    }
+
+    #[test]
+    fn footprint_matches_sort_and_dedup_on_presets_and_random_patterns() {
+        use mg_patterns::presets;
+        let mut corpus: Vec<Csr<Half>> = Vec::new();
+        for seq in [64, 256, 1024] {
+            let specials = [0, 1, seq / 2];
+            let mut patterns = presets::figure9_patterns(seq, 16, seq as u64);
+            patterns.push(presets::longformer(seq, 32, &specials));
+            patterns.push(presets::qds_transformer(seq, 32, &specials));
+            patterns.push(presets::bigbird_etc(seq, 16, &specials));
+            patterns.push(presets::poolingformer(seq, 32));
+            for p in &patterns {
+                corpus.push(p.to_csr());
+                corpus.push(p.clone().with_valid_len(seq * 3 / 4).to_csr());
+            }
+        }
+        // Random patterns: shapes from empty to wide, densities from one
+        // column per row to nearly dense, column counts not a multiple
+        // of 64.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+        for _ in 0..200 {
+            let (rows, cols) = (next(300), 1 + next(700));
+            let per_row = 1 + next(cols.min(90));
+            let mut coords: Vec<(usize, usize)> = (0..rows)
+                .flat_map(|r| (0..per_row).map(move |_| r))
+                .map(|r| (r, next(cols)))
+                .collect();
+            coords.sort_unstable();
+            coords.dedup();
+            corpus.push(Csr::from_coords(rows, cols, &coords).expect("valid"));
+        }
+        for (i, csr) in corpus.iter().enumerate() {
+            for group in [0, 1, 16, 40] {
+                assert_eq!(
+                    fine_reuse_footprint(csr, 64, group),
+                    footprint_by_sorting(csr, 64, group),
+                    "pattern {i} ({}x{}), group {group}",
+                    csr.rows(),
+                    csr.cols()
+                );
+            }
+        }
     }
 
     #[test]

@@ -319,14 +319,9 @@ impl SparseTransformer {
             let mut context = Matrix::<Half>::zeros(l, dm);
             for h in 0..cfg.heads {
                 let lo = h * cfg.head_dim;
-                let slice =
-                    |m: &Matrix<Half>| Matrix::from_fn(l, cfg.head_dim, |r, c| m.get(r, lo + c));
-                let ch = attention.execute_numeric(&slice(&q), &slice(&k), &slice(&v));
-                for r in 0..l {
-                    for c in 0..cfg.head_dim {
-                        context.set(r, lo + c, ch.get(r, c));
-                    }
-                }
+                let head = |m: &Matrix<Half>| m.col_window(lo, cfg.head_dim);
+                let ch = attention.execute_numeric(&head(&q), &head(&k), &head(&v));
+                context.set_col_window(lo, &ch);
             }
             let attn_out: Matrix<Half> = gemm(&context, &wo);
             let residual: Matrix<Half> = mg_tensor::add(&hidden, &attn_out);
@@ -420,6 +415,26 @@ mod tests {
             "MG vs Sputnik {}",
             out[0].max_abs_diff(&out[2])
         );
+    }
+
+    #[test]
+    fn forward_numeric_output_is_pinned() {
+        // FNV-1a over the output's FP16 bits, recorded with per-element
+        // weight draws, element-wise ops and head copies. Doing them a
+        // row at a time must not move one output bit.
+        let model = SparseTransformer::new(ModelConfig::tiny());
+        for (method, want) in [
+            (Method::Multigrain, 0x3dc4_4df5_3d2c_5d48_u64),
+            (Method::TritonStyle, 0x7dc9_4f8e_6a00_ccbe),
+            (Method::SputnikStyle, 0x7dc9_4f8e_6a00_ccbe),
+        ] {
+            let out = model.forward_numeric(method, &sample(), 5).expect("runs");
+            let mut h = mg_gpusim::digest::Fnv1a::new();
+            for v in out.as_slice() {
+                h.write(&v.to_bits().to_le_bytes());
+            }
+            assert_eq!(h.finish(), want, "{method:?}: {:#018x}", h.finish());
+        }
     }
 
     #[test]

@@ -123,7 +123,7 @@ impl Half {
 
     /// Converts this `Half` to `f32` exactly (every `Half` is representable).
     ///
-    /// A single indexed load from [`F16_LUT`], the compile-time table of
+    /// A single indexed load from `F16_LUT`, the compile-time table of
     /// all 65,536 decoded bit patterns — the software analogue of the
     /// hardware `cvt.f32.f16` unit. The packed-panel kernels go further
     /// and hoist even this load out of their inner loops via

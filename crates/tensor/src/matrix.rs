@@ -1,6 +1,6 @@
 //! Row-major dense matrices generic over a [`Scalar`] element type.
 
-use crate::{Half, Scalar};
+use crate::{pack, scratch, Half, Scalar};
 use rand::distributions::{Distribution, Uniform};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -69,10 +69,22 @@ impl<T: Scalar> Matrix<T> {
 
     /// Creates a matrix with elements drawn uniformly from `[-1, 1)`,
     /// deterministically seeded.
+    ///
+    /// Draws row-major into an `f32` row and encodes each row once with
+    /// [`pack::encode_slice`], which rounds exactly as per-element
+    /// `T::from_f32` does.
     pub fn random(rows: usize, cols: usize, seed: u64) -> Matrix<T> {
         let mut rng = StdRng::seed_from_u64(seed);
         let dist = Uniform::new(-1.0f32, 1.0f32);
-        Matrix::from_fn(rows, cols, |_, _| T::from_f32(dist.sample(&mut rng)))
+        let mut out = Matrix::zeros(rows, cols);
+        let mut row = scratch::take_zeroed(cols);
+        for r in 0..rows {
+            for v in row.iter_mut() {
+                *v = dist.sample(&mut rng);
+            }
+            pack::encode_slice(&row, out.row_mut(r));
+        }
+        out
     }
 
     /// Number of rows.
@@ -129,6 +141,36 @@ impl<T: Scalar> Matrix<T> {
     pub fn row_mut(&mut self, r: usize) -> &mut [T] {
         assert!(r < self.rows, "row out of bounds");
         &mut self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// Copies columns `lo..lo + width` of every row into a new
+    /// `rows × width` matrix, one slice copy per row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window reaches past the last column.
+    pub fn col_window(&self, lo: usize, width: usize) -> Matrix<T> {
+        assert!(lo + width <= self.cols, "column window out of bounds");
+        let mut out = Matrix::zeros(self.rows, width);
+        for r in 0..self.rows {
+            out.row_mut(r).copy_from_slice(&self.row(r)[lo..lo + width]);
+        }
+        out
+    }
+
+    /// Writes `src` into columns `lo..lo + src.cols()` of every row: the
+    /// inverse of [`Matrix::col_window`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row counts differ or the window reaches past the
+    /// last column.
+    pub fn set_col_window(&mut self, lo: usize, src: &Matrix<T>) {
+        assert_eq!(self.rows, src.rows, "row mismatch");
+        assert!(lo + src.cols <= self.cols, "column window out of bounds");
+        for r in 0..self.rows {
+            self.row_mut(r)[lo..lo + src.cols].copy_from_slice(src.row(r));
+        }
     }
 
     /// The underlying row-major buffer.
@@ -261,6 +303,64 @@ mod tests {
         let c = Matrix::<Half>::random(4, 4, 8);
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    /// Reference draws: one `T::from_f32` per element, row-major.
+    fn random_per_element<T: Scalar>(rows: usize, cols: usize, seed: u64) -> Matrix<T> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dist = Uniform::new(-1.0f32, 1.0f32);
+        Matrix::from_fn(rows, cols, |_, _| T::from_f32(dist.sample(&mut rng)))
+    }
+
+    #[test]
+    fn random_matches_per_element_draws_bitwise() {
+        let shapes = [
+            (0, 5),
+            (5, 0),
+            (0, 0),
+            (1, 1),
+            (3, 7),
+            (9, 13),
+            (2, 33),
+            (768, 3072),
+        ];
+        for (i, (rows, cols)) in shapes.into_iter().enumerate() {
+            let seed = 1000 + i as u64;
+            let half = Matrix::<Half>::random(rows, cols, seed);
+            let want = random_per_element::<Half>(rows, cols, seed);
+            assert_eq!((half.rows(), half.cols()), (rows, cols));
+            let bits = |m: &Matrix<Half>| m.as_slice().iter().map(|v| v.to_bits()).collect();
+            let (got, want): (Vec<u16>, Vec<u16>) = (bits(&half), bits(&want));
+            assert_eq!(got, want, "Half {rows}x{cols}");
+            let single = Matrix::<f32>::random(rows, cols, seed);
+            let want = random_per_element::<f32>(rows, cols, seed);
+            let bits = |m: &Matrix<f32>| m.as_slice().iter().map(|v| v.to_bits()).collect();
+            let (got, want): (Vec<u32>, Vec<u32>) = (bits(&single), bits(&want));
+            assert_eq!(got, want, "f32 {rows}x{cols}");
+        }
+    }
+
+    #[test]
+    fn col_window_round_trips_through_set_col_window() {
+        let m = Matrix::<Half>::random(5, 12, 3);
+        let w = m.col_window(4, 3);
+        assert_eq!((w.rows(), w.cols()), (5, 3));
+        for r in 0..5 {
+            for c in 0..3 {
+                assert_eq!(w.get(r, c), m.get(r, 4 + c));
+            }
+        }
+        let mut back = Matrix::<Half>::zeros(5, 12);
+        for lo in (0..12).step_by(3) {
+            back.set_col_window(lo, &m.col_window(lo, 3));
+        }
+        assert_eq!(back, m);
+    }
+
+    #[test]
+    #[should_panic(expected = "column window out of bounds")]
+    fn col_window_past_the_last_column_panics() {
+        let _ = Matrix::<f32>::zeros(2, 4).col_window(3, 2);
     }
 
     #[test]

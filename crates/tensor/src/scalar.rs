@@ -68,6 +68,22 @@ pub trait Scalar:
             *d = Self::from_f32(*s);
         }
     }
+
+    /// Views `s` as `Half` storage: `Some` for `Half`, `None` for `f32`.
+    /// Lets a generic operation take a path that exists only for FP16
+    /// bits — [`crate::gelu`] looks each FP16 input up in a table built
+    /// from its own per-element expression — without a second public
+    /// entry point.
+    #[inline]
+    fn as_halves(_s: &[Self]) -> Option<&[Half]> {
+        None
+    }
+
+    /// The mutable mirror of [`Scalar::as_halves`].
+    #[inline]
+    fn as_halves_mut(_s: &mut [Self]) -> Option<&mut [Half]> {
+        None
+    }
 }
 
 impl Scalar for Half {
@@ -104,6 +120,16 @@ impl Scalar for Half {
                 *d = Half::from_f32(*s);
             }
         }
+    }
+
+    #[inline]
+    fn as_halves(s: &[Half]) -> Option<&[Half]> {
+        Some(s)
+    }
+
+    #[inline]
+    fn as_halves_mut(s: &mut [Half]) -> Option<&mut [Half]> {
+        Some(s)
     }
 }
 
