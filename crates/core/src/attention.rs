@@ -14,7 +14,7 @@
 //!   suite pins against the dense reference.
 
 use crate::{AttentionProblem, PipelineReport};
-use mg_gpusim::{Gpu, KernelProfile, StreamId};
+use mg_gpusim::{Gpu, KernelRuns, StreamId};
 use mg_kernels::{
     blocked_softmax_profile, coarse_sddmm_compute, coarse_sddmm_profile, coarse_spmm_compute,
     coarse_spmm_profile, compound_softmax_compute, compound_softmax_profile, dense_sddmm_compute,
@@ -226,7 +226,7 @@ impl Attention {
         &self,
         spec: &mg_gpusim::DeviceSpec,
         op: Op,
-    ) -> Vec<(StreamRole, KernelProfile)> {
+    ) -> Vec<(StreamRole, KernelRuns)> {
         let dims = self.problem.dims();
         match (&self.plan, op) {
             (Plan::Sputnik(csr), Op::Sddmm) => vec![(
@@ -290,7 +290,7 @@ impl Attention {
         spec: &mg_gpusim::DeviceSpec,
         sliced: &SlicedPattern,
         op: Op,
-    ) -> Vec<(StreamRole, KernelProfile)> {
+    ) -> Vec<(StreamRole, KernelRuns)> {
         let dims = self.problem.dims();
         let g = sliced.global_rows().len();
         let mut out = Vec::new();
@@ -479,8 +479,8 @@ impl Attention {
         attns: &[&Attention],
         spec: &mg_gpusim::DeviceSpec,
         op: Op,
-    ) -> Vec<(StreamRole, KernelProfile)> {
-        let mut groups: Vec<(StreamRole, Vec<KernelProfile>)> = Vec::new();
+    ) -> Vec<(StreamRole, KernelRuns)> {
+        let mut groups: Vec<(StreamRole, Vec<KernelRuns>)> = Vec::new();
         for attn in attns {
             for (role, profile) in attn.phase_profiles(spec, op) {
                 if let Some((_, parts)) = groups
@@ -860,8 +860,8 @@ mod tests {
         assert_eq!(merged.len(), solo.len(), "same kernel set");
         for ((_, m), (_, s)) in merged.iter().zip(solo.iter()) {
             assert_eq!(
-                m.tb_count(),
-                2 * s.tb_count(),
+                m.tbs.len(),
+                2 * s.tbs.len(),
                 "{}: grids concatenate",
                 m.name
             );

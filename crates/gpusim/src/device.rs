@@ -193,7 +193,10 @@ impl DeviceSpec {
     /// # Errors
     ///
     /// Returns a message naming the first missing/ill-typed field or
-    /// JSON syntax error.
+    /// JSON syntax error, or the first field out of range: every count
+    /// and capacity must be positive, every rate (and `clock_ghz`,
+    /// `warps_to_saturate`) positive and finite, and both overheads
+    /// non-negative and finite.
     pub fn from_json(text: &str) -> Result<DeviceSpec, String> {
         let doc = parse(text)?;
         let num = |key: &str| -> Result<f64, String> {
@@ -201,11 +204,35 @@ impl DeviceSpec {
                 .and_then(Json::as_f64)
                 .ok_or_else(|| format!("missing or non-numeric field '{key}'"))
         };
-        let int = |key: &str| -> Result<usize, String> {
-            doc.get(key)
-                .and_then(Json::as_u64)
-                .map(|v| v as usize)
-                .ok_or_else(|| format!("missing or non-integer field '{key}'"))
+        // Counts and capacities: zero would divide by zero or leave a
+        // kernel no SM to run on.
+        let count = |key: &str| -> Result<usize, String> {
+            match doc.get(key).and_then(Json::as_u64) {
+                None => Err(format!("missing or non-integer field '{key}'")),
+                Some(0) => Err(format!("field '{key}' must be positive, got 0")),
+                Some(v) => Ok(v as usize),
+            }
+        };
+        // Rates and the clock divide work into time.
+        let rate = |key: &str| -> Result<f64, String> {
+            let v = num(key)?;
+            if v.is_finite() && v > 0.0 {
+                Ok(v)
+            } else {
+                Err(format!(
+                    "field '{key}' must be positive and finite, got {v}"
+                ))
+            }
+        };
+        let overhead = |key: &str| -> Result<f64, String> {
+            let v = num(key)?;
+            if v.is_finite() && v >= 0.0 {
+                Ok(v)
+            } else {
+                Err(format!(
+                    "field '{key}' must be non-negative and finite, got {v}"
+                ))
+            }
         };
         let name = doc
             .get("name")
@@ -213,22 +240,22 @@ impl DeviceSpec {
             .ok_or_else(|| "missing or non-string field 'name'".to_string())?;
         Ok(DeviceSpec {
             name: Box::leak(name.to_string().into_boxed_str()),
-            sm_count: int("sm_count")?,
-            clock_ghz: num("clock_ghz")?,
-            mem_bw_bytes_per_s: num("mem_bw_bytes_per_s")?,
-            cuda_fp16_flops: num("cuda_fp16_flops")?,
-            tensor_fp16_flops: num("tensor_fp16_flops")?,
-            sfu_ops_per_s: num("sfu_ops_per_s")?,
-            smem_per_sm: int("smem_per_sm")?,
-            regs_per_sm: int("regs_per_sm")?,
-            max_warps_per_sm: int("max_warps_per_sm")?,
-            max_tbs_per_sm: int("max_tbs_per_sm")?,
-            l1_per_sm: int("l1_per_sm")?,
-            l2_bytes: int("l2_bytes")?,
-            l2_bw_bytes_per_s: num("l2_bw_bytes_per_s")?,
-            launch_overhead_s: num("launch_overhead_s")?,
-            tb_overhead_cycles: num("tb_overhead_cycles")?,
-            warps_to_saturate: num("warps_to_saturate")?,
+            sm_count: count("sm_count")?,
+            clock_ghz: rate("clock_ghz")?,
+            mem_bw_bytes_per_s: rate("mem_bw_bytes_per_s")?,
+            cuda_fp16_flops: rate("cuda_fp16_flops")?,
+            tensor_fp16_flops: rate("tensor_fp16_flops")?,
+            sfu_ops_per_s: rate("sfu_ops_per_s")?,
+            smem_per_sm: count("smem_per_sm")?,
+            regs_per_sm: count("regs_per_sm")?,
+            max_warps_per_sm: count("max_warps_per_sm")?,
+            max_tbs_per_sm: count("max_tbs_per_sm")?,
+            l1_per_sm: count("l1_per_sm")?,
+            l2_bytes: count("l2_bytes")?,
+            l2_bw_bytes_per_s: rate("l2_bw_bytes_per_s")?,
+            launch_overhead_s: overhead("launch_overhead_s")?,
+            tb_overhead_cycles: overhead("tb_overhead_cycles")?,
+            warps_to_saturate: rate("warps_to_saturate")?,
         })
     }
 
@@ -358,6 +385,161 @@ mod tests {
         assert_eq!(spec.fingerprint(), again.fingerprint());
         let tweaked = DeviceSpec::from_json(&text.replace("500e9", "501e9")).expect("loads");
         assert_ne!(spec.fingerprint(), tweaked.fingerprint());
+    }
+
+    /// The custom device of `from_json_round_trips_a_custom_device` as
+    /// JSON, with `field` set to the literal `value`.
+    fn custom_json_with(field: &str, value: &str) -> String {
+        let fields = [
+            ("sm_count", "64"),
+            ("clock_ghz", "1.5"),
+            ("mem_bw_bytes_per_s", "500e9"),
+            ("cuda_fp16_flops", "20e12"),
+            ("tensor_fp16_flops", "80e12"),
+            ("sfu_ops_per_s", "2.5e12"),
+            ("smem_per_sm", "102400"),
+            ("regs_per_sm", "65536"),
+            ("max_warps_per_sm", "48"),
+            ("max_tbs_per_sm", "16"),
+            ("l1_per_sm", "131072"),
+            ("l2_bytes", "4194304"),
+            ("l2_bw_bytes_per_s", "2.0e12"),
+            ("launch_overhead_s", "1.5e-6"),
+            ("tb_overhead_cycles", "600.0"),
+            ("warps_to_saturate", "8.0"),
+        ];
+        assert!(fields.iter().any(|(k, _)| *k == field), "unknown {field}");
+        let body: Vec<String> = fields
+            .iter()
+            .map(|(k, v)| format!("\"{k}\": {}", if *k == field { value } else { v }))
+            .collect();
+        format!("{{\"name\": \"Custom\", {}}}", body.join(", "))
+    }
+
+    /// Asserts that `field = value` is refused with an error naming it.
+    fn assert_rejected(field: &str, value: &str) {
+        match DeviceSpec::from_json(&custom_json_with(field, value)) {
+            Ok(_) => panic!("{field} = {value} was accepted"),
+            Err(err) => assert!(err.contains(field), "{field} = {value}: {err}"),
+        }
+    }
+
+    #[test]
+    fn from_json_accepts_the_unmodified_custom_device() {
+        let spec = DeviceSpec::from_json(&custom_json_with("sm_count", "64")).expect("loads");
+        assert_eq!(spec.sm_count, 64);
+        // Zero overheads are a valid (idealised) device.
+        DeviceSpec::from_json(&custom_json_with("launch_overhead_s", "0")).expect("loads");
+        DeviceSpec::from_json(&custom_json_with("tb_overhead_cycles", "0")).expect("loads");
+    }
+
+    #[test]
+    fn from_json_rejects_zero_sm_count() {
+        // An accepted zero-SM device panicked inside `Gpu::synchronize`
+        // (`clamp(1, 0)`) on the first kernel timed on it.
+        match DeviceSpec::from_json(&custom_json_with("sm_count", "0")) {
+            Err(err) => assert!(err.contains("sm_count"), "{err}"),
+            Ok(spec) => {
+                let work = crate::TbWork {
+                    cuda_flops: 1 << 20,
+                    ..crate::TbWork::default()
+                };
+                let kernel = crate::KernelRuns::uniform("k", Default::default(), 8, work);
+                crate::Gpu::new(spec).run_solo(kernel);
+                panic!("sm_count = 0 was accepted");
+            }
+        }
+    }
+
+    #[test]
+    fn from_json_rejects_zero_smem_per_sm() {
+        assert_rejected("smem_per_sm", "0");
+    }
+
+    #[test]
+    fn from_json_rejects_zero_regs_per_sm() {
+        assert_rejected("regs_per_sm", "0");
+    }
+
+    #[test]
+    fn from_json_rejects_zero_max_warps_per_sm() {
+        assert_rejected("max_warps_per_sm", "0");
+    }
+
+    #[test]
+    fn from_json_rejects_zero_max_tbs_per_sm() {
+        assert_rejected("max_tbs_per_sm", "0");
+    }
+
+    #[test]
+    fn from_json_rejects_zero_l1_per_sm() {
+        assert_rejected("l1_per_sm", "0");
+    }
+
+    #[test]
+    fn from_json_rejects_zero_l2_bytes() {
+        assert_rejected("l2_bytes", "0");
+    }
+
+    #[test]
+    fn from_json_rejects_non_positive_clock() {
+        assert_rejected("clock_ghz", "0");
+        assert_rejected("clock_ghz", "-1.5");
+        assert_rejected("clock_ghz", "1e999");
+    }
+
+    #[test]
+    fn from_json_rejects_non_positive_mem_bandwidth() {
+        assert_rejected("mem_bw_bytes_per_s", "0");
+        assert_rejected("mem_bw_bytes_per_s", "-500e9");
+        assert_rejected("mem_bw_bytes_per_s", "1e999");
+    }
+
+    #[test]
+    fn from_json_rejects_non_positive_cuda_rate() {
+        assert_rejected("cuda_fp16_flops", "0");
+        assert_rejected("cuda_fp16_flops", "-1");
+        assert_rejected("cuda_fp16_flops", "1e999");
+    }
+
+    #[test]
+    fn from_json_rejects_non_positive_tensor_rate() {
+        assert_rejected("tensor_fp16_flops", "0");
+        assert_rejected("tensor_fp16_flops", "-1");
+        assert_rejected("tensor_fp16_flops", "1e999");
+    }
+
+    #[test]
+    fn from_json_rejects_non_positive_sfu_rate() {
+        assert_rejected("sfu_ops_per_s", "0");
+        assert_rejected("sfu_ops_per_s", "-1");
+        assert_rejected("sfu_ops_per_s", "1e999");
+    }
+
+    #[test]
+    fn from_json_rejects_non_positive_l2_bandwidth() {
+        assert_rejected("l2_bw_bytes_per_s", "0");
+        assert_rejected("l2_bw_bytes_per_s", "-1");
+        assert_rejected("l2_bw_bytes_per_s", "1e999");
+    }
+
+    #[test]
+    fn from_json_rejects_non_positive_warps_to_saturate() {
+        assert_rejected("warps_to_saturate", "0");
+        assert_rejected("warps_to_saturate", "-8");
+        assert_rejected("warps_to_saturate", "1e999");
+    }
+
+    #[test]
+    fn from_json_rejects_negative_launch_overhead() {
+        assert_rejected("launch_overhead_s", "-1.5e-6");
+        assert_rejected("launch_overhead_s", "1e999");
+    }
+
+    #[test]
+    fn from_json_rejects_negative_tb_overhead() {
+        assert_rejected("tb_overhead_cycles", "-600");
+        assert_rejected("tb_overhead_cycles", "1e999");
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! event loop advances to each completion, re-partitioning the pool —
 //! the concurrency mechanism Multigrain exploits (§3.1).
 
-use crate::kernel::total_of;
 use crate::occupancy::{resident_tbs_per_sm, theoretical_occupancy};
-use crate::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
+use crate::{DeviceSpec, KernelRuns, LaunchConfig, Runs, TbWork};
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -104,26 +104,28 @@ impl StreamId {
 /// The default stream, which always exists.
 pub const DEFAULT_STREAM: StreamId = StreamId(0);
 
-/// A kernel's grid as the timing model reads it: the launch, runs of
-/// equal consecutive blocks, the block count and the aggregate work.
+/// A kernel's grid as the timing model reads it: the launch, the
+/// kernel's runs of equal consecutive blocks and their aggregate work.
 /// Built once per kernel, since `synchronize` re-times a kernel on every
 /// SM-share change.
 #[derive(Debug)]
-struct Grid {
+struct Grid<'a> {
     launch: LaunchConfig,
-    runs: Vec<(TbWork, usize)>,
-    blocks: usize,
+    runs: &'a Runs,
     total: TbWork,
+    /// The busy sum of the last timing and the co-residency it was taken
+    /// at. Block times depend on the SM count only through co-residency,
+    /// and a large grid keeps the same co-residency on every share.
+    busy: Cell<Option<(usize, f64)>>,
 }
 
-impl Grid {
-    fn of(profile: &KernelProfile) -> Grid {
-        let runs: Vec<(TbWork, usize)> = profile.runs().collect();
+impl Grid<'_> {
+    fn of(kernel: &KernelRuns) -> Grid<'_> {
         Grid {
-            launch: profile.launch,
-            blocks: profile.tb_count(),
-            total: total_of(runs.iter().copied()),
-            runs,
+            launch: kernel.launch,
+            runs: &kernel.tbs,
+            total: kernel.total(),
+            busy: Cell::new(None),
         }
     }
 }
@@ -131,13 +133,14 @@ impl Grid {
 /// Duration and busy fraction of one kernel run on `sms` SMs.
 fn kernel_time_on(spec: &DeviceSpec, grid: &Grid, sms: usize) -> (f64, f64, BoundKind) {
     let sms = sms.max(1);
-    if grid.blocks == 0 {
+    let blocks = grid.runs.len();
+    if blocks == 0 {
         return (spec.launch_overhead_s, 1.0, BoundKind::Schedule);
     }
     let resident = resident_tbs_per_sm(spec, &grid.launch);
     // Blocks actually co-resident per SM: bounded by occupancy, but an
     // underfilled grid leaves SMs with fewer (or no) neighbours.
-    let concurrent = grid.blocks.div_ceil(sms).clamp(1, resident);
+    let concurrent = blocks.div_ceil(sms).clamp(1, resident);
     let slots = sms * concurrent;
     // A block's share of the SM pipes: fair share among co-residents, but
     // never more than its own warps can issue.
@@ -161,6 +164,24 @@ fn kernel_time_on(spec: &DeviceSpec, grid: &Grid, sms: usize) -> (f64, f64, Boun
         t_tensor.max(t_cuda).max(t_sfu).max(t_mem).max(t_l2) + t_stall + tb_overhead
     };
 
+    // The slot time blocks keep busy: whichever slot a block lands on, it
+    // adds its own time, so the sum is over blocks in dispatch order. One
+    // addition per block: `n * t` rounds differently.
+    let busy_total = match grid.busy.get() {
+        Some((at, busy)) if at == concurrent => busy,
+        _ => {
+            let mut busy = 0.0;
+            for (w, n) in grid.runs.iter() {
+                let t = tb_time(&w);
+                for _ in 0..n {
+                    busy += t;
+                }
+            }
+            grid.busy.set(Some((concurrent, busy)));
+            busy
+        }
+    };
+
     // Greedy list schedule: each block goes to the earliest-free slot.
     // Slots are kept as groups of equal free time, `(time, count)`. The
     // schedule depends only on the multiset of free times, and every slot
@@ -168,12 +189,11 @@ fn kernel_time_on(spec: &DeviceSpec, grid: &Grid, sms: usize) -> (f64, f64, Boun
     // so a run of equal blocks takes `min(count, left)` slots of the
     // earliest group at a time — exactly the per-block schedule.
     let mut groups: BinaryHeap<Reverse<(OrderedF64, usize)>> = BinaryHeap::new();
-    groups.push(Reverse((OrderedF64(0.0), slots.min(grid.blocks))));
-    let mut busy_total = 0.0;
+    groups.push(Reverse((OrderedF64(0.0), slots.min(blocks))));
     let mut makespan = 0.0f64;
-    for (w, n) in &grid.runs {
-        let t = tb_time(w);
-        let mut left = *n;
+    for (w, n) in grid.runs.iter() {
+        let t = tb_time(&w);
+        let mut left = n;
         while left > 0 {
             let Reverse((OrderedF64(free_at), mut count)) = groups.pop().expect("slots > 0");
             while let Some(Reverse((OrderedF64(next), more))) = groups.peek() {
@@ -184,11 +204,6 @@ fn kernel_time_on(spec: &DeviceSpec, grid: &Grid, sms: usize) -> (f64, f64, Boun
                 groups.pop();
             }
             let served = count.min(left);
-            // One addition per block, in dispatch order: `served * t`
-            // rounds differently.
-            for _ in 0..served {
-                busy_total += t;
-            }
             let end = free_at + t;
             makespan = makespan.max(end);
             if count > served {
@@ -246,38 +261,38 @@ fn kernel_time_on(spec: &DeviceSpec, grid: &Grid, sms: usize) -> (f64, f64, Boun
 
 /// Times one kernel running alone on the whole device, without touching
 /// any [`Gpu`] state. The record's clock starts at zero; it is otherwise
-/// identical to `Gpu::new(spec).run_solo(profile)`.
-pub fn time_kernel(spec: &DeviceSpec, profile: &KernelProfile) -> KernelRecord {
-    let grid = Grid::of(profile);
+/// identical to `Gpu::new(spec).run_solo(kernel)`.
+pub fn time_kernel(spec: &DeviceSpec, kernel: &KernelRuns) -> KernelRecord {
+    let grid = Grid::of(kernel);
     let (duration, busy, bound) = kernel_time_on(spec, &grid, spec.sm_count);
     KernelRecord {
-        name: profile.name.clone(),
+        name: kernel.name.clone(),
         stream: DEFAULT_STREAM,
         start: 0.0,
         end: duration,
         dram_bytes: grid.total.dram_bytes(),
-        tb_count: grid.blocks,
-        theoretical_occupancy: theoretical_occupancy(spec, &profile.launch),
+        tb_count: kernel.tbs.len(),
+        theoretical_occupancy: theoretical_occupancy(spec, &kernel.launch),
         achieved_over_theoretical: busy,
         bound,
     }
 }
 
-/// Times a batch of independent kernel profiles, each alone on the whole
+/// Times a batch of independent kernels, each alone on the whole
 /// device, returning records in input order.
 ///
 /// With the `parallel` feature enabled the profiles are timed on multiple
 /// threads; each kernel's list schedule still runs serially, so the
 /// records are bit-identical to calling [`time_kernel`] in a loop.
-pub fn time_kernels_par(spec: &DeviceSpec, profiles: &[KernelProfile]) -> Vec<KernelRecord> {
+pub fn time_kernels_par(spec: &DeviceSpec, kernels: &[KernelRuns]) -> Vec<KernelRecord> {
     #[cfg(feature = "parallel")]
     {
         use rayon::prelude::*;
-        profiles.par_iter().map(|p| time_kernel(spec, p)).collect()
+        kernels.par_iter().map(|k| time_kernel(spec, k)).collect()
     }
     #[cfg(not(feature = "parallel"))]
     {
-        profiles.iter().map(|p| time_kernel(spec, p)).collect()
+        kernels.iter().map(|k| time_kernel(spec, k)).collect()
     }
 }
 
@@ -342,7 +357,7 @@ pub struct KernelId(usize);
 
 struct Pending {
     id: KernelId,
-    profile: KernelProfile,
+    kernel: KernelRuns,
     stream: StreamId,
     deps: Vec<KernelId>,
 }
@@ -379,7 +394,7 @@ impl std::fmt::Debug for Pending {
             f,
             "Pending({:?}: {} on {:?}, {} deps)",
             self.id,
-            self.profile.name,
+            self.kernel.name,
             self.stream,
             self.deps.len()
         )
@@ -421,13 +436,15 @@ impl Gpu {
     }
 
     /// Enqueues a kernel on a stream (asynchronous: returns immediately)
-    /// and returns its id for use in dependencies.
+    /// and returns its id for use in dependencies. Takes the run form or
+    /// a per-block [`KernelProfile`](crate::KernelProfile), which is
+    /// collapsed into runs once.
     ///
     /// # Panics
     ///
     /// Panics if `stream` was not created by this GPU.
-    pub fn launch(&mut self, stream: StreamId, profile: KernelProfile) -> KernelId {
-        self.launch_after(stream, profile, &[])
+    pub fn launch(&mut self, stream: StreamId, kernel: impl Into<KernelRuns>) -> KernelId {
+        self.launch_after(stream, kernel, &[])
     }
 
     /// Enqueues a kernel that must additionally wait for every kernel in
@@ -440,7 +457,7 @@ impl Gpu {
     pub fn launch_after(
         &mut self,
         stream: StreamId,
-        profile: KernelProfile,
+        kernel: impl Into<KernelRuns>,
         deps: &[KernelId],
     ) -> KernelId {
         assert!(stream.0 < self.queues.len(), "unknown stream");
@@ -448,7 +465,7 @@ impl Gpu {
         self.completed.push(false);
         self.queues[stream.0].push(Pending {
             id,
-            profile,
+            kernel: kernel.into(),
             stream,
             deps: deps.to_vec(),
         });
@@ -460,9 +477,9 @@ impl Gpu {
     pub fn synchronize(&mut self) -> f64 {
         // Active kernel state: (queue idx, grid, duration at its current
         // share, remaining fraction).
-        struct Active {
+        struct Active<'a> {
             queue: usize,
-            grid: Grid,
+            grid: Grid<'a>,
             share: usize,
             duration_at_share: f64,
             busy_at_share: f64,
@@ -489,7 +506,7 @@ impl Gpu {
                     {
                         active.push(Active {
                             queue: q,
-                            grid: Grid::of(&pending.profile),
+                            grid: Grid::of(&pending.kernel),
                             share: 0,
                             duration_at_share: 0.0,
                             busy_at_share: 1.0,
@@ -516,9 +533,12 @@ impl Gpu {
             let demands: Vec<usize> = active
                 .iter()
                 .map(|a| {
-                    let p = &self.queues[a.queue][cursors[a.queue]].profile;
-                    let resident = resident_tbs_per_sm(&self.spec, &p.launch).max(1);
-                    p.tb_count().div_ceil(resident).clamp(1, self.spec.sm_count)
+                    let resident = resident_tbs_per_sm(&self.spec, &a.grid.launch).max(1);
+                    a.grid
+                        .runs
+                        .len()
+                        .div_ceil(resident)
+                        .clamp(1, self.spec.sm_count)
                 })
                 .collect();
             // Waterfilling: every kernel gets the SMs it can actually
@@ -555,15 +575,14 @@ impl Gpu {
                 let a = active.swap_remove(i);
                 let pending = &self.queues[a.queue][cursors[a.queue]];
                 self.completed[pending.id.0] = true;
-                let p = &pending.profile;
                 self.records.push(KernelRecord {
-                    name: p.name.clone(),
+                    name: pending.kernel.name.clone(),
                     stream: pending.stream,
                     start: a.start,
                     end: self.time,
                     dram_bytes: a.grid.total.dram_bytes(),
-                    tb_count: a.grid.blocks,
-                    theoretical_occupancy: theoretical_occupancy(&self.spec, &p.launch),
+                    tb_count: a.grid.runs.len(),
+                    theoretical_occupancy: theoretical_occupancy(&self.spec, &a.grid.launch),
                     achieved_over_theoretical: a.busy_at_share,
                     bound: a.bound_at_share,
                 });
@@ -578,8 +597,8 @@ impl Gpu {
 
     /// Convenience: run one kernel alone on the default stream and return
     /// its record.
-    pub fn run_solo(&mut self, profile: KernelProfile) -> KernelRecord {
-        self.launch(DEFAULT_STREAM, profile);
+    pub fn run_solo(&mut self, kernel: impl Into<KernelRuns>) -> KernelRecord {
+        self.launch(DEFAULT_STREAM, kernel);
         self.synchronize();
         self.records.last().expect("just ran").clone()
     }
@@ -680,7 +699,7 @@ pub fn busy_seconds(records: &[KernelRecord], from: f64, until: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LaunchConfig, TbWork};
+    use crate::{KernelProfile, LaunchConfig, TbWork};
 
     #[test]
     fn advance_to_only_moves_forward() {
@@ -818,6 +837,39 @@ mod tests {
             cache: None,
         });
         assert_eq!(rec.bound, BoundKind::Schedule);
+    }
+
+    #[test]
+    fn profile_and_its_runs_time_bit_identically() {
+        // A hand-built per-block grid with repeats, a straggler and an
+        // empty block, launched as a profile and as its run form.
+        let mut tbs = vec![compute_tb(1 << 16); 300];
+        tbs.push(compute_tb(1 << 24));
+        tbs.extend(vec![TbWork::default(); 5]);
+        tbs.extend(vec![compute_tb(1 << 16); 40]);
+        let profile = KernelProfile {
+            name: "hand".into(),
+            launch: LaunchConfig::default(),
+            tbs,
+            cache: None,
+        };
+        let runs = KernelRuns::from(profile.clone());
+        assert_eq!(runs.tbs.len(), profile.tbs.len());
+        let spec = DeviceSpec::a100();
+        let a = Gpu::new(spec.clone()).run_solo(profile);
+        let b = Gpu::new(spec.clone()).run_solo(runs.clone());
+        let c = time_kernel(&spec, &runs);
+        for r in [&b, &c] {
+            assert_eq!(r.duration().to_bits(), a.duration().to_bits());
+            assert_eq!(
+                r.achieved_over_theoretical.to_bits(),
+                a.achieved_over_theoretical.to_bits()
+            );
+            assert_eq!(
+                (r.bound, r.tb_count, r.dram_bytes),
+                (a.bound, a.tb_count, a.dram_bytes)
+            );
+        }
     }
 
     #[test]

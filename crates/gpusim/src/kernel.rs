@@ -121,8 +121,11 @@ impl CacheStats {
     }
 }
 
-/// A complete kernel work description: launch resources plus per-block
-/// work.
+/// A kernel work description given block by block: launch resources
+/// plus the work of every thread block. This is an input form for
+/// hand-built kernels; the timing engine and the cost-model pipeline
+/// store grids as [`KernelRuns`], and `From<KernelProfile>` collapses a
+/// per-block profile into runs once.
 ///
 /// # Examples
 ///
@@ -170,46 +173,200 @@ impl KernelProfile {
     pub fn tb_count(&self) -> usize {
         self.tbs.len()
     }
+}
 
-    /// The grid as runs of equal consecutive blocks, `(work, count)` in
-    /// dispatch order. Batched grids repeat one per-instance grid per
-    /// head, so a grid has far fewer runs than blocks.
-    pub fn runs(&self) -> impl Iterator<Item = (TbWork, usize)> + '_ {
-        self.tbs
-            .chunk_by(|a, b| a == b)
-            .map(|run| (run[0], run.len()))
+/// A thread-block grid as runs of equal consecutive blocks, `(work,
+/// count)` in dispatch order.
+///
+/// The runs are kept canonical and maximal: every count is at least 1
+/// and neighbouring runs differ, so two grids with the same blocks have
+/// the same runs. Batched grids repeat one per-instance grid per head,
+/// so a grid has far fewer runs than blocks.
+///
+/// # Examples
+///
+/// ```
+/// use mg_gpusim::{Runs, TbWork};
+///
+/// let a = TbWork { cuda_flops: 1, ..TbWork::default() };
+/// let b = TbWork { cuda_flops: 2, ..TbWork::default() };
+/// let mut grid = Runs::from_blocks(&[a, a, b]);
+/// grid.push(b, 3); // joins the trailing run of `b`
+/// assert_eq!(grid.iter().collect::<Vec<_>>(), vec![(a, 2), (b, 4)]);
+/// assert_eq!(grid.len(), 6); // blocks, not runs
+/// assert_eq!(grid.repeat(2).iter().count(), 4);
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Runs {
+    runs: Vec<(TbWork, usize)>,
+    blocks: usize,
+}
+
+impl Runs {
+    /// An empty grid.
+    pub fn new() -> Runs {
+        Runs::default()
+    }
+
+    /// The runs of `blocks`, in order.
+    pub fn from_blocks(blocks: &[TbWork]) -> Runs {
+        blocks.iter().copied().collect()
+    }
+
+    /// Appends `n` blocks of `work`, joining the last run if it has the
+    /// same work. Appending zero blocks does nothing.
+    pub fn push(&mut self, work: TbWork, n: usize) {
+        if n == 0 {
+            return;
+        }
+        self.blocks += n;
+        match self.runs.last_mut() {
+            Some((last, count)) if *last == work => *count += n,
+            _ => self.runs.push((work, n)),
+        }
+    }
+
+    /// Appends the blocks of `other`, joining equal runs at the seam.
+    pub fn extend(&mut self, other: &Runs) {
+        for &(work, n) in &other.runs {
+            self.push(work, n);
+        }
+    }
+
+    /// The grid of `n` back-to-back copies of this one, with equal runs
+    /// joined at every seam.
+    pub fn repeat(&self, n: usize) -> Runs {
+        let mut out = Runs::new();
+        if let [(work, count)] = self.runs.as_slice() {
+            out.push(*work, count * n);
+        } else {
+            out.runs.reserve(self.runs.len() * n);
+            for _ in 0..n {
+                out.extend(self);
+            }
+        }
+        out
+    }
+
+    /// The grid with `f` applied to every block's work. Runs that become
+    /// equal are joined, so the result stays canonical.
+    pub fn map(&self, mut f: impl FnMut(TbWork) -> TbWork) -> Runs {
+        let mut out = Runs::new();
+        out.runs.reserve(self.runs.len());
+        for &(work, n) in &self.runs {
+            out.push(f(work), n);
+        }
+        out
+    }
+
+    /// The runs, `(work, count)` in dispatch order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (TbWork, usize)> + '_ {
+        self.runs.iter().copied()
+    }
+
+    /// Number of thread blocks (not runs) in the grid.
+    pub fn len(&self) -> usize {
+        self.blocks
+    }
+
+    /// Whether the grid has no blocks.
+    pub fn is_empty(&self) -> bool {
+        self.blocks == 0
+    }
+
+    /// The grid block by block.
+    pub fn to_blocks(&self) -> Vec<TbWork> {
+        let mut blocks = Vec::with_capacity(self.blocks);
+        for &(work, n) in &self.runs {
+            blocks.extend(std::iter::repeat_n(work, n));
+        }
+        blocks
     }
 
     /// Aggregate work across all blocks.
     pub fn total(&self) -> TbWork {
-        total_of(self.runs())
+        self.runs.iter().fold(TbWork::default(), |acc, &(w, n)| {
+            acc.merged(w.times(n as u64))
+        })
+    }
+}
+
+/// Collects blocks one at a time into canonical runs.
+impl FromIterator<TbWork> for Runs {
+    fn from_iter<I: IntoIterator<Item = TbWork>>(blocks: I) -> Runs {
+        let mut runs = Runs::new();
+        for work in blocks {
+            runs.push(work, 1);
+        }
+        runs
+    }
+}
+
+/// A complete kernel work description with its grid as runs: the form
+/// the cost-model pipeline builds, filters, merges and times.
+///
+/// # Examples
+///
+/// ```
+/// use mg_gpusim::{KernelProfile, KernelRuns, LaunchConfig, TbWork};
+///
+/// let work = TbWork { cuda_flops: 1_000, ..TbWork::default() };
+/// let kernel = KernelRuns::from(KernelProfile::uniform("toy", LaunchConfig::default(), 64, work));
+/// assert_eq!(kernel.tbs.len(), 64);
+/// assert_eq!(kernel.tbs.iter().count(), 1);
+/// assert_eq!(kernel.total().cuda_flops, 64_000);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct KernelRuns {
+    /// Kernel name, used in records and reports.
+    pub name: String,
+    /// Per-block resource requirements.
+    pub launch: LaunchConfig,
+    /// The grid as runs of equal consecutive blocks.
+    pub tbs: Runs,
+    /// Cache-filter inputs, set by the cache model so merged kernels can
+    /// be re-filtered (see [`CacheStats`]). `None` for raw kernels.
+    pub cache: Option<CacheStats>,
+}
+
+impl KernelRuns {
+    /// Creates a kernel of `n` identical thread blocks.
+    pub fn uniform(
+        name: impl Into<String>,
+        launch: LaunchConfig,
+        n: usize,
+        work: TbWork,
+    ) -> KernelRuns {
+        let mut tbs = Runs::new();
+        tbs.push(work, n);
+        KernelRuns {
+            name: name.into(),
+            launch,
+            tbs,
+            cache: None,
+        }
+    }
+
+    /// Aggregate work across all blocks.
+    pub fn total(&self) -> TbWork {
+        self.tbs.total()
     }
 
     /// Total bytes moved to or from device memory.
     pub fn total_dram_bytes(&self) -> u64 {
-        self.runs().map(|(w, n)| w.dram_bytes() * n as u64).sum()
-    }
-
-    /// Appends another kernel's blocks (used to batch per-head grids into
-    /// one launch, as batched kernels do).
-    pub fn extend_with(&mut self, other: &KernelProfile) {
-        debug_assert_eq!(
-            self.launch, other.launch,
-            "batched grids share a launch config"
-        );
-        self.tbs.extend_from_slice(&other.tbs);
-        self.cache = match (self.cache, other.cache) {
-            (Some(a), Some(b)) => Some(a.merged(b)),
-            _ => None, // mixed raw/filtered profiles cannot be re-filtered
-        };
+        self.total().dram_bytes()
     }
 }
 
-/// Aggregate work of a grid given as runs of `(work, count)`.
-pub(crate) fn total_of(runs: impl IntoIterator<Item = (TbWork, usize)>) -> TbWork {
-    runs.into_iter().fold(TbWork::default(), |acc, (w, n)| {
-        acc.merged(w.times(n as u64))
-    })
+impl From<KernelProfile> for KernelRuns {
+    fn from(profile: KernelProfile) -> KernelRuns {
+        KernelRuns {
+            name: profile.name,
+            launch: profile.launch,
+            tbs: Runs::from_blocks(&profile.tbs),
+            cache: profile.cache,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -242,7 +399,7 @@ mod tests {
             dram_write: 50,
             stall_cycles: 0,
         };
-        let p = KernelProfile::uniform("k", LaunchConfig::default(), 4, w);
+        let p = KernelRuns::uniform("k", LaunchConfig::default(), 4, w);
         let t = p.total();
         assert_eq!(t.tensor_macs, 40);
         assert_eq!(t.dram_read, 400);
@@ -267,11 +424,31 @@ mod tests {
     }
 
     #[test]
-    fn extend_with_concatenates_grids() {
+    fn runs_extend_concatenates_grids() {
         let w = TbWork::default();
-        let mut a = KernelProfile::uniform("a", LaunchConfig::default(), 2, w);
-        let b = KernelProfile::uniform("b", LaunchConfig::default(), 3, w);
-        a.extend_with(&b);
-        assert_eq!(a.tb_count(), 5);
+        let mut a = KernelRuns::uniform("a", LaunchConfig::default(), 2, w);
+        let b = KernelRuns::uniform("b", LaunchConfig::default(), 3, w);
+        a.tbs.extend(&b.tbs);
+        assert_eq!(a.tbs.len(), 5);
+        assert_eq!(a.tbs.iter().collect::<Vec<_>>(), vec![(w, 5)]);
+    }
+
+    #[test]
+    fn collapsing_a_profile_keeps_its_blocks() {
+        let a = TbWork {
+            cuda_flops: 1,
+            ..TbWork::default()
+        };
+        let tbs = vec![a, a, TbWork::default(), a];
+        let profile = KernelProfile {
+            name: "k".into(),
+            launch: LaunchConfig::default(),
+            tbs: tbs.clone(),
+            cache: None,
+        };
+        let runs = KernelRuns::from(profile);
+        assert_eq!(runs.tbs.iter().count(), 3);
+        assert_eq!(runs.tbs.to_blocks(), tbs);
+        assert!(Runs::new().is_empty());
     }
 }

@@ -7,20 +7,22 @@
 //! multi-stream space sharing (which lets coarse- and fine-grained
 //! kernels overlap, §3.1 of the paper).
 //!
-//! Functional kernels in `mg-kernels` describe their work as a
-//! [`KernelProfile`]; this crate turns profiles into durations, DRAM
-//! traffic, and occupancy counters comparable to Nsight Compute's.
+//! Functional kernels in `mg-kernels` describe their work as
+//! [`KernelRuns`], a grid stored as runs of equal consecutive blocks
+//! (hand-built per-block [`KernelProfile`]s convert into it); this crate
+//! turns kernels into durations, DRAM traffic, and occupancy counters
+//! comparable to Nsight Compute's.
 //!
 //! # Examples
 //!
 //! ```
-//! use mg_gpusim::{DeviceSpec, Gpu, KernelProfile, LaunchConfig, TbWork, DEFAULT_STREAM};
+//! use mg_gpusim::{DeviceSpec, Gpu, KernelRuns, LaunchConfig, TbWork, DEFAULT_STREAM};
 //!
 //! let mut gpu = Gpu::new(DeviceSpec::a100());
 //! let stream = gpu.create_stream();
 //! let work = TbWork { tensor_macs: 1 << 20, ..TbWork::default() };
-//! gpu.launch(DEFAULT_STREAM, KernelProfile::uniform("coarse", LaunchConfig::default(), 128, work));
-//! gpu.launch(stream, KernelProfile::uniform("fine", LaunchConfig::default(), 128, work));
+//! gpu.launch(DEFAULT_STREAM, KernelRuns::uniform("coarse", LaunchConfig::default(), 128, work));
+//! gpu.launch(stream, KernelRuns::uniform("fine", LaunchConfig::default(), 128, work));
 //! let elapsed = gpu.synchronize(); // the two kernels co-execute
 //! assert!(elapsed > 0.0);
 //! ```
@@ -41,5 +43,5 @@ pub use engine::{
     busy_seconds, time_kernel, time_kernels_par, BoundKind, Gpu, KernelId, KernelRecord, StreamId,
     DEFAULT_STREAM,
 };
-pub use kernel::{CacheStats, KernelProfile, LaunchConfig, TbWork};
+pub use kernel::{CacheStats, KernelProfile, KernelRuns, LaunchConfig, Runs, TbWork};
 pub use timeline::{export_chrome_trace, export_chrome_trace_grouped, render_timeline};

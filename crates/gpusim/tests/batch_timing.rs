@@ -2,7 +2,7 @@
 //! runs regardless of thread count.
 
 use mg_gpusim::{
-    time_kernel, time_kernels_par, DeviceSpec, Gpu, KernelProfile, LaunchConfig, TbWork,
+    time_kernel, time_kernels_par, DeviceSpec, Gpu, KernelProfile, KernelRuns, LaunchConfig, TbWork,
 };
 use rayon::ThreadPoolBuilder;
 
@@ -10,7 +10,7 @@ fn pool(n: usize) -> rayon::ThreadPool {
     ThreadPoolBuilder::new().num_threads(n).build().unwrap()
 }
 
-fn profiles() -> Vec<KernelProfile> {
+fn profiles() -> Vec<KernelRuns> {
     (0..24)
         .map(|i| {
             let mut tbs: Vec<TbWork> = (0..(16 + i * 7))
@@ -39,6 +39,7 @@ fn profiles() -> Vec<KernelProfile> {
                 tbs,
                 cache: None,
             }
+            .into()
         })
         .collect()
 }

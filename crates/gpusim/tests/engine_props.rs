@@ -4,7 +4,8 @@
 
 use mg_gpusim::occupancy::resident_tbs_per_sm;
 use mg_gpusim::{
-    time_kernel, BoundKind, DeviceSpec, Gpu, KernelProfile, LaunchConfig, TbWork, DEFAULT_STREAM,
+    time_kernel, BoundKind, DeviceSpec, Gpu, KernelProfile, KernelRuns, LaunchConfig, TbWork,
+    DEFAULT_STREAM,
 };
 use proptest::prelude::*;
 use std::cmp::{Ordering, Reverse};
@@ -109,7 +110,7 @@ proptest! {
     /// how the kernel is scheduled.
     #[test]
     fn dram_bytes_conserved(p in arb_profile()) {
-        let declared = p.total_dram_bytes();
+        let declared: u64 = p.tbs.iter().map(TbWork::dram_bytes).sum();
         let mut gpu = Gpu::new(DeviceSpec::rtx3090());
         let rec = gpu.run_solo(p);
         prop_assert_eq!(rec.dram_bytes, declared);
@@ -287,7 +288,7 @@ proptest! {
     ) {
         let spec = DeviceSpec { sm_count: sms, ..DeviceSpec::a100() };
         let (duration, busy, bound) = per_block_oracle(&spec, &p);
-        let rec = time_kernel(&spec, &p);
+        let rec = time_kernel(&spec, &KernelRuns::from(p.clone()));
         prop_assert_eq!(rec.duration().to_bits(), duration.to_bits());
         prop_assert_eq!(rec.achieved_over_theoretical.to_bits(), busy.to_bits());
         prop_assert_eq!(rec.bound, bound);

@@ -15,7 +15,7 @@
 //! fine kernels re-touch operands per element (many raw touches, filtered
 //! by whatever locality the pattern has).
 
-use mg_gpusim::{CacheStats, DeviceSpec, KernelProfile, LaunchConfig, TbWork};
+use mg_gpusim::{CacheStats, DeviceSpec, KernelRuns, LaunchConfig, Runs, TbWork};
 
 /// Locality hints a kernel provides about its loads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,11 +58,9 @@ pub fn l2_miss_rate(spec: &DeviceSpec, unique_bytes: u64) -> f64 {
 /// it is ever evicted to DRAM. Only the evicted fraction of `dram_write`
 /// survives; the L2-bandwidth cost of the writes is unchanged (the engine
 /// charges `dram_write` on the L2 pipe regardless).
-pub fn apply_writeback_filter(spec: &DeviceSpec, profile: &mut KernelProfile) {
-    let mut runs: Vec<(TbWork, usize)> = profile.runs().collect();
-    let raw_write = filter_writes(spec, &mut runs, 1);
-    write_runs(&mut profile.tbs, &runs);
-    let cache = profile.cache.get_or_insert(CacheStats {
+pub fn apply_writeback_filter(spec: &DeviceSpec, kernel: &mut KernelRuns) {
+    let raw_write = filter_writes(spec, &mut kernel.tbs, 1);
+    let cache = kernel.cache.get_or_insert(CacheStats {
         unique_bytes: 0,
         reuse_footprint: 0,
         raw_l2: 0,
@@ -86,101 +84,91 @@ pub fn filter_and_replicate(
     spec: &DeviceSpec,
     name: &str,
     launch: LaunchConfig,
-    per_instance: Vec<TbWork>,
+    per_instance: Runs,
     instances: usize,
     hints: CacheHints,
-) -> KernelProfile {
-    let mut profile = KernelProfile {
-        name: name.to_owned(),
-        launch,
-        tbs: per_instance,
-        cache: None,
-    };
-    let mut runs: Vec<(TbWork, usize)> = profile.runs().collect();
+) -> KernelRuns {
+    let mut runs = per_instance;
     let raw_l2 = filter_loads(spec, &mut runs, instances as u64, hints);
     let raw_write = filter_writes(spec, &mut runs, instances as u64);
-    write_runs(&mut profile.tbs, &runs);
-    profile.tbs = profile.tbs.repeat(instances);
-    // The filter inputs, so merged profiles can be re-filtered.
-    profile.cache = Some(CacheStats {
-        unique_bytes: hints.unique_bytes,
-        reuse_footprint: hints.reuse_footprint,
-        raw_l2,
-        raw_write,
-    });
-    profile
+    KernelRuns {
+        name: name.to_owned(),
+        launch,
+        tbs: runs.repeat(instances),
+        // The filter inputs, so merged kernels can be re-filtered.
+        cache: Some(CacheStats {
+            unique_bytes: hints.unique_bytes,
+            reuse_footprint: hints.reuse_footprint,
+            raw_l2,
+            raw_write,
+        }),
+    }
 }
 
 /// Merges the same kernel of several plans into one batched launch and
 /// re-applies the cache and write-back filters to it, using the
 /// accumulated [`CacheStats`]. Capacity effects are nonlinear, so the
 /// merged working set must be filtered as a whole — concatenating
-/// individually filtered profiles underestimates DRAM traffic badly.
+/// individually filtered kernels underestimates DRAM traffic badly.
 ///
-/// The result equals folding [`KernelProfile::extend_with`] over `parts`
-/// and then restoring the raw loads and writes proportionally and
-/// re-filtering them with the merged working set. The whole chain is
-/// worked out once per run of equal blocks, and the merged grid is
-/// written once, at exact size, into the first part's buffer. A single
-/// part is re-filtered in place.
+/// The result equals concatenating the parts' blocks and then restoring
+/// the raw loads and writes proportionally and re-filtering them with the
+/// merged working set, block by block; it is worked out once per run of
+/// equal blocks.
 ///
-/// Profiles without stats (raw, or mixed raw/filtered merges) are only
+/// Kernels without stats (raw, or mixed raw/filtered merges) are only
 /// concatenated.
 ///
 /// # Panics
 ///
 /// Panics if `parts` is empty.
-pub fn merge_and_refilter(spec: &DeviceSpec, parts: Vec<KernelProfile>) -> KernelProfile {
+pub fn merge_and_refilter(spec: &DeviceSpec, parts: Vec<KernelRuns>) -> KernelRuns {
     let mut parts = parts.into_iter();
     let mut merged = parts.next().expect("at least one part to merge");
-    let mut runs: Vec<(TbWork, usize)> = merged.runs().collect();
     for part in parts {
         debug_assert_eq!(
             merged.launch, part.launch,
             "batched grids share a launch config"
         );
-        runs.extend(part.runs());
+        merged.tbs.extend(&part.tbs);
         merged.cache = merged.cache.zip(part.cache).map(|(a, b)| a.merged(b));
     }
     if let Some(stats) = merged.cache {
+        let runs = &mut merged.tbs;
         let mut raw_l2 = stats.raw_l2;
-        let cur_l2 = sum(&runs, |w| w.l2_read);
+        let cur_l2 = sum(runs, |w| w.l2_read);
         if stats.raw_l2 > 0 && cur_l2 > 0 {
             let scale = stats.raw_l2 as f64 / cur_l2 as f64;
-            for (w, _) in &mut runs {
-                w.l2_read = (w.l2_read as f64 * scale).round() as u64;
-                w.dram_read = 0;
-            }
+            *runs = runs.map(|w| TbWork {
+                l2_read: (w.l2_read as f64 * scale).round() as u64,
+                dram_read: 0,
+                ..w
+            });
             let hints = CacheHints {
                 unique_bytes: stats.unique_bytes,
                 reuse_footprint: stats.reuse_footprint,
             };
-            raw_l2 = filter_loads(spec, &mut runs, 1, hints);
+            raw_l2 = filter_loads(spec, runs, 1, hints);
         }
-        let cur_w = sum(&runs, |w| w.dram_write);
+        let cur_w = sum(runs, |w| w.dram_write);
         if stats.raw_write > 0 && cur_w > 0 {
             let scale = stats.raw_write as f64 / cur_w as f64;
-            for (w, _) in &mut runs {
-                w.dram_write = (w.dram_write as f64 * scale).round() as u64;
-            }
-            filter_writes(spec, &mut runs, 1);
+            *runs = runs.map(|w| TbWork {
+                dram_write: (w.dram_write as f64 * scale).round() as u64,
+                ..w
+            });
+            filter_writes(spec, runs, 1);
         }
         // Keep the merged hints and raw writes for any further merging.
         merged.cache = Some(CacheStats { raw_l2, ..stats });
     }
-    write_runs(&mut merged.tbs, &runs);
     merged
 }
 
 /// Applies the cache model to a grid made of `copies` back-to-back
 /// copies of `runs` (rescaling `runs` in place) and returns the raw load
 /// total.
-fn filter_loads(
-    spec: &DeviceSpec,
-    runs: &mut [(TbWork, usize)],
-    copies: u64,
-    hints: CacheHints,
-) -> u64 {
+fn filter_loads(spec: &DeviceSpec, runs: &mut Runs, copies: u64, hints: CacheHints) -> u64 {
     let raw = copies * sum(runs, |w| w.l2_read);
     if raw == 0 {
         return 0;
@@ -194,47 +182,41 @@ fn filter_loads(
 
     let l2_scale = l2_total / raw as f64;
     let dram_scale = dram_total / raw as f64;
-    for (tb, _) in runs {
+    *runs = runs.map(|tb| {
         debug_assert_eq!(
             tb.dram_read, 0,
             "kernels must leave dram_read to the cache model"
         );
         let raw_tb = tb.l2_read as f64;
-        tb.l2_read = (raw_tb * l2_scale).round() as u64;
-        tb.dram_read = (raw_tb * dram_scale).round() as u64;
-    }
+        TbWork {
+            l2_read: (raw_tb * l2_scale).round() as u64,
+            dram_read: (raw_tb * dram_scale).round() as u64,
+            ..tb
+        }
+    });
     raw
 }
 
 /// Applies the write-back filter to a grid made of `copies` back-to-back
 /// copies of `runs` (rescaling `runs` in place) and returns the raw write
 /// total.
-fn filter_writes(spec: &DeviceSpec, runs: &mut [(TbWork, usize)], copies: u64) -> u64 {
+fn filter_writes(spec: &DeviceSpec, runs: &mut Runs, copies: u64) -> u64 {
     let raw = copies * sum(runs, |w| w.dram_write);
     if raw == 0 {
         return 0;
     }
     let l2_half = spec.l2_bytes as f64 * 0.5;
     let evicted = (raw as f64 / l2_half).clamp(0.25, 1.0);
-    for (tb, _) in runs {
-        tb.dram_write = (tb.dram_write as f64 * evicted).round() as u64;
-    }
+    *runs = runs.map(|tb| TbWork {
+        dram_write: (tb.dram_write as f64 * evicted).round() as u64,
+        ..tb
+    });
     raw
 }
 
 /// `field` summed over the blocks of `runs`: `count × value` per run.
-fn sum(runs: &[(TbWork, usize)], field: fn(&TbWork) -> u64) -> u64 {
-    runs.iter().map(|(w, n)| field(w) * *n as u64).sum()
-}
-
-/// Overwrites `tbs` with the blocks of `runs`, allocating at most once,
-/// at exact size.
-fn write_runs(tbs: &mut Vec<TbWork>, runs: &[(TbWork, usize)]) {
-    tbs.clear();
-    tbs.reserve_exact(runs.iter().map(|&(_, n)| n).sum());
-    for &(w, n) in runs {
-        tbs.extend(std::iter::repeat_n(w, n));
-    }
+fn sum(runs: &Runs, field: fn(&TbWork) -> u64) -> u64 {
+    runs.iter().map(|(w, n)| field(&w) * n as u64).sum()
 }
 
 #[cfg(test)]
@@ -242,12 +224,7 @@ mod tests {
     use super::*;
 
     /// `n` blocks of `raw_per_tb` raw load bytes, filtered with `hints`.
-    fn filtered(
-        raw_per_tb: u64,
-        n: usize,
-        unique_bytes: u64,
-        reuse_footprint: u64,
-    ) -> KernelProfile {
+    fn filtered(raw_per_tb: u64, n: usize, unique_bytes: u64, reuse_footprint: u64) -> KernelRuns {
         let raw = TbWork {
             l2_read: raw_per_tb,
             ..TbWork::default()
@@ -260,7 +237,7 @@ mod tests {
             &DeviceSpec::a100(),
             "k",
             LaunchConfig::default(),
-            vec![raw],
+            Runs::from_blocks(&[raw]),
             n,
             hints,
         )
@@ -269,7 +246,7 @@ mod tests {
     #[test]
     fn sliding_window_retouches_stay_in_l1() {
         let p = filtered(1 << 20, 100, 1 << 20, 64 * 1024); // 100 MiB raw
-        let l2: u64 = p.tbs.iter().map(|t| t.l2_read).sum();
+        let l2 = p.total().l2_read;
         // 1 MiB unique + 5% of 99 MiB re-touches.
         assert!(l2 < 8 << 20, "l2 traffic filtered by L1: {l2}");
     }
@@ -277,18 +254,18 @@ mod tests {
     #[test]
     fn scattered_retouches_flow_through_l2() {
         let p = filtered(1 << 20, 100, 1 << 20, 8 << 20);
-        let l2: u64 = p.tbs.iter().map(|t| t.l2_read).sum();
+        let l2 = p.total().l2_read;
         // 1 MiB unique + 65% of the 99 MiB re-touches (L1 floor is 35%).
         assert!(l2 > 50 << 20, "scattered touches hit L2: {l2}");
         // But the working set fits L2, so DRAM stays near-compulsory.
-        let dram: u64 = p.tbs.iter().map(|t| t.dram_read).sum();
+        let dram = p.total().dram_read;
         assert!(dram < 10 << 20, "dram filtered by L2: {dram}");
     }
 
     #[test]
     fn giant_working_set_reaches_dram() {
         let p = filtered(1 << 30, 100, 80 << 30, 80 << 30); // 100 GiB raw
-        let dram: u64 = p.tbs.iter().map(|t| t.dram_read).sum();
+        let dram = p.total().dram_read;
         assert!(dram > 90 << 30, "little cache help: {dram}");
     }
 
@@ -303,15 +280,23 @@ mod tests {
             reuse_footprint: 1 << 30,
         };
         let spec = DeviceSpec::a100();
-        let p = filter_and_replicate(&spec, "k", LaunchConfig::default(), grid.to_vec(), 1, hints);
-        assert!(p.tbs[1].l2_read >= 2 * p.tbs[0].l2_read);
-        assert!(p.tbs[1].dram_read >= 2 * p.tbs[0].dram_read);
+        let p = filter_and_replicate(
+            &spec,
+            "k",
+            LaunchConfig::default(),
+            Runs::from_blocks(&grid),
+            1,
+            hints,
+        );
+        let tbs = p.tbs.to_blocks();
+        assert!(tbs[1].l2_read >= 2 * tbs[0].l2_read);
+        assert!(tbs[1].dram_read >= 2 * tbs[0].dram_read);
     }
 
     #[test]
     fn writeback_filter_keeps_small_outputs_in_l2() {
         let spec = DeviceSpec::a100();
-        let mut p = KernelProfile::uniform(
+        let mut p = KernelRuns::uniform(
             "k",
             LaunchConfig::default(),
             10,
@@ -321,14 +306,14 @@ mod tests {
             },
         );
         apply_writeback_filter(&spec, &mut p); // 1 MB << 20 MB half-L2
-        let w: u64 = p.tbs.iter().map(|t| t.dram_write).sum();
+        let w = p.total().dram_write;
         assert_eq!(w, 250_000, "25% eviction floor");
     }
 
     #[test]
     fn writeback_filter_passes_large_outputs_through() {
         let spec = DeviceSpec::a100();
-        let mut p = KernelProfile::uniform(
+        let mut p = KernelRuns::uniform(
             "k",
             LaunchConfig::default(),
             10,
@@ -338,7 +323,7 @@ mod tests {
             },
         );
         apply_writeback_filter(&spec, &mut p); // 10 GiB >> L2
-        let w: u64 = p.tbs.iter().map(|t| t.dram_write).sum();
+        let w = p.total().dram_write;
         assert_eq!(w, 10 << 30);
     }
 
@@ -349,14 +334,10 @@ mod tests {
                                                            // Sixteen instances in one profile (ground truth).
         let sixteen = filtered(1 << 22, 64 * 16, 128 << 20, 8 << 20);
         // Sixteen per-instance profiles merged, then re-filtered.
-        let mut naive = one.clone();
-        for _ in 0..15 {
-            naive.extend_with(&one);
-        }
-        let naive: u64 = naive.tbs.iter().map(|t| t.dram_read).sum();
+        let naive = one.tbs.repeat(16).total().dram_read;
         let merged = merge_and_refilter(&DeviceSpec::a100(), vec![one; 16]);
-        let refiltered: u64 = merged.tbs.iter().map(|t| t.dram_read).sum();
-        let truth: u64 = sixteen.tbs.iter().map(|t| t.dram_read).sum();
+        let refiltered = merged.total().dram_read;
+        let truth = sixteen.total().dram_read;
         assert!(
             naive < truth / 2,
             "naive merge undercounts: {naive} vs {truth}"

@@ -11,7 +11,7 @@
 
 use crate::cache::apply_writeback_filter;
 use crate::{dense_gemm_profile, AttnDims};
-use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
+use mg_gpusim::{DeviceSpec, KernelRuns, LaunchConfig, TbWork};
 use mg_tensor::{
     accumulate_row_window, pack, pack::Panel, scratch, softmax_row_in_place, Half, Matrix,
 };
@@ -91,7 +91,7 @@ pub fn sliding_chunk_attention_compute(
 #[derive(Debug, Clone)]
 pub struct ChunkedPlan {
     /// Kernels to run, in order (copies, GEMMs, softmax, GEMMs).
-    pub kernels: Vec<KernelProfile>,
+    pub kernels: Vec<KernelRuns>,
     /// Extra workspace the method allocates beyond Q/K/V/C, bytes — the
     /// paper's ≈2× (sliding chunk) or ≈3× (blockify) memory overhead.
     pub workspace_bytes: u64,
@@ -109,7 +109,7 @@ impl ChunkedPlan {
 }
 
 /// Memory-copy kernel profile: streams `bytes` in and out.
-fn copy_profile(spec: &DeviceSpec, bytes: u64, name: &str) -> KernelProfile {
+fn copy_profile(spec: &DeviceSpec, bytes: u64, name: &str) -> KernelRuns {
     let launch = LaunchConfig {
         threads_per_tb: 256,
         regs_per_thread: 32,
@@ -118,7 +118,7 @@ fn copy_profile(spec: &DeviceSpec, bytes: u64, name: &str) -> KernelProfile {
     let tile: u64 = 64 * 1024;
     let tbs = (bytes / tile).max(1) as usize;
     let per = bytes / tbs as u64;
-    let mut profile = KernelProfile::uniform(
+    let mut profile = KernelRuns::uniform(
         name,
         launch,
         tbs,
@@ -140,14 +140,14 @@ fn chunk_softmax_profile(
     span: usize,
     instances: usize,
     name: &str,
-) -> KernelProfile {
+) -> KernelRuns {
     let launch = LaunchConfig {
         threads_per_tb: 256,
         regs_per_thread: 40,
         smem_per_tb: 4096,
     };
     let n = span as u64;
-    let mut profile = KernelProfile::uniform(
+    let mut profile = KernelRuns::uniform(
         name,
         launch,
         rows * instances,
@@ -207,7 +207,7 @@ pub fn sliding_chunk_attention_profile(
     spec: &DeviceSpec,
     dims: &AttnDims,
     window: usize,
-) -> Vec<KernelProfile> {
+) -> Vec<KernelRuns> {
     sliding_chunk_plan(spec, dims, window).kernels
 }
 

@@ -15,7 +15,7 @@
 
 use crate::cache::{filter_and_replicate, CacheHints};
 use crate::{tuning, AttnDims};
-use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
+use mg_gpusim::{DeviceSpec, KernelRuns, LaunchConfig, Runs, TbWork};
 use mg_sparse::Bsr;
 use mg_tensor::pack::{decode_slice, encode_slice, Panel, Slabs};
 use mg_tensor::simd::SPAN;
@@ -48,42 +48,43 @@ pub fn coarse_sddmm_profile(
     structure: &Bsr<Half>,
     mapping: CoarseMapping,
     name: &str,
-) -> KernelProfile {
+) -> KernelRuns {
     let b = structure.block_size();
     let dh = dims.head_dim;
-    let per_instance: Vec<TbWork> = match mapping {
-        CoarseMapping::BlockRowPerTb => par::map_indexed(structure.block_rows(), |br| {
-            let n = structure.block_row_nnz(br) as u64;
-            let (b, dh) = (b as u64, dh as u64);
-            (n > 0).then(|| TbWork {
-                tensor_macs: n * b * b * dh,
-                cuda_flops: n * b * b, // epilogue converts/stores
-                sfu_ops: 0,
-                // LHS row block once (shared-memory reuse), RHS per block.
-                l2_read: b * dh * 2 + n * b * dh * 2 + (n + 2) * 4,
-                dram_read: 0,
-                dram_write: n * b * b * 2,
-                stall_cycles: tuning::PIPELINED_STALL_CYCLES,
-            })
-        })
-        .into_iter()
-        .flatten()
-        .collect(),
-        CoarseMapping::BlockPerTb => (0..structure.nnz_blocks())
-            .map(|_| {
-                let (b, dh) = (b as u64, dh as u64);
-                TbWork {
-                    tensor_macs: b * b * dh,
-                    cuda_flops: b * b,
+    let (bu, dhu) = (b as u64, dh as u64);
+    let per_instance: Runs = match mapping {
+        CoarseMapping::BlockRowPerTb => (0..structure.block_rows())
+            .filter_map(|br| {
+                let n = structure.block_row_nnz(br) as u64;
+                (n > 0).then(|| TbWork {
+                    tensor_macs: n * bu * bu * dhu,
+                    cuda_flops: n * bu * bu, // epilogue converts/stores
                     sfu_ops: 0,
-                    // Both operand blocks reloaded per output block (BCOO).
-                    l2_read: 2 * b * dh * 2 + 8,
+                    // LHS row block once (shared-memory reuse), RHS per block.
+                    l2_read: bu * dhu * 2 + n * bu * dhu * 2 + (n + 2) * 4,
                     dram_read: 0,
-                    dram_write: b * b * 2,
+                    dram_write: n * bu * bu * 2,
                     stall_cycles: tuning::PIPELINED_STALL_CYCLES,
-                }
+                })
             })
             .collect(),
+        CoarseMapping::BlockPerTb => {
+            let mut runs = Runs::new();
+            runs.push(
+                TbWork {
+                    tensor_macs: bu * bu * dhu,
+                    cuda_flops: bu * bu,
+                    sfu_ops: 0,
+                    // Both operand blocks reloaded per output block (BCOO).
+                    l2_read: 2 * bu * dhu * 2 + 8,
+                    dram_read: 0,
+                    dram_write: bu * bu * 2,
+                    stall_cycles: tuning::PIPELINED_STALL_CYCLES,
+                },
+                structure.nnz_blocks(),
+            );
+            runs
+        }
     };
     let unique = 2 * dims.operand_bytes() * dims.instances() as u64
         + structure.metadata_bytes() * dims.instances() as u64;
@@ -178,18 +179,19 @@ pub fn coarse_spmm_profile(
     structure: &Bsr<Half>,
     mapping: CoarseMapping,
     name: &str,
-) -> KernelProfile {
+) -> KernelRuns {
     let b = structure.block_size();
     let dh = dims.head_dim;
     // One output tile (block-row × head_dim) per thread block; tiles along
     // the head dimension when head_dim exceeds the block size.
     let tiles_per_row = dh.div_ceil(b).max(1);
-    let per_instance: Vec<TbWork> = par::map_indexed(structure.block_rows(), |br| {
+    let (bu, dhu) = (b as u64, (dh / tiles_per_row) as u64);
+    let mut per_instance = Runs::new();
+    for br in 0..structure.block_rows() {
         let n = structure.block_row_nnz(br) as u64;
         if n == 0 {
-            return Vec::new();
+            continue;
         }
-        let (bu, dhu) = (b as u64, (dh / tiles_per_row) as u64);
         let stall = match mapping {
             CoarseMapping::BlockRowPerTb => tuning::PIPELINED_STALL_CYCLES,
             CoarseMapping::BlockPerTb => {
@@ -201,7 +203,7 @@ pub fn coarse_spmm_profile(
             // Triton keeps BCOO (SDDMM) and BSR (SpMM) metadata both.
             CoarseMapping::BlockPerTb => n * 8,
         };
-        std::iter::repeat_with(move || TbWork {
+        let work = TbWork {
             tensor_macs: n * bu * bu * dhu,
             cuda_flops: bu * dhu,
             sfu_ops: 0,
@@ -210,13 +212,9 @@ pub fn coarse_spmm_profile(
             dram_read: 0,
             dram_write: bu * dhu * 2,
             stall_cycles: stall,
-        })
-        .take(tiles_per_row)
-        .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+        };
+        per_instance.push(work, tiles_per_row);
+    }
     let unique = (structure.value_bytes() + structure.metadata_bytes() + dims.operand_bytes())
         * dims.instances() as u64;
     filter_and_replicate(
@@ -429,7 +427,7 @@ mod tests {
             "sddmm",
         );
         // 4 non-empty block rows x 2 instances.
-        assert_eq!(p.tb_count(), 8);
+        assert_eq!(p.tbs.len(), 8);
     }
 
     #[test]
@@ -442,7 +440,7 @@ mod tests {
             CoarseMapping::BlockPerTb,
             "sddmm",
         );
-        assert_eq!(p.tb_count(), 10); // 5 blocks x 2 instances
+        assert_eq!(p.tbs.len(), 10); // 5 blocks x 2 instances
     }
 
     #[test]

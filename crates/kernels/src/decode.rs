@@ -11,7 +11,7 @@
 
 use crate::cache::{filter_and_replicate, CacheHints};
 use crate::tuning;
-use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
+use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, Runs, TbWork};
 
 /// Builds the timing profile of one batched decode step: `row_nnzs[i]`
 /// is the number of key columns request `i`'s freshly appended query
@@ -20,7 +20,9 @@ use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
 ///
 /// The profile charges only incremental work — one Q row, `nnz` K and V
 /// rows, one context row out — which is what makes decode steps short
-/// and latency-critical next to prefills.
+/// and latency-critical next to prefills. A step has one block per
+/// (request, head), a few hundred at most, so unlike the prefill
+/// builders it returns the per-block [`KernelProfile`].
 // mg-lint: allow(C1): decode reuses the prefill kernels' numerics (fine/coarse/merge); only the timing shape is decode-specific
 pub fn decode_step_profile(
     spec: &DeviceSpec,
@@ -35,7 +37,7 @@ pub fn decode_step_profile(
         regs_per_thread: 96, // the context accumulator lives in registers
         smem_per_tb: 2 * head_dim * 2,
     };
-    let mut tbs = Vec::with_capacity(row_nnzs.len() * heads.max(1));
+    let mut tbs = Runs::new();
     for &nnz in row_nnzs {
         let n = nnz as u64;
         let work = TbWork {
@@ -53,14 +55,12 @@ pub fn decode_step_profile(
             // the row's columns.
             stall_cycles: tuning::PIPELINED_STALL_CYCLES + n * tuning::FUSED_CHAIN_STALL_PER_NNZ,
         };
-        for _ in 0..heads.max(1) {
-            tbs.push(work);
-        }
+        tbs.push(work, heads.max(1));
     }
     // Every K/V row is touched exactly once per step: streaming reads
     // with no intra-step reuse beyond the staged Q row.
     let total_nnz: u64 = row_nnzs.iter().map(|&n| n as u64).sum();
-    filter_and_replicate(
+    let kernel = filter_and_replicate(
         spec,
         name,
         launch,
@@ -71,12 +71,22 @@ pub fn decode_step_profile(
                 * heads.max(1) as u64,
             reuse_footprint: dh * 2,
         },
-    )
+    );
+    KernelProfile {
+        tbs: kernel.tbs.to_blocks(),
+        name: kernel.name,
+        launch: kernel.launch,
+        cache: kernel.cache,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn total_flops(p: &KernelProfile) -> u64 {
+        p.tbs.iter().map(|t| t.cuda_flops).sum()
+    }
 
     #[test]
     fn work_scales_with_row_nnz_not_context() {
@@ -85,8 +95,8 @@ mod tests {
         let dense = decode_step_profile(&spec, 64, 8, &[1024], "step");
         assert_eq!(sparse.tb_count(), 8, "one thread block per head");
         assert_eq!(
-            dense.total().cuda_flops,
-            sparse.total().cuda_flops * 32,
+            total_flops(&dense),
+            total_flops(&sparse) * 32,
             "flops proportional to the new row's nnz"
         );
     }
@@ -97,7 +107,7 @@ mod tests {
         let one = decode_step_profile(&spec, 64, 4, &[16], "step");
         let four = decode_step_profile(&spec, 64, 4, &[16, 16, 16, 16], "step");
         assert_eq!(four.tb_count(), 4 * one.tb_count());
-        assert_eq!(four.total().cuda_flops, 4 * one.total().cuda_flops);
+        assert_eq!(total_flops(&four), 4 * total_flops(&one));
     }
 
     #[test]
@@ -117,7 +127,7 @@ mod tests {
         let prefill = fused_attention_profile(&spec, &dims, &pattern, "prefill");
         let step = decode_step_profile(&spec, 64, 8, &[33], "step");
         assert!(
-            step.total().cuda_flops * 20 < prefill.total().cuda_flops,
+            total_flops(&step) * 20 < prefill.total().cuda_flops,
             "one row's work is a small fraction of the whole pattern's"
         );
     }

@@ -4,7 +4,7 @@
 
 use crate::cache::{filter_and_replicate, CacheHints};
 use crate::tuning;
-use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
+use mg_gpusim::{DeviceSpec, KernelRuns, LaunchConfig, Runs, TbWork};
 use mg_tensor::{gemm, gemm_nt, Half, Matrix};
 
 /// Output tile edge of the dense GEMM kernel.
@@ -29,7 +29,7 @@ pub fn dense_gemm_profile(
     k: usize,
     instances: usize,
     name: &str,
-) -> KernelProfile {
+) -> KernelRuns {
     let tiles_m = m.div_ceil(DENSE_TILE).max(1);
     let tiles_n = n.div_ceil(DENSE_TILE).max(1);
     let tile_m = (m.div_ceil(tiles_m)) as u64;
@@ -50,7 +50,8 @@ pub fn dense_gemm_profile(
         dram_write: tile_m * tile_n * if split_k > 1 { 4 } else { 2 },
         stall_cycles: tuning::PIPELINED_STALL_CYCLES,
     };
-    let mut tbs = vec![work; base_tbs * split_k];
+    let mut tbs = Runs::new();
+    tbs.push(work, base_tbs * split_k);
     if split_k > 1 {
         // Reduction pass: one block per output tile sums the partials.
         let reduce = TbWork {
@@ -62,7 +63,7 @@ pub fn dense_gemm_profile(
             dram_write: tile_m * tile_n * 2,
             stall_cycles: 0,
         };
-        tbs.extend(std::iter::repeat_n(reduce, base_tbs));
+        tbs.push(reduce, base_tbs);
     }
     let unique = ((m * k + k * n) * 2 * instances) as u64;
     filter_and_replicate(
@@ -96,7 +97,7 @@ pub fn dense_sddmm_profile(
     head_dim: usize,
     instances: usize,
     name: &str,
-) -> KernelProfile {
+) -> KernelRuns {
     dense_gemm_profile(spec, global_rows, seq_len, head_dim, instances, name)
 }
 
@@ -115,7 +116,7 @@ pub fn dense_spmm_profile(
     head_dim: usize,
     instances: usize,
     name: &str,
-) -> KernelProfile {
+) -> KernelRuns {
     dense_gemm_profile(spec, global_rows, head_dim, seq_len, instances, name)
 }
 
@@ -128,7 +129,7 @@ mod tests {
         let spec = DeviceSpec::a100();
         let p = dense_gemm_profile(&spec, 128, 256, 64, 2, "gemm");
         // 16 base tiles; split-k may multiply but never drop tiles.
-        assert!(p.tb_count() >= 2 * 4 * 2);
+        assert!(p.tbs.len() >= 2 * 4 * 2);
         // Total MACs >= m*n*k per instance (k-slice rounding only adds).
         assert!(p.total().tensor_macs >= 128 * 256 * 64 * 2);
     }
@@ -139,9 +140,9 @@ mod tests {
         let p = dense_gemm_profile(&spec, 32, 64, 4096, 1, "gemm");
         // One base tile splits into k/DENSE_TILE = 64 slices + reduction.
         assert!(
-            p.tb_count() >= 64,
+            p.tbs.len() >= 64,
             "split-k must create parallelism: {} blocks",
-            p.tb_count()
+            p.tbs.len()
         );
         let _ = spec;
     }
@@ -170,11 +171,11 @@ mod tests {
         let sddmm = dense_sddmm_profile(&spec, g, seq, hd, inst, "s");
         let sddmm_ref = dense_gemm_profile(&spec, g, seq, hd, inst, "s");
         assert_eq!(sddmm.total(), sddmm_ref.total());
-        assert_eq!(sddmm.tb_count(), sddmm_ref.tb_count());
+        assert_eq!(sddmm.tbs.len(), sddmm_ref.tbs.len());
         let spmm = dense_spmm_profile(&spec, g, seq, hd, inst, "p");
         let spmm_ref = dense_gemm_profile(&spec, g, hd, seq, inst, "p");
         assert_eq!(spmm.total(), spmm_ref.total());
-        assert_eq!(spmm.tb_count(), spmm_ref.tb_count());
+        assert_eq!(spmm.tbs.len(), spmm_ref.tbs.len());
         // And the two mappings are genuinely transposed, not aliases.
         assert_ne!(sddmm.total().l2_read, spmm.total().l2_read);
     }

@@ -6,7 +6,7 @@
 
 use crate::cache::{filter_and_replicate, CacheHints};
 use crate::{tuning, AttnDims};
-use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
+use mg_gpusim::{DeviceSpec, KernelRuns, LaunchConfig, Runs, TbWork};
 use mg_sparse::BlockedEll;
 use mg_tensor::{accumulate_row_window, pack::Panel, Half, Matrix};
 
@@ -26,7 +26,7 @@ pub fn ell_spmm_profile(
     dims: &AttnDims,
     structure: &BlockedEll<Half>,
     name: &str,
-) -> KernelProfile {
+) -> KernelRuns {
     let b = structure.block_size();
     let dh = dims.head_dim as u64;
     let slots = structure.blocks_per_row() as u64;
@@ -46,7 +46,7 @@ pub fn ell_spmm_profile(
         spec,
         name,
         ell_launch(b, dims.head_dim),
-        vec![work],
+        Runs::from_blocks(&[work]),
         block_rows * dims.instances(),
         CacheHints {
             unique_bytes: unique,
@@ -139,7 +139,7 @@ mod tests {
         // 4 block rows x 4 slots each = 16 slot-blocks of MACs, although
         // only 7 real blocks exist: the padding is paid for.
         assert_eq!(p.total().tensor_macs, 16 * 8 * 8 * 8);
-        assert_eq!(p.tb_count(), 4);
+        assert_eq!(p.tbs.len(), 4);
     }
 
     #[test]

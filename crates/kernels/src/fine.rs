@@ -15,7 +15,7 @@
 
 use crate::cache::{filter_and_replicate, CacheHints};
 use crate::{tuning, AttnDims};
-use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
+use mg_gpusim::{DeviceSpec, KernelRuns, LaunchConfig, Runs, TbWork};
 use mg_sparse::Csr;
 use mg_tensor::{
     accumulate_row_window, dot_f32, dot_rows_block, pack, pack::Panel, par, Half, Matrix, NR,
@@ -98,27 +98,29 @@ pub fn fine_sddmm_profile(
     structure: &Csr<Half>,
     scheme: FineSddmmScheme,
     name: &str,
-) -> KernelProfile {
+) -> KernelRuns {
     let dh = dims.head_dim as u64;
-    let per_instance: Vec<TbWork> = match scheme {
-        FineSddmmScheme::RowSplit => par::map_indexed(structure.rows(), |r| {
-            let n = structure.row_nnz(r) as u64;
-            TbWork {
-                tensor_macs: 0,
-                cuda_flops: n * dh * 2 + n * 4,
-                sfu_ops: 0,
-                // Q row once (registers), K row + column index per nnz.
-                l2_read: dh * 2 + n * (dh * 2 + 4) + 8,
-                dram_read: 0,
-                dram_write: n * 2,
-                stall_cycles: tuning::FINE_STALL_CYCLES,
-            }
-        }),
-        FineSddmmScheme::OneDimTiling => par::map_indexed(structure.rows(), |r| {
-            let n = structure.row_nnz(r);
-            let tiles = n.div_ceil(ONE_DIM_TILE).max(1);
-            (0..tiles)
-                .map(move |t| {
+    let per_instance: Runs = match scheme {
+        FineSddmmScheme::RowSplit => (0..structure.rows())
+            .map(|r| {
+                let n = structure.row_nnz(r) as u64;
+                TbWork {
+                    tensor_macs: 0,
+                    cuda_flops: n * dh * 2 + n * 4,
+                    sfu_ops: 0,
+                    // Q row once (registers), K row + column index per nnz.
+                    l2_read: dh * 2 + n * (dh * 2 + 4) + 8,
+                    dram_read: 0,
+                    dram_write: n * 2,
+                    stall_cycles: tuning::FINE_STALL_CYCLES,
+                }
+            })
+            .collect(),
+        FineSddmmScheme::OneDimTiling => (0..structure.rows())
+            .flat_map(|r| {
+                let n = structure.row_nnz(r);
+                let tiles = n.div_ceil(ONE_DIM_TILE).max(1);
+                (0..tiles).map(move |t| {
                     let real = (n - t * ONE_DIM_TILE).min(ONE_DIM_TILE) as u64;
                     TbWork {
                         tensor_macs: 0,
@@ -132,11 +134,8 @@ pub fn fine_sddmm_profile(
                         stall_cycles: tuning::FINE_STALL_CYCLES,
                     }
                 })
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect(),
+            })
+            .collect(),
     };
     let launch = match scheme {
         FineSddmmScheme::RowSplit => row_split_launch(),
@@ -263,21 +262,23 @@ pub fn fine_spmm_profile(
     dims: &AttnDims,
     structure: &Csr<Half>,
     name: &str,
-) -> KernelProfile {
+) -> KernelRuns {
     let dh = dims.head_dim as u64;
-    let per_instance: Vec<TbWork> = par::map_indexed(structure.rows(), |r| {
-        let n = structure.row_nnz(r) as u64;
-        TbWork {
-            tensor_macs: 0,
-            cuda_flops: n * dh * 2,
-            sfu_ops: 0,
-            // P value + column index + V row per non-zero.
-            l2_read: n * (2 + 4 + dh * 2) + 8,
-            dram_read: 0,
-            dram_write: dh * 2,
-            stall_cycles: tuning::FINE_STALL_CYCLES,
-        }
-    });
+    let per_instance: Runs = (0..structure.rows())
+        .map(|r| {
+            let n = structure.row_nnz(r) as u64;
+            TbWork {
+                tensor_macs: 0,
+                cuda_flops: n * dh * 2,
+                sfu_ops: 0,
+                // P value + column index + V row per non-zero.
+                l2_read: n * (2 + 4 + dh * 2) + 8,
+                dram_read: 0,
+                dram_write: dh * 2,
+                stall_cycles: tuning::FINE_STALL_CYCLES,
+            }
+        })
+        .collect();
     let unique = (dims.operand_bytes() + structure.value_bytes() + structure.metadata_bytes())
         * dims.instances() as u64;
     filter_and_replicate(
@@ -473,7 +474,7 @@ mod tests {
             FineSddmmScheme::RowSplit,
             "sddmm",
         );
-        assert_eq!(p.tb_count(), 16);
+        assert_eq!(p.tbs.len(), 16);
     }
 
     #[test]
@@ -646,9 +647,13 @@ mod tests {
             FineSddmmScheme::RowSplit,
             "sddmm",
         );
-        let max = p.tbs.iter().map(|t| t.cuda_flops).max().expect("non-empty");
-        let sum: u64 = p.tbs.iter().map(|t| t.cuda_flops).sum();
-        let mean = sum / p.tb_count() as u64;
+        let max = p
+            .tbs
+            .iter()
+            .map(|(t, _)| t.cuda_flops)
+            .max()
+            .expect("non-empty");
+        let mean = p.total().cuda_flops / p.tbs.len() as u64;
         assert!(max > 20 * mean, "skew: max {max} mean {mean}");
     }
 }

@@ -26,7 +26,7 @@
 use crate::cache::{filter_and_replicate, CacheHints};
 use crate::fine::{fine_reuse_footprint, is_run, score_chunk};
 use crate::{tuning, AttnDims};
-use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
+use mg_gpusim::{DeviceSpec, KernelRuns, LaunchConfig, Runs, TbWork};
 use mg_patterns::CompoundPattern;
 use mg_tensor::{accumulate_row_window, pack::Panel, par, scratch, Half, Matrix, NR};
 
@@ -282,7 +282,7 @@ pub fn fused_attention_profile(
     dims: &AttnDims,
     pattern: &CompoundPattern,
     name: &str,
-) -> KernelProfile {
+) -> KernelRuns {
     // Row-group per thread block (like the coarse kernels' block rows).
     let group = 64usize.min(dims.seq_len).max(1);
     let dh = dims.head_dim as u64;
@@ -292,7 +292,7 @@ pub fn fused_attention_profile(
         smem_per_tb: 2 * group * dims.head_dim * 2,
     };
     let groups = dims.seq_len.div_ceil(group);
-    let per_instance: Vec<TbWork> = (0..groups)
+    let per_instance: Runs = (0..groups)
         .map(|g| {
             let rows = g * group..((g + 1) * group).min(dims.seq_len);
             let mut nnz = 0u64;
@@ -514,7 +514,7 @@ mod tests {
         let dh = 16u64;
         let nnz = p.nnz() as u64;
         let per_element = 64 * dh * 2 + nnz * 2 * dh * 2 + nnz * 4;
-        let total_l2: u64 = prof.tbs.iter().map(|t| t.l2_read).sum();
+        let total_l2 = prof.total().l2_read;
         // One 64-row group touches only 64 distinct K/V rows but ~556
         // non-zeros: staging each distinct row once cuts the charged L2
         // traffic several-fold even after the cache model's adjustments.

@@ -7,7 +7,8 @@
 //!   (FP16 storage, FP32 accumulation — tensor-core semantics), tested
 //!   against dense references; and
 //! * a `*_profile` function that describes the same kernel's work per
-//!   thread block ([`mg_gpusim::KernelProfile`]) for the timing engine.
+//!   thread block for the timing engine, as runs of equal consecutive
+//!   blocks ([`mg_gpusim::KernelRuns`]).
 //!
 //! Correctness and performance share one work decomposition, so the
 //! modelled kernel cannot drift from the computed one.

@@ -4,7 +4,7 @@
 //! directly by the dense kernel).
 
 use crate::cache::{filter_and_replicate, CacheHints};
-use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
+use mg_gpusim::{DeviceSpec, KernelRuns, LaunchConfig, Runs, TbWork};
 use mg_tensor::{Half, Matrix};
 
 /// Elements processed per thread block of the merge kernel.
@@ -18,7 +18,7 @@ pub fn merge_add_profile(
     n_inputs: usize,
     instances: usize,
     name: &str,
-) -> KernelProfile {
+) -> KernelRuns {
     let total = elements * instances;
     let tbs = total.div_ceil(MERGE_TILE).max(1);
     let per_tb = (total.div_ceil(tbs)) as u64;
@@ -41,7 +41,7 @@ pub fn merge_add_profile(
         spec,
         name,
         launch,
-        vec![work],
+        Runs::from_blocks(&[work]),
         tbs,
         CacheHints {
             unique_bytes: raw,
@@ -101,6 +101,6 @@ mod tests {
     fn tiny_merge_still_launches_one_block() {
         let spec = DeviceSpec::a100();
         let p = merge_add_profile(&spec, 16, 2, 1, "merge");
-        assert_eq!(p.tb_count(), 1);
+        assert_eq!(p.tbs.len(), 1);
     }
 }

@@ -16,7 +16,7 @@
 
 use crate::cache::{filter_and_replicate, CacheHints};
 use crate::AttnDims;
-use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
+use mg_gpusim::{DeviceSpec, KernelRuns, LaunchConfig, Runs, TbWork};
 use mg_patterns::BlockedPattern;
 use mg_sparse::{Bsr, Csr};
 use mg_tensor::pack::{decode_slice, encode_slice};
@@ -49,37 +49,37 @@ pub fn compound_softmax_profile(
     coarse: Option<&BlockedPattern>,
     fine: Option<&Csr<Half>>,
     name: &str,
-) -> KernelProfile {
+) -> KernelRuns {
     let block = coarse.map_or(64, |c| c.structure.block_size());
     let block_rows = dims.seq_len.div_ceil(block);
-    let per_instance: Vec<TbWork> = par::map_indexed(block_rows, |br| {
-        let coarse_elems: u64 = coarse.map_or(0, |c| {
-            if br < c.structure.block_rows() {
-                (c.structure.block_row_nnz(br) * block * block) as u64
-            } else {
-                0
+    let per_instance: Runs = (0..block_rows)
+        .map(|br| {
+            let coarse_elems: u64 = coarse.map_or(0, |c| {
+                if br < c.structure.block_rows() {
+                    (c.structure.block_row_nnz(br) * block * block) as u64
+                } else {
+                    0
+                }
+            });
+            let fine_elems: u64 = fine.map_or(0, |f| {
+                (br * block..((br + 1) * block).min(f.rows()))
+                    .map(|r| f.row_nnz(r) as u64)
+                    .sum()
+            });
+            let elems = coarse_elems + fine_elems;
+            TbWork {
+                tensor_macs: 0,
+                cuda_flops: elems * COMPOUND_FLOPS,
+                sfu_ops: elems,
+                // Values + coarse-aligned mask (2B) + per-block metadata.
+                l2_read: elems * COMPOUND_READ_B + coarse_elems * 2 + 64,
+                dram_read: 0,
+                dram_write: elems * 2,
+                stall_cycles: 0,
             }
-        });
-        let fine_elems: u64 = fine.map_or(0, |f| {
-            (br * block..((br + 1) * block).min(f.rows()))
-                .map(|r| f.row_nnz(r) as u64)
-                .sum()
-        });
-        let elems = coarse_elems + fine_elems;
-        TbWork {
-            tensor_macs: 0,
-            cuda_flops: elems * COMPOUND_FLOPS,
-            sfu_ops: elems,
-            // Values + coarse-aligned mask (2B) + per-block metadata.
-            l2_read: elems * COMPOUND_READ_B + coarse_elems * 2 + 64,
-            dram_read: 0,
-            dram_write: elems * 2,
-            stall_cycles: 0,
-        }
-    })
-    .into_iter()
-    .filter(|w| w.cuda_flops > 0)
-    .collect();
+        })
+        .filter(|w| w.cuda_flops > 0)
+        .collect();
     finish_softmax_profile(spec, dims, per_instance, name)
 }
 
@@ -91,19 +91,21 @@ pub fn element_softmax_profile(
     dims: &AttnDims,
     structure: &Csr<Half>,
     name: &str,
-) -> KernelProfile {
-    let per_instance: Vec<TbWork> = par::map_indexed(structure.rows(), |r| {
-        let n = structure.row_nnz(r) as u64;
-        TbWork {
-            tensor_macs: 0,
-            cuda_flops: n * ELEMENT_FLOPS,
-            sfu_ops: n,
-            l2_read: n * ELEMENT_READ_B + 8,
-            dram_read: 0,
-            dram_write: n * ELEMENT_WRITE_B,
-            stall_cycles: 0,
-        }
-    });
+) -> KernelRuns {
+    let per_instance: Runs = (0..structure.rows())
+        .map(|r| {
+            let n = structure.row_nnz(r) as u64;
+            TbWork {
+                tensor_macs: 0,
+                cuda_flops: n * ELEMENT_FLOPS,
+                sfu_ops: n,
+                l2_read: n * ELEMENT_READ_B + 8,
+                dram_read: 0,
+                dram_write: n * ELEMENT_WRITE_B,
+                stall_cycles: 0,
+            }
+        })
+        .collect();
     finish_softmax_profile(spec, dims, per_instance, name)
 }
 
@@ -115,24 +117,24 @@ pub fn blocked_softmax_profile(
     dims: &AttnDims,
     blocked: &BlockedPattern,
     name: &str,
-) -> KernelProfile {
+) -> KernelRuns {
     let block = blocked.structure.block_size();
-    let per_instance: Vec<TbWork> = par::map_indexed(blocked.structure.block_rows(), |br| {
-        let stored = (blocked.structure.block_row_nnz(br) * block * block) as u64;
-        TbWork {
-            tensor_macs: 0,
-            cuda_flops: stored * COMPOUND_FLOPS,
-            sfu_ops: stored, // exp(-inf) still occupies the SFU
-            // Values over the passes + mask per stored element.
-            l2_read: stored * (COMPOUND_READ_B + 2) + 64,
-            dram_read: 0,
-            dram_write: stored * 2,
-            stall_cycles: 0,
-        }
-    })
-    .into_iter()
-    .filter(|w| w.cuda_flops > 0)
-    .collect();
+    let per_instance: Runs = (0..blocked.structure.block_rows())
+        .map(|br| {
+            let stored = (blocked.structure.block_row_nnz(br) * block * block) as u64;
+            TbWork {
+                tensor_macs: 0,
+                cuda_flops: stored * COMPOUND_FLOPS,
+                sfu_ops: stored, // exp(-inf) still occupies the SFU
+                // Values over the passes + mask per stored element.
+                l2_read: stored * (COMPOUND_READ_B + 2) + 64,
+                dram_read: 0,
+                dram_write: stored * 2,
+                stall_cycles: 0,
+            }
+        })
+        .filter(|w| w.cuda_flops > 0)
+        .collect();
     finish_softmax_profile(spec, dims, per_instance, name)
 }
 
@@ -143,10 +145,11 @@ pub fn dense_softmax_profile(
     dims: &AttnDims,
     rows: usize,
     name: &str,
-) -> KernelProfile {
+) -> KernelRuns {
     let n = dims.seq_len as u64;
-    let per_instance: Vec<TbWork> = (0..rows)
-        .map(|_| TbWork {
+    let mut per_instance = Runs::new();
+    per_instance.push(
+        TbWork {
             tensor_macs: 0,
             cuda_flops: n * COMPOUND_FLOPS,
             sfu_ops: n,
@@ -154,19 +157,20 @@ pub fn dense_softmax_profile(
             dram_read: 0,
             dram_write: n * 2,
             stall_cycles: 0,
-        })
-        .collect();
+        },
+        rows,
+    );
     finish_softmax_profile(spec, dims, per_instance, name)
 }
 
 fn finish_softmax_profile(
     spec: &DeviceSpec,
     dims: &AttnDims,
-    per_instance: Vec<TbWork>,
+    per_instance: Runs,
     name: &str,
-) -> KernelProfile {
+) -> KernelRuns {
     // Softmax streams its input once; raw touches are nearly unique.
-    let raw = per_instance.iter().map(|t| t.l2_read).sum::<u64>() * dims.instances() as u64;
+    let raw = per_instance.total().l2_read * dims.instances() as u64;
     filter_and_replicate(
         spec,
         name,

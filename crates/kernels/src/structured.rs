@@ -11,7 +11,7 @@
 
 use crate::cache::{filter_and_replicate, CacheHints};
 use crate::{tuning, AttnDims};
-use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
+use mg_gpusim::{DeviceSpec, KernelRuns, LaunchConfig, Runs, TbWork};
 use mg_tensor::{Half, Matrix};
 
 /// Prunes a matrix to 2:4 structured sparsity along each row: within
@@ -49,7 +49,7 @@ pub fn gemm_2_4_profile(
     k: usize,
     instances: usize,
     name: &str,
-) -> KernelProfile {
+) -> KernelRuns {
     const TILE: usize = 64;
     let tiles = m.div_ceil(TILE).max(1) * n.div_ceil(TILE).max(1);
     let (tm, tn, ku) = (TILE as u64, TILE as u64, k as u64);
@@ -75,7 +75,7 @@ pub fn gemm_2_4_profile(
         spec,
         name,
         launch,
-        vec![work],
+        Runs::from_blocks(&[work]),
         tiles * instances,
         CacheHints {
             unique_bytes: unique,
@@ -87,7 +87,7 @@ pub fn gemm_2_4_profile(
 /// Profiles a full *dense* attention pipeline accelerated with 2:4
 /// sparsity on `P` (the §6.2 alternative): dense SDDMM, dense softmax,
 /// 2:4-pruned SpMM. Returns the kernels in order.
-pub fn attention_2_4_profiles(spec: &DeviceSpec, dims: &AttnDims) -> Vec<KernelProfile> {
+pub fn attention_2_4_profiles(spec: &DeviceSpec, dims: &AttnDims) -> Vec<KernelRuns> {
     let l = dims.seq_len;
     let inst = dims.instances();
     vec![
@@ -153,6 +153,6 @@ mod tests {
         };
         let ks = attention_2_4_profiles(&spec, &dims);
         assert_eq!(ks.len(), 3);
-        assert!(ks.iter().all(|k| k.tb_count() > 0));
+        assert!(ks.iter().all(|k| !k.tbs.is_empty()));
     }
 }

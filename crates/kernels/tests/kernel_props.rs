@@ -4,7 +4,7 @@
 //! against per-block oracles.
 
 use mg_gpusim::digest::Fnv1a;
-use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
+use mg_gpusim::{DeviceSpec, KernelProfile, KernelRuns, LaunchConfig, Runs, TbWork};
 use mg_kernels::cache::{
     apply_writeback_filter, filter_and_replicate, merge_and_refilter, CacheHints,
 };
@@ -150,13 +150,14 @@ proptest! {
         prop_assert!(od.total().cuda_flops >= rs.total().cuda_flops - 4 * csr.nnz() as u64);
         // And both write the same payload.
         let rs_payload: u64 = csr.nnz() as u64 * 2;
-        prop_assert!(od.tbs.iter().map(|t| t.dram_write).sum::<u64>() <= rs_payload);
+        prop_assert!(od.total().dram_write <= rs_payload);
     }
 }
 
 /// The cache filters as they were before the run-wise rewrite: every
 /// block does its own arithmetic, and merged grids are concatenated
-/// block by block. The oracle the run-wise filters must match bit for bit.
+/// block by block. The oracle the run-wise filters must match bit for bit,
+/// compared on expanded blocks.
 mod per_block {
     use mg_gpusim::{CacheStats, DeviceSpec, KernelProfile};
     use mg_kernels::cache::{l1_hit_rate, l2_miss_rate, CacheHints};
@@ -244,11 +245,16 @@ mod per_block {
         }
     }
 
-    /// `extend_with` over `parts`, then `reapply_cache_model`.
+    /// The parts' blocks concatenated (stats merge only when every part
+    /// has them), then `reapply_cache_model`.
     pub fn merge_and_refilter(spec: &DeviceSpec, parts: &[KernelProfile]) -> KernelProfile {
         let mut merged = parts[0].clone();
         for part in &parts[1..] {
-            merged.extend_with(part);
+            merged.tbs.extend_from_slice(&part.tbs);
+            merged.cache = match (merged.cache, part.cache) {
+                (Some(a), Some(b)) => Some(a.merged(b)),
+                _ => None,
+            };
         }
         reapply_cache_model(spec, &mut merged);
         merged
@@ -317,6 +323,16 @@ fn raw_profile(tbs: Vec<TbWork>) -> KernelProfile {
     }
 }
 
+/// A kernel's runs expanded block by block, the form the oracles use.
+fn expanded(kernel: KernelRuns) -> KernelProfile {
+    KernelProfile {
+        tbs: kernel.tbs.to_blocks(),
+        name: kernel.name,
+        launch: kernel.launch,
+        cache: kernel.cache,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -332,9 +348,15 @@ proptest! {
         let mut oracle = raw_profile(grid.repeat(instances));
         per_block::apply_cache_model(&spec, &mut oracle, hints);
         per_block::apply_writeback_filter(&spec, &mut oracle);
-        let finished =
-            filter_and_replicate(&spec, "k", LaunchConfig::default(), grid, instances, hints);
-        prop_assert_eq!(finished, oracle);
+        let finished = filter_and_replicate(
+            &spec,
+            "k",
+            LaunchConfig::default(),
+            Runs::from_blocks(&grid),
+            instances,
+            hints,
+        );
+        prop_assert_eq!(expanded(finished), oracle);
     }
 
     /// The write-back filter, on a raw profile or one that already
@@ -346,14 +368,14 @@ proptest! {
         hints in arb_hints(),
         with_stats in any::<bool>(),
     ) {
-        let mut run_wise = raw_profile(grid);
+        let mut oracle = raw_profile(grid);
         if with_stats {
-            per_block::apply_cache_model(&spec, &mut run_wise, hints);
+            per_block::apply_cache_model(&spec, &mut oracle, hints);
         }
-        let mut oracle = run_wise.clone();
+        let mut run_wise = KernelRuns::from(oracle.clone());
         apply_writeback_filter(&spec, &mut run_wise);
         per_block::apply_writeback_filter(&spec, &mut oracle);
-        prop_assert_eq!(run_wise, oracle);
+        prop_assert_eq!(expanded(run_wise), oracle);
     }
 
     /// Merging 1–4 filtered (or raw) parts and re-filtering run-wise
@@ -366,19 +388,21 @@ proptest! {
             1..5,
         ),
     ) {
-        let parts: Vec<KernelProfile> = parts
+        let parts: Vec<KernelRuns> = parts
             .into_iter()
             .map(|(grid, instances, hints, raw_odds)| {
                 // One part in five stays raw (no stats).
                 if raw_odds > 0 {
+                    let grid = Runs::from_blocks(&grid);
                     filter_and_replicate(&spec, "k", LaunchConfig::default(), grid, instances, hints)
                 } else {
-                    raw_profile(grid)
+                    raw_profile(grid).into()
                 }
             })
             .collect();
-        let oracle = per_block::merge_and_refilter(&spec, &parts);
-        prop_assert_eq!(merge_and_refilter(&spec, parts), oracle);
+        let blocks: Vec<KernelProfile> = parts.iter().cloned().map(expanded).collect();
+        let oracle = per_block::merge_and_refilter(&spec, &blocks);
+        prop_assert_eq!(expanded(merge_and_refilter(&spec, parts)), oracle);
     }
 }
 
@@ -408,6 +432,7 @@ proptest! {
             let mut groups: Vec<(multigrain::StreamRole, Vec<KernelProfile>)> = Vec::new();
             for attn in &refs {
                 for (role, profile) in attn.phase_profiles(&spec, op) {
+                    let profile = expanded(profile);
                     match groups
                         .iter_mut()
                         .find(|(r, parts)| *r == role && parts[0].name == profile.name)
@@ -421,7 +446,11 @@ proptest! {
                 .iter()
                 .map(|(role, parts)| (*role, per_block::merge_and_refilter(&spec, parts)))
                 .collect();
-            prop_assert_eq!(Attention::batch_phase_profiles(&refs, &spec, op), oracle);
+            let merged: Vec<_> = Attention::batch_phase_profiles(&refs, &spec, op)
+                .into_iter()
+                .map(|(role, kernel)| (role, expanded(kernel)))
+                .collect();
+            prop_assert_eq!(merged, oracle);
         }
     }
 }
@@ -506,7 +535,7 @@ fn builder_sweep_digest() -> u64 {
                     heads,
                 };
                 let inst = dims.instances();
-                let mut out: Vec<KernelProfile> = Vec::new();
+                let mut out: Vec<KernelRuns> = Vec::new();
                 for block in [16, 32] {
                     let sliced = SlicedPattern::from_compound(pattern, block).expect("aligned");
                     if let Some(c) = sliced.coarse() {
@@ -560,9 +589,7 @@ fn builder_sweep_digest() -> u64 {
                     .step_by(37)
                     .map(|r| pattern.row_columns(r).len())
                     .collect();
-                out.push(decode_step_profile(
-                    &spec, head_dim, heads, &row_nnzs, "decode",
-                ));
+                out.push(decode_step_profile(&spec, head_dim, heads, &row_nnzs, "decode").into());
                 out.extend(sliding_chunk_plan(&spec, &dims, 32).kernels);
                 out.extend(attention_2_4_profiles(&spec, &dims));
                 for (m, n, k) in [(2, 256, head_dim), (256, head_dim, 256), (8, 4096, 512)] {
@@ -571,8 +598,8 @@ fn builder_sweep_digest() -> u64 {
                 }
                 out.push(dense_sddmm_profile(&spec, 2, 256, head_dim, inst, "dsd"));
                 out.push(dense_spmm_profile(&spec, 2, 256, head_dim, inst, "dsp"));
-                for p in &out {
-                    fold_profile(&mut h, p);
+                for p in out {
+                    fold_profile(&mut h, &expanded(p));
                 }
             }
         }

@@ -2,8 +2,8 @@
 //!
 //! mg-kernels' contract is twin-aspect: every kernel ships a
 //! `*_compute` function (the numbers) and a `*_profile` sibling (the
-//! `KernelProfile` the mg-gpusim timing engine prices). PR 3, 5, and
-//! 7 each maintained that pairing by hand; C1 makes it a gate. For
+//! `KernelRuns` the mg-gpusim timing engine prices). The pairing was
+//! once maintained by hand; C1 makes it a gate. For
 //! every public, non-test `fn` in the `mg-kernels` crate whose name
 //! ends in exactly `_compute` or `_profile`, the sibling with the same
 //! stem must exist somewhere in the crate — a kernel cannot ship
