@@ -59,7 +59,7 @@ pub const REGISTRY: &[Entry] = &[
 ];
 
 /// Reproduces Table 1: the GPU specifications used in the evaluation.
-pub fn table1() -> String {
+fn table1() -> String {
     let mut out = String::new();
     out.push_str(&runners::table1().render());
     out.push_str("\nPaper Table 1: A100 1555 GB/s, 42.3/169 TFLOPS, 192 KB L1, 40 MB L2;\n");
@@ -70,7 +70,7 @@ pub fn table1() -> String {
 /// Reproduces the paper's §1 motivation numbers: the memory wall of dense
 /// attention at long sequence lengths, and what compound sparsity does to
 /// it.
-pub fn memory_motivation() -> String {
+fn memory_motivation() -> String {
     let mut out = String::new();
     let mut t = Table::new(
         "§1 motivation — attention-map memory (S + P, FP16, full forward pass)",
@@ -111,7 +111,7 @@ pub fn memory_motivation() -> String {
 /// Reproduces Fig. 7: end-to-end execution time and memory traffic of
 /// Longformer and QDS-Transformer under Triton, Sputnik, and Multigrain
 /// on A100 and RTX3090 (batch 1).
-pub fn fig7() -> String {
+fn fig7() -> String {
     let mut out = String::new();
     let results = figure7();
     let mut t = Table::new(
@@ -162,7 +162,7 @@ pub fn fig7() -> String {
 /// Fig. 7 companion: the per-phase breakdown behind the end-to-end bars —
 /// where each method spends its attention time (SDDMM / softmax / SpMM /
 /// merge) and how much is the dense, method-independent rest of the layer.
-pub fn fig7_breakdown() -> String {
+fn fig7_breakdown() -> String {
     let mut out = String::new();
     let spec = DeviceSpec::a100();
     for cfg in [ModelConfig::longformer_large(), ModelConfig::qds_base()] {
@@ -216,7 +216,7 @@ pub fn fig7_breakdown() -> String {
 /// Reproduces Fig. 8: end-to-end speedup as the batch size grows
 /// (paper: up to 2.34x/1.82x vs Triton and 2.13x/1.17x vs Sputnik for
 /// Longformer/QDS on A100).
-pub fn fig8() -> String {
+fn fig8() -> String {
     let mut out = String::new();
     let results = figure8();
     let mut t = Table::new(
@@ -256,7 +256,7 @@ pub fn fig8() -> String {
 /// Reproduces Fig. 9: Multigrain speedup on the compound sparse GEMMs
 /// (SDDMM and SpMM) over six compound patterns, A100, batch 1, 4 heads,
 /// head dim 64, ~95% row sparsity.
-pub fn fig9() -> String {
+fn fig9() -> String {
     let mut out = String::new();
     let (sddmm, spmm) = figure9();
     for (name, rows, b_sput, b_triton) in [
@@ -310,7 +310,7 @@ pub fn fig9() -> String {
 
 /// Reproduces Fig. 10: compound sparse softmax speedups over the six
 /// compound patterns on A100.
-pub fn fig10() -> String {
+fn fig10() -> String {
     let mut out = String::new();
     let rows = figure10();
     let mut t = Table::new(
@@ -352,7 +352,7 @@ pub fn fig10() -> String {
 
 /// Reproduces Fig. 11: our coarse-grained kernel vs the Triton-style
 /// mapping on local / blocked-local / blocked-random patterns, batch 1.
-pub fn fig11() -> String {
+fn fig11() -> String {
     let mut out = String::new();
     let (sddmm, spmm) = figure11();
     for (name, rows) in [("SDDMM", &sddmm), ("SpMM", &spmm)] {
@@ -382,7 +382,7 @@ pub fn fig11() -> String {
 /// Reproduces Fig. 12: coarse kernel vs Triton as the batch grows
 /// (paper: blocked random recovers to 1.32x by batch 4-8; SpMM up to
 /// 1.43x/2.02x/1.49x).
-pub fn fig12() -> String {
+fn fig12() -> String {
     let mut out = String::new();
     let (sddmm, spmm) = figure12();
     for (name, rows) in [("SDDMM", &sddmm), ("SpMM", &spmm)] {
@@ -412,7 +412,7 @@ pub fn fig12() -> String {
 /// Reproduces the §5.2.1 occupancy study: the achieved/theoretical
 /// occupancy ratio of the Sputnik SDDMM drops when a global pattern is
 /// present (paper: 89% for L+S vs 61.2% for L+S+G).
-pub fn occupancy() -> String {
+fn occupancy() -> String {
     let mut out = String::new();
     let (ls, lsg) = occupancy_study();
     out.push_str("## §5.2.1 — Sputnik SDDMM achieved/theoretical occupancy (A100)\n");
@@ -430,7 +430,7 @@ pub fn occupancy() -> String {
 
 /// Reproduces the §4 ablation: the paper's row-splitting fine SDDMM vs
 /// the official Sputnik 1D-tiling scheme (paper: 3.3x-6.2x faster).
-pub fn ablation_rowsplit() -> String {
+fn ablation_rowsplit() -> String {
     let mut out = String::new();
     let rows = runners::ablation_rowsplit();
     let mut t = Table::new(
@@ -453,7 +453,7 @@ pub fn ablation_rowsplit() -> String {
 /// disabled (all kernels serialized on one stream). Quantifies how much
 /// of the method's win is the dice step (concurrency) versus the slice
 /// step (grain-matched kernels).
-pub fn ablation_multistream() -> String {
+fn ablation_multistream() -> String {
     let mut out = String::new();
     let spec = DeviceSpec::a100();
     let mut t = Table::new(
@@ -503,7 +503,7 @@ pub fn ablation_multistream() -> String {
 /// Triton keeps both BCOO and BSR metadata and stores every padded block
 /// element; Sputnik pays 4-byte metadata per element; Multigrain stores
 /// each sliced part in its natural format exactly once.
-pub fn plan_memory() -> String {
+fn plan_memory() -> String {
     let mut out = String::new();
     let mut t = Table::new(
         "Sparse-plan memory per head instance (L=4096)",
@@ -558,7 +558,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 /// per-sample plans over a synthetic dataset and report the latency
 /// distribution (p50 / p95 / p99) per method — what a serving deployment
 /// of these models would observe.
-pub fn dataset_latency() -> String {
+fn dataset_latency() -> String {
     let mut out = String::new();
     let spec = DeviceSpec::a100();
     let n_samples = 48;
@@ -614,7 +614,7 @@ pub fn dataset_latency() -> String {
 /// dataset-like input distributions (the tasks the paper cites Longformer
 /// results on). Special-token counts and placement change the pattern's
 /// grain mix, which moves each method differently.
-pub fn workload_study() -> String {
+fn workload_study() -> String {
     let mut out = String::new();
     let spec = DeviceSpec::a100();
     let model = SparseTransformer::new(ModelConfig::longformer_large());
@@ -688,7 +688,7 @@ fn time_methods(
 /// independent of every other, so the points run on the parallel layer
 /// and are collected in sweep order — the printed tables are
 /// bit-identical at any thread count.
-pub fn sweeps() -> String {
+fn sweeps() -> String {
     let mut out = String::new();
     let spec = DeviceSpec::a100();
 
@@ -781,7 +781,7 @@ pub fn sweeps() -> String {
 /// the paper names in §2.3 — BigBird-ETC and Poolingformer — run end to
 /// end under all three methods. Multigrain's advantage should carry over
 /// to these "future model" workloads (the stated motivation of §5.2).
-pub fn models_ext() -> String {
+fn models_ext() -> String {
     let mut out = String::new();
     let spec = DeviceSpec::a100();
     let mut t = Table::new(
@@ -835,7 +835,7 @@ pub fn models_ext() -> String {
 /// (paper §6.2 mentions Ampere and Hopper). H100's tensor:CUDA throughput
 /// ratio is even more extreme than A100's, which should *widen*
 /// Multigrain's advantage over the fine-only method.
-pub fn future_devices() -> String {
+fn future_devices() -> String {
     let mut out = String::new();
     let pattern = presets::figure9_patterns(SEQ_LEN, BLOCK, SEED)
         .into_iter()
@@ -893,7 +893,7 @@ pub fn future_devices() -> String {
 /// dense GEMM time, but a compound pattern removes ~95% of the work —
 /// the paper's point that 2:4 "is difficult to be applied to the existing
 /// compound SA-based sparse transformers" as a substitute.
-pub fn ext_24_sparsity() -> String {
+fn ext_24_sparsity() -> String {
     let mut out = String::new();
     let spec = DeviceSpec::a100();
     let dims = AttnDims {
@@ -981,7 +981,7 @@ pub fn ext_24_sparsity() -> String {
 /// Blocked-ELL SpMM vs the BSR SpMM kernels on patterns of increasing
 /// row irregularity. Blocked-ELL pads every block row to the longest,
 /// so skewed patterns pay for slots that carry nothing.
-pub fn ext_ell_spmm() -> String {
+fn ext_ell_spmm() -> String {
     let mut out = String::new();
     let spec = DeviceSpec::a100();
     let seq_len = 2048;
@@ -1091,7 +1091,7 @@ fn mean_row_cosine(a: &Matrix<Half>, b: &Matrix<Half>) -> f64 {
 /// The paper takes for granted (citing the model papers) that compound
 /// patterns preserve accuracy; this study measures how close the sparse
 /// context is to the dense one on synthetic embeddings, per pattern.
-pub fn ext_fidelity() -> String {
+fn ext_fidelity() -> String {
     let mut out = String::new();
     let seq_len = 512;
     let head_dim = 64;
@@ -1136,7 +1136,7 @@ pub fn ext_fidelity() -> String {
 /// Post-paper extension: a fused single-pass attention kernel (online
 /// softmax, no S/P materialization) against the pipelined methods. Shows
 /// how much of the remaining time and traffic is the attention map.
-pub fn ext_fused() -> String {
+fn ext_fused() -> String {
     let mut out = String::new();
     let spec = DeviceSpec::a100();
     let dims = AttnDims {
@@ -1194,7 +1194,7 @@ pub fn ext_fused() -> String {
 /// of very different lengths and special-token counts; planning each
 /// sample's own pattern and merging the kernel grids beats padding every
 /// sample to the batch's worst case.
-pub fn ext_hetero_batch() -> String {
+fn ext_hetero_batch() -> String {
     let mut out = String::new();
     let spec = DeviceSpec::a100();
     let model = SparseTransformer::new(ModelConfig::qds_base());
@@ -1244,7 +1244,7 @@ pub fn ext_hetero_batch() -> String {
 /// the sparse methods against the GEMM-conversion methods — Longformer's
 /// sliding chunk and BigBird's blockify — including their memory-copy
 /// overheads and workspace costs.
-pub fn ext_local_methods() -> String {
+fn ext_local_methods() -> String {
     let mut out = String::new();
     let spec = DeviceSpec::a100();
     let dims = AttnDims {
@@ -1311,7 +1311,7 @@ pub fn ext_local_methods() -> String {
 /// dilated window (a fine-grained pattern), so a single layer mixes heads
 /// with different grain profiles — planned per head and merged into one
 /// batched launch.
-pub fn ext_per_head() -> String {
+fn ext_per_head() -> String {
     let mut out = String::new();
     let spec = DeviceSpec::a100();
     let model = SparseTransformer::new(ModelConfig::longformer_large());
@@ -1362,7 +1362,7 @@ pub fn ext_per_head() -> String {
 /// Summarizes the whole reproduction in one table: for every headline
 /// number the paper reports, the measured value and an IN/NEAR/OFF
 /// verdict. This is the machine-checked version of EXPERIMENTS.md.
-pub fn report_card() -> String {
+fn report_card() -> String {
     let mut out = String::new();
     let mut t = Table::new(
         "Reproduction report card (A100 unless noted)",

@@ -30,7 +30,7 @@ pub const SEED: u64 = 42;
 /// The single definition behind every `vs_*` ratio accessor below, so
 /// the orientation (baseline in the numerator) can never drift between
 /// result types.
-pub fn speedup_over(baseline_s: f64, multigrain_s: f64) -> f64 {
+fn speedup_over(baseline_s: f64, multigrain_s: f64) -> f64 {
     baseline_s / multigrain_s
 }
 
@@ -138,7 +138,7 @@ impl EndToEnd {
 }
 
 /// Runs one end-to-end inference comparison.
-pub fn end_to_end(spec: &DeviceSpec, config: &ModelConfig, batch: usize) -> EndToEnd {
+fn end_to_end(spec: &DeviceSpec, config: &ModelConfig, batch: usize) -> EndToEnd {
     let model = SparseTransformer::new(config.clone());
     let samples = match config.pattern {
         PatternKind::LongformerStyle | PatternKind::BigBirdStyle => {
@@ -219,7 +219,7 @@ pub fn figure10() -> Vec<OpComparison> {
 
 /// The three coarse-grained patterns of Fig. 11/12, with parameters
 /// derived from Longformer (window 512) and QDS (block 64).
-pub fn coarse_patterns() -> Vec<(String, CompoundPattern)> {
+fn coarse_patterns() -> Vec<(String, CompoundPattern)> {
     vec![
         (
             "local".to_owned(),
@@ -263,7 +263,7 @@ impl CoarseComparison {
 
 /// Fig. 11/12 core: times our coarse kernel vs Triton's mapping for one
 /// op on one coarse pattern.
-pub fn compare_coarse(
+fn compare_coarse(
     spec: &DeviceSpec,
     name: &str,
     pattern: &CompoundPattern,

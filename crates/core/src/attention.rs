@@ -422,7 +422,7 @@ impl Attention {
     /// Like [`Attention::time_op`], but with multi-stream concurrency
     /// optionally disabled (every kernel goes to the default stream, in
     /// order) — the ablation isolating the paper's "dice" step.
-    pub fn time_op_with(&self, gpu: &mut Gpu, op: Op, multistream: bool) -> f64 {
+    fn time_op_with(&self, gpu: &mut Gpu, op: Op, multistream: bool) -> f64 {
         let spec = gpu.spec().clone();
         let t0 = gpu.elapsed();
         for (role, profile) in self.phase_profiles(&spec, op) {

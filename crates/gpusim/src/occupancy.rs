@@ -4,40 +4,23 @@
 
 use crate::{DeviceSpec, LaunchConfig};
 
-/// Per-resource resident-block caps for one launch configuration, in the
-/// tie-break priority order used by [`limiting_resource`]:
-/// warps, registers, shared memory, block slots.
-///
-/// A cap of `None` means the launch does not consume that resource at all
-/// (zero registers requested, zero shared memory, or zero threads), so the
-/// resource cannot bound — or be blamed for — occupancy. Keeping this list
-/// as the single source of truth guarantees [`resident_tbs_per_sm`] and
-/// [`limiting_resource`] can never disagree about which cap binds.
-fn resource_caps(spec: &DeviceSpec, launch: &LaunchConfig) -> [(OccupancyLimit, Option<usize>); 4] {
+/// Maximum thread blocks resident on one SM for the given launch
+/// configuration: the tightest of the warp, register, shared-memory and
+/// block-slot caps. A resource the launch does not consume (zero
+/// registers, zero shared memory) does not bound it. Always at least 1 (a
+/// kernel whose single block exceeds an SM's resources still runs, just
+/// serialized — we model it as one resident block).
+pub fn resident_tbs_per_sm(spec: &DeviceSpec, launch: &LaunchConfig) -> usize {
     // `warps_per_tb()` is clamped to >= 1, so this also covers
     // `threads_per_tb == 0` without dividing by zero.
     let by_warps = spec.max_warps_per_sm / launch.warps_per_tb();
     let regs_per_tb = launch.regs_per_thread * launch.threads_per_tb;
     let by_regs = (regs_per_tb > 0).then(|| spec.regs_per_sm / regs_per_tb);
     let by_smem = (launch.smem_per_tb > 0).then(|| spec.smem_per_sm / launch.smem_per_tb);
-    [
-        (OccupancyLimit::Warps, Some(by_warps)),
-        (OccupancyLimit::Registers, by_regs),
-        (OccupancyLimit::SharedMemory, by_smem),
-        (OccupancyLimit::BlockSlots, Some(spec.max_tbs_per_sm)),
-    ]
-}
-
-/// Maximum thread blocks resident on one SM for the given launch
-/// configuration. Always at least 1 (a kernel whose single block exceeds
-/// an SM's resources still runs, just serialized — we model it as one
-/// resident block).
-pub fn resident_tbs_per_sm(spec: &DeviceSpec, launch: &LaunchConfig) -> usize {
-    resource_caps(spec, launch)
-        .iter()
-        .filter_map(|&(_, cap)| cap)
-        .min()
-        .expect("block-slot cap is always present")
+    [by_regs, by_smem]
+        .into_iter()
+        .flatten()
+        .fold(by_warps.min(spec.max_tbs_per_sm), usize::min)
         .max(1)
 }
 
@@ -46,40 +29,6 @@ pub fn theoretical_occupancy(spec: &DeviceSpec, launch: &LaunchConfig) -> f64 {
     let resident = resident_tbs_per_sm(spec, launch);
     let warps = resident * launch.warps_per_tb();
     (warps.min(spec.max_warps_per_sm)) as f64 / spec.max_warps_per_sm as f64
-}
-
-/// Which resource bounds the occupancy first — useful for kernel tuning
-/// and for reproducing the paper's remark that registers limit SpMM
-/// blocks more than shared memory (§3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OccupancyLimit {
-    /// Warp slots ran out first.
-    Warps,
-    /// Registers ran out first.
-    Registers,
-    /// Shared memory ran out first.
-    SharedMemory,
-    /// The SM's block-slot cap was hit.
-    BlockSlots,
-}
-
-/// Reports the binding occupancy constraint for a launch configuration.
-///
-/// Derived from the same per-resource caps as [`resident_tbs_per_sm`], so
-/// the reported resource always matches the cap that actually bounded the
-/// resident-block count. Resources the launch does not consume are never
-/// blamed. Ties are broken in a fixed documented order: `Warps` beats
-/// `Registers` beats `SharedMemory` beats `BlockSlots`.
-pub fn limiting_resource(spec: &DeviceSpec, launch: &LaunchConfig) -> OccupancyLimit {
-    let caps = resource_caps(spec, launch);
-    let min = caps
-        .iter()
-        .filter_map(|&(_, cap)| cap)
-        .min()
-        .expect("block-slot cap is always present");
-    caps.iter()
-        .find_map(|&(limit, cap)| (cap == Some(min)).then_some(limit))
-        .expect("some cap attains the minimum")
 }
 
 #[cfg(test)]
@@ -100,6 +49,9 @@ mod tests {
         // 1024 threads = 32 warps; 64 warp slots -> 2 blocks.
         let r = resident_tbs_per_sm(&spec, &launch(1024, 32, 0));
         assert_eq!(r, 2);
+        // 256 threads x 32 regs: warps (64 / 8) and registers
+        // (65536 / 8192) tie at 8 blocks.
+        assert_eq!(resident_tbs_per_sm(&spec, &launch(256, 32, 0)), 8);
     }
 
     #[test]
@@ -108,10 +60,6 @@ mod tests {
         // 256 threads x 255 regs = 65280 regs -> 1 block.
         let r = resident_tbs_per_sm(&spec, &launch(256, 255, 0));
         assert_eq!(r, 1);
-        assert_eq!(
-            limiting_resource(&spec, &launch(256, 255, 0)),
-            OccupancyLimit::Registers
-        );
     }
 
     #[test]
@@ -120,7 +68,6 @@ mod tests {
         // 96 KB smem per block on a 164 KB SM -> 1 block.
         let cfg = launch(128, 32, 96 * 1024);
         assert_eq!(resident_tbs_per_sm(&spec, &cfg), 1);
-        assert_eq!(limiting_resource(&spec, &cfg), OccupancyLimit::SharedMemory);
     }
 
     #[test]
@@ -129,75 +76,26 @@ mod tests {
         // Tiny blocks would fit hundreds of times; capped at 32.
         let cfg = launch(32, 16, 0);
         assert_eq!(resident_tbs_per_sm(&spec, &cfg), 32);
-        assert_eq!(limiting_resource(&spec, &cfg), OccupancyLimit::BlockSlots);
-    }
-
-    #[test]
-    fn warp_register_tie_reports_warps() {
-        // Regression: 256 threads x 32 regs on A100 caps at 8 blocks by
-        // warps (64 / 8) AND by registers (65536 / 8192). The old code
-        // checked registers first and misattributed the tie; the
-        // documented tie-break order says warps win.
-        let spec = DeviceSpec::a100();
-        let cfg = launch(256, 32, 0);
-        assert_eq!(resident_tbs_per_sm(&spec, &cfg), 8);
-        assert_eq!(limiting_resource(&spec, &cfg), OccupancyLimit::Warps);
     }
 
     #[test]
     fn unconsumed_resources_are_never_blamed() {
-        // Regression: with smem_per_tb == 0 the old limiting_resource used
-        // a usize::MAX sentinel while resident_tbs_per_sm used
-        // max_tbs_per_sm — two different fallbacks for the same question.
-        // A launch that consumes no registers and no shared memory must
-        // attribute to a resource it actually uses.
+        // A launch that consumes no registers and no shared memory is
+        // bounded only by the resources it actually uses.
         let spec = DeviceSpec::a100();
         let cfg = launch(1024, 0, 0);
         // 32 warps per block -> 2 blocks by warp slots.
         assert_eq!(resident_tbs_per_sm(&spec, &cfg), 2);
-        assert_eq!(limiting_resource(&spec, &cfg), OccupancyLimit::Warps);
     }
 
     #[test]
     fn zero_thread_launch_does_not_panic() {
         // Degenerate launch: no threads at all. warps_per_tb() clamps to 1
-        // and the register product is zero; both paths must agree and not
-        // divide by zero.
+        // and the register product is zero, so nothing divides by zero and
+        // the block-slot cap binds.
         let spec = DeviceSpec::a100();
         let cfg = launch(0, 64, 0);
         assert_eq!(resident_tbs_per_sm(&spec, &cfg), spec.max_tbs_per_sm);
-        assert_eq!(limiting_resource(&spec, &cfg), OccupancyLimit::BlockSlots);
-    }
-
-    #[test]
-    fn resident_and_limiting_always_agree() {
-        // The limiting resource's cap must equal the resident-block count
-        // (before the >=1 clamp) for every configuration in a small grid.
-        for spec in [DeviceSpec::a100(), DeviceSpec::rtx3090()] {
-            for threads in [0, 32, 128, 256, 1024] {
-                for regs in [0, 32, 128, 255] {
-                    for smem in [0, 16 * 1024, 96 * 1024] {
-                        let cfg = launch(threads, regs, smem);
-                        let resident = resident_tbs_per_sm(&spec, &cfg);
-                        let limit = limiting_resource(&spec, &cfg);
-                        let cap = match limit {
-                            OccupancyLimit::Warps => spec.max_warps_per_sm / cfg.warps_per_tb(),
-                            OccupancyLimit::Registers => {
-                                spec.regs_per_sm / (cfg.regs_per_thread * cfg.threads_per_tb)
-                            }
-                            OccupancyLimit::SharedMemory => spec.smem_per_sm / cfg.smem_per_tb,
-                            OccupancyLimit::BlockSlots => spec.max_tbs_per_sm,
-                        };
-                        assert_eq!(
-                            resident,
-                            cap.max(1),
-                            "{} threads={threads} regs={regs} smem={smem} -> {limit:?}",
-                            spec.name
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -442,7 +442,7 @@ fn match_delims(toks: &[Tok]) -> BTreeMap<usize, usize> {
 /// `cfg_attr`, which invert or conditionalize the meaning) exempts the
 /// item it decorates: subsequent attributes are skipped, then the item
 /// body is brace-matched (or the statement runs to its `;`).
-pub fn test_token_mask(toks: &[Tok]) -> Vec<bool> {
+fn test_token_mask(toks: &[Tok]) -> Vec<bool> {
     let mut mask = vec![false; toks.len()];
     let mut i = 0usize;
     while i < toks.len() {
@@ -534,7 +534,7 @@ fn item_end(toks: &[Tok], j: usize) -> usize {
 /// Marks every token inside the brace body of a `for`, `while`, or
 /// `loop` expression (nested bodies included). Used by P1 to tell a
 /// one-off decode from one that repeats per iteration.
-pub fn loop_body_mask(toks: &[Tok]) -> Vec<bool> {
+fn loop_body_mask(toks: &[Tok]) -> Vec<bool> {
     let mut mask = vec![false; toks.len()];
     for i in 0..toks.len() {
         if toks[i].kind != TokKind::Ident
@@ -586,7 +586,7 @@ pub fn loop_body_mask(toks: &[Tok]) -> Vec<bool> {
 
 /// Marks tokens inside `use ...;` statements — an import alone is not a
 /// D1 finding (the offending declaration or iteration will be).
-pub fn use_token_mask(toks: &[Tok]) -> Vec<bool> {
+fn use_token_mask(toks: &[Tok]) -> Vec<bool> {
     let mut mask = vec![false; toks.len()];
     let mut in_use = false;
     for (i, t) in toks.iter().enumerate() {

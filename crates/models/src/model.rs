@@ -128,7 +128,7 @@ impl SparseTransformer {
     /// Times the dense (method-independent) parts of one encoder layer:
     /// QKV projection, output projection, FFN, and the element-wise
     /// layernorm/residual/GELU kernels.
-    pub fn time_dense_layer(&self, gpu: &mut Gpu, batch: usize) -> (f64, u64) {
+    fn time_dense_layer(&self, gpu: &mut Gpu, batch: usize) -> (f64, u64) {
         let cfg = &self.config;
         let spec = gpu.spec().clone();
         let l = cfg.max_seq_len;

@@ -226,18 +226,6 @@ pub struct ChatSession {
 }
 
 impl ChatSession {
-    /// Total context length after every turn completes (prefill plus
-    /// all user and decoded tokens) — never exceeds the token budget of
-    /// the base sample the session was built from.
-    pub fn final_len(&self) -> usize {
-        self.prefill.valid_len
-            + self
-                .turns
-                .iter()
-                .map(|t| t.user_tokens + t.decode_tokens)
-                .sum::<usize>()
-    }
-
     /// Total decode steps across all turns.
     pub fn decode_steps(&self) -> usize {
         self.turns.iter().map(|t| t.decode_tokens).sum()
@@ -434,10 +422,17 @@ mod tests {
         let sessions = chat_sessions(&samples, 4, 2.0, 10.0, 4);
         assert_eq!(sessions.len(), samples.len());
         for (session, sample) in sessions.iter().zip(&samples) {
+            // Context length after every turn: prefill plus all user and
+            // decoded tokens.
+            let final_len = session.prefill.valid_len
+                + session
+                    .turns
+                    .iter()
+                    .map(|t| t.user_tokens + t.decode_tokens)
+                    .sum::<usize>();
             assert!(
-                session.final_len() <= sample.valid_len.max(8),
-                "session overflows its budget: {} > {}",
-                session.final_len(),
+                final_len <= sample.valid_len.max(8),
+                "session overflows its budget: {final_len} > {}",
                 sample.valid_len
             );
             assert!(!session.turns.is_empty());

@@ -101,12 +101,6 @@ impl PartEncoding {
         }
     }
 
-    /// Whether this encoding generates columns without enumerating the
-    /// part (the affine fast path).
-    fn is_affine(&self) -> bool {
-        !matches!(self, PartEncoding::Enumerate)
-    }
-
     /// The sorted columns the freshly appended row `row` attends to
     /// under this part, already clipped to the causal prefix
     /// `0 ..= row` (the new `valid_len` is `row + 1`).
@@ -157,7 +151,6 @@ impl PartEncoding {
 pub struct DecodePatternState {
     pattern: CompoundPattern,
     encodings: Vec<PartEncoding>,
-    affine_parts: usize,
 }
 
 impl DecodePatternState {
@@ -168,12 +161,7 @@ impl DecodePatternState {
             .iter()
             .map(|p| PartEncoding::from_part(p, pattern.seq_len()))
             .collect();
-        let affine_parts = encodings.iter().filter(|e| e.is_affine()).count();
-        DecodePatternState {
-            pattern,
-            encodings,
-            affine_parts,
-        }
+        DecodePatternState { pattern, encodings }
     }
 
     /// The current pattern (grows one row per extension).
@@ -185,15 +173,8 @@ impl DecodePatternState {
     /// Rows still available inside the padded canvas before the caller
     /// must re-bucket the KV cache to a longer `seq_len`.
     #[inline]
-    pub fn remaining_capacity(&self) -> usize {
+    fn remaining_capacity(&self) -> usize {
         self.pattern.seq_len() - self.pattern.valid_len()
-    }
-
-    /// Number of parts served by the affine fast path (the rest fall
-    /// back to per-part enumeration).
-    #[inline]
-    pub fn affine_parts(&self) -> usize {
-        self.affine_parts
     }
 
     /// Appends one decode query row: bumps `valid_len` by one and
@@ -202,9 +183,8 @@ impl DecodePatternState {
     ///
     /// # Panics
     ///
-    /// Panics if the padded canvas is exhausted
-    /// ([`remaining_capacity`](DecodePatternState::remaining_capacity)
-    /// is zero); grow the KV bucket and rebuild the state first.
+    /// Panics if the padded canvas is exhausted (`valid_len` has reached
+    /// `seq_len`); grow the KV bucket and rebuild the state first.
     pub fn extend_decode_row(&mut self) -> Vec<usize> {
         assert!(
             self.remaining_capacity() > 0,
@@ -233,6 +213,16 @@ impl DecodePatternState {
 mod tests {
     use super::*;
 
+    /// Number of parts served by the affine fast path (the rest fall
+    /// back to per-part enumeration).
+    fn affine_parts(state: &DecodePatternState) -> usize {
+        state
+            .encodings
+            .iter()
+            .filter(|e| !matches!(e, PartEncoding::Enumerate))
+            .count()
+    }
+
     fn rebuild_at(pattern: &CompoundPattern, valid_len: usize) -> CompoundPattern {
         let mut p = CompoundPattern::new(pattern.seq_len());
         for part in pattern.parts() {
@@ -256,7 +246,7 @@ mod tests {
             })
             .with_valid_len(8);
         let mut state = DecodePatternState::from_prefill(prefill.clone());
-        assert_eq!(state.affine_parts(), 5, "every regular part is affine");
+        assert_eq!(affine_parts(&state), 5, "every regular part is affine");
         for step in 0..state.remaining_capacity() {
             let cols = state.extend_decode_row();
             let v = 8 + step + 1;
@@ -286,7 +276,7 @@ mod tests {
             })
             .with_valid_len(6);
         let mut state = DecodePatternState::from_prefill(prefill.clone());
-        assert_eq!(state.affine_parts(), 0, "random parts all enumerate");
+        assert_eq!(affine_parts(&state), 0, "random parts all enumerate");
         for _ in 0..4 {
             let cols = state.extend_decode_row();
             let v = state.pattern().valid_len();

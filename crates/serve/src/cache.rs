@@ -284,7 +284,7 @@ impl PlanCache {
 
     /// [`PlanCache::key_for`] at an explicit coarse block size (tuned
     /// plans are keyed by the block they were actually built with).
-    pub fn key_with_block(
+    fn key_with_block(
         &self,
         method: Method,
         sample: &WorkloadSample,

@@ -69,20 +69,6 @@ impl ServeConfig {
             numeric: false,
         }
     }
-
-    /// The same stack with tuning enabled under `policy`.
-    #[must_use]
-    pub fn with_tuning(mut self, policy: TunePolicy) -> ServeConfig {
-        self.tuning = Some(policy);
-        self
-    }
-
-    /// The same stack with numeric execution enabled.
-    #[must_use]
-    pub fn with_numeric_execution(mut self) -> ServeConfig {
-        self.numeric = true;
-        self
-    }
 }
 
 /// One serving simulation instance; see the crate docs for the flow.
@@ -235,7 +221,10 @@ mod tests {
 
     #[test]
     fn numeric_serving_digests_every_batch_deterministically() {
-        let config = tiny_config().with_numeric_execution();
+        let config = ServeConfig {
+            numeric: true,
+            ..tiny_config()
+        };
         let t = traffic(300.0, 12, 9);
         let a = ServeSim::new(config.clone()).run(&t).unwrap();
         let digests: Vec<u64> = a.batches.iter().map(|b| b.numeric_digest).collect();
@@ -266,7 +255,10 @@ mod tests {
         use crate::tune::TunePolicy;
         use mg_autotune::TuningDb;
 
-        let config = tiny_config().with_tuning(TunePolicy::online(TuningDb::new()));
+        let config = ServeConfig {
+            tuning: Some(TunePolicy::online(TuningDb::new())),
+            ..tiny_config()
+        };
         let t = traffic(300.0, 30, 11);
         let mut sim = ServeSim::new(config.clone());
         let a = sim.run(&t).unwrap();

@@ -5,6 +5,7 @@
 //! weakness the paper alludes to when discussing cuSPARSE (§6.1): padded
 //! blocks cost compute and bandwidth even though they contribute nothing.
 
+use crate::bsr::check_block_aligned;
 use crate::{Bsr, SparseError};
 use mg_tensor::{Matrix, Scalar};
 
@@ -52,18 +53,7 @@ impl<T: Scalar> BlockedEll<T> {
         col_indices: Vec<usize>,
         blocks: Vec<T>,
     ) -> Result<BlockedEll<T>, SparseError> {
-        if block_size == 0 || !rows.is_multiple_of(block_size) {
-            return Err(SparseError::BlockMisaligned {
-                dim: rows,
-                block_size,
-            });
-        }
-        if !cols.is_multiple_of(block_size) {
-            return Err(SparseError::BlockMisaligned {
-                dim: cols,
-                block_size,
-            });
-        }
+        check_block_aligned(rows, cols, block_size)?;
         let block_rows = rows / block_size;
         if col_indices.len() != block_rows * blocks_per_row {
             return Err(SparseError::ShapeMismatch {
@@ -232,6 +222,19 @@ mod tests {
     fn rejects_out_of_bounds_column() {
         let err = BlockedEll::<f32>::try_new(4, 4, 2, 1, vec![7, 0], vec![0.0; 8]);
         assert!(matches!(err, Err(SparseError::IndexOutOfBounds { .. })));
+    }
+
+    #[test]
+    fn rejects_wrong_slot_count() {
+        // Two block rows of two slots need four column slots, not three.
+        let err = BlockedEll::<f32>::try_new(4, 4, 2, 2, vec![0, 1, 0], vec![0.0; 12]);
+        assert!(matches!(err, Err(SparseError::ShapeMismatch { .. })));
+    }
+
+    #[test]
+    fn rejects_wrong_value_length() {
+        let err = BlockedEll::<f32>::try_new(4, 4, 2, 1, vec![0, 1], vec![0.0; 7]);
+        assert!(matches!(err, Err(SparseError::ShapeMismatch { .. })));
     }
 
     #[test]

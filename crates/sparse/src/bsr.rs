@@ -8,6 +8,20 @@
 use crate::{Csr, SparseError};
 use mg_tensor::{Matrix, Scalar};
 
+/// Checks that `block_size` is non-zero and tiles both dimensions.
+pub(crate) fn check_block_aligned(
+    rows: usize,
+    cols: usize,
+    block_size: usize,
+) -> Result<(), SparseError> {
+    for dim in [rows, cols] {
+        if block_size == 0 || !dim.is_multiple_of(block_size) {
+            return Err(SparseError::BlockMisaligned { dim, block_size });
+        }
+    }
+    Ok(())
+}
+
 /// A sparse matrix in Block Sparse Row format.
 ///
 /// `block_row_offsets` has `rows / block_size + 1` entries; the non-zero
@@ -54,18 +68,7 @@ impl<T: Scalar> Bsr<T> {
         block_col_indices: Vec<usize>,
         blocks: Vec<T>,
     ) -> Result<Bsr<T>, SparseError> {
-        if block_size == 0 || !rows.is_multiple_of(block_size) {
-            return Err(SparseError::BlockMisaligned {
-                dim: rows,
-                block_size,
-            });
-        }
-        if !cols.is_multiple_of(block_size) {
-            return Err(SparseError::BlockMisaligned {
-                dim: cols,
-                block_size,
-            });
-        }
+        check_block_aligned(rows, cols, block_size)?;
         if blocks.len() != block_col_indices.len() * block_size * block_size {
             return Err(SparseError::ShapeMismatch {
                 detail: format!(
@@ -112,28 +115,15 @@ impl<T: Scalar> Bsr<T> {
         block_size: usize,
         coords: &[(usize, usize)],
     ) -> Result<Bsr<T>, SparseError> {
-        if block_size == 0 || !rows.is_multiple_of(block_size) {
-            return Err(SparseError::BlockMisaligned {
-                dim: rows,
-                block_size,
-            });
-        }
-        if !cols.is_multiple_of(block_size) {
-            return Err(SparseError::BlockMisaligned {
-                dim: cols,
-                block_size,
-            });
-        }
+        check_block_aligned(rows, cols, block_size)?;
         let structure = Csr::<f32>::from_coords(rows / block_size, cols / block_size, coords)?;
-        let (offsets, indices, _) = structure.into_raw();
-        let blocks = vec![T::ZERO; indices.len() * block_size * block_size];
         Ok(Bsr {
             rows,
             cols,
             block_size,
-            block_row_offsets: offsets,
-            block_col_indices: indices,
-            blocks,
+            block_row_offsets: structure.row_offsets().to_vec(),
+            block_col_indices: structure.col_indices().to_vec(),
+            blocks: vec![T::ZERO; structure.nnz() * block_size * block_size],
         })
     }
 
@@ -402,6 +392,27 @@ mod tests {
     fn rejects_wrong_value_length() {
         let err = Bsr::<f32>::try_new(4, 4, 2, vec![0, 1, 1], vec![0], vec![1.0]);
         assert!(matches!(err, Err(SparseError::ShapeMismatch { .. })));
+    }
+
+    #[test]
+    fn rejects_bad_block_offsets() {
+        let err = Bsr::<f32>::try_new(4, 4, 2, vec![1, 1, 1], vec![0], vec![0.0; 4]);
+        assert!(matches!(err, Err(SparseError::InvalidOffsets { .. })));
+    }
+
+    #[test]
+    fn rejects_unsorted_block_columns() {
+        let err = Bsr::<f32>::try_new(4, 4, 2, vec![0, 2, 2], vec![1, 0], vec![0.0; 8]);
+        assert_eq!(err, Err(SparseError::UnsortedIndices { lane: 0 }));
+    }
+
+    #[test]
+    fn rejects_out_of_range_block_column() {
+        let err = Bsr::<f32>::try_new(4, 4, 2, vec![0, 1, 1], vec![2], vec![0.0; 4]);
+        assert_eq!(
+            err,
+            Err(SparseError::IndexOutOfBounds { index: 2, bound: 2 })
+        );
     }
 
     #[test]

@@ -271,91 +271,6 @@ impl<T: Scalar> Csr<T> {
     pub fn value_bytes(&self) -> u64 {
         self.values.len() as u64 * T::byte_size()
     }
-
-    /// Decomposes into `(row_offsets, col_indices, values)`.
-    pub fn into_raw(self) -> (Vec<usize>, Vec<usize>, Vec<T>) {
-        (self.row_offsets, self.col_indices, self.values)
-    }
-
-    /// Returns the transposed matrix (CSR of `Aᵀ`), `O(nnz + rows)`.
-    pub fn transpose(&self) -> Csr<T> {
-        let mut counts = vec![0usize; self.cols + 1];
-        for &c in &self.col_indices {
-            counts[c + 1] += 1;
-        }
-        for c in 0..self.cols {
-            counts[c + 1] += counts[c];
-        }
-        let mut col_indices = vec![0usize; self.nnz()];
-        let mut values = vec![T::ZERO; self.nnz()];
-        let mut cursor = counts.clone();
-        for (r, c, v) in self.iter() {
-            let slot = cursor[c];
-            col_indices[slot] = r;
-            values[slot] = v;
-            cursor[c] += 1;
-        }
-        Csr {
-            rows: self.cols,
-            cols: self.rows,
-            row_offsets: counts,
-            col_indices,
-            values,
-        }
-    }
-
-    /// Distribution statistics of per-row non-zero counts — the
-    /// load-imbalance fingerprint of a pattern.
-    pub fn row_stats(&self) -> RowStats {
-        let counts: Vec<usize> = (0..self.rows).map(|r| self.row_nnz(r)).collect();
-        let max = counts.iter().copied().max().unwrap_or(0);
-        let min = counts.iter().copied().min().unwrap_or(0);
-        let mean = if self.rows == 0 {
-            0.0
-        } else {
-            self.nnz() as f64 / self.rows as f64
-        };
-        let var = if self.rows == 0 {
-            0.0
-        } else {
-            counts
-                .iter()
-                .map(|&c| (c as f64 - mean) * (c as f64 - mean))
-                .sum::<f64>()
-                / self.rows as f64
-        };
-        RowStats {
-            min,
-            max,
-            mean,
-            std_dev: var.sqrt(),
-        }
-    }
-}
-
-/// Per-row non-zero count statistics of a sparse matrix.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RowStats {
-    /// Fewest non-zeros in any row.
-    pub min: usize,
-    /// Most non-zeros in any row.
-    pub max: usize,
-    /// Mean non-zeros per row.
-    pub mean: f64,
-    /// Standard deviation of per-row counts.
-    pub std_dev: f64,
-}
-
-impl RowStats {
-    /// Max over mean: 1.0 is perfectly balanced; global rows push this to
-    /// `seq_len / window`.
-    pub fn imbalance(&self) -> f64 {
-        if self.mean > 0.0 {
-            self.max as f64 / self.mean
-        } else {
-            1.0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -444,25 +359,6 @@ mod tests {
         let csr = sample();
         assert_eq!(csr.metadata_bytes(), (4 + 4) * 4);
         assert_eq!(csr.value_bytes(), 16);
-    }
-
-    #[test]
-    fn transpose_is_involutive_and_matches_dense() {
-        let dense = Matrix::<f32>::random(7, 5, 13);
-        let csr = Csr::from_dense(&dense);
-        let t = csr.transpose();
-        assert_eq!(t.to_dense(), dense.transpose());
-        assert_eq!(t.transpose(), csr);
-    }
-
-    #[test]
-    fn row_stats_capture_imbalance() {
-        let csr = sample(); // rows with 2, 0, 2 nnz
-        let stats = csr.row_stats();
-        assert_eq!(stats.min, 0);
-        assert_eq!(stats.max, 2);
-        assert!((stats.mean - 4.0 / 3.0).abs() < 1e-12);
-        assert!(stats.imbalance() > 1.0);
     }
 
     #[test]

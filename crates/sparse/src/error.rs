@@ -23,10 +23,10 @@ pub enum SparseError {
         /// Description of the violated property.
         detail: String,
     },
-    /// Column (or row) indices within a row (or column) must be strictly
-    /// increasing.
+    /// Column indices within a row (block columns within a block row)
+    /// must be strictly increasing.
     UnsortedIndices {
-        /// The row or column whose indices are out of order.
+        /// The row or block row whose indices are out of order.
         lane: usize,
     },
     /// A duplicate coordinate was supplied.

@@ -1,9 +1,12 @@
 //! # mg-sparse — sparse matrix formats
 //!
-//! Every sparse representation the paper's methods touch: element-wise
-//! formats ([`Csr`], [`Coo`], [`Csc`]) used by the fine-grained method, and
-//! blocked formats ([`Bsr`], [`Bcoo`], [`BlockedEll`]) used by the
-//! coarse-grained method, plus conversions between them.
+//! The three formats the system runs: [`Csr`] for the fine-grained
+//! (element-wise) kernels, [`Bsr`] for the coarse-grained (blocked)
+//! kernels — one consistent format per grain, the paper's §3.2 point —
+//! and [`BlockedEll`], the padded blocked format of the cuSPARSE SpMM
+//! baseline. Triton's BCOO metadata is modelled by count, not built:
+//! `Attention::plan_memory_bytes` (crate `multigrain`) charges it as
+//! `nnz_blocks × 8` bytes on top of the BSR metadata.
 //!
 //! All constructors validate metadata and return [`SparseError`] on
 //! malformed input. Structure is immutable after construction; values can
@@ -13,33 +16,24 @@
 //! # Examples
 //!
 //! ```
-//! use mg_sparse::{csr_to_bsr, Csr};
+//! use mg_sparse::Bsr;
 //! use mg_tensor::Matrix;
 //!
 //! let dense = Matrix::<f32>::from_fn(8, 8, |r, c| if r == c { 1.0 } else { 0.0 });
-//! let csr = Csr::from_dense(&dense);
-//! let bsr = csr_to_bsr(&csr, 4)?;
+//! let bsr = Bsr::from_dense(&dense, 4);
 //! assert_eq!(bsr.nnz_blocks(), 2);
-//! # Ok::<(), mg_sparse::SparseError>(())
+//! assert_eq!(bsr.to_dense(), dense);
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod bcoo;
 mod blocked_ell;
 mod bsr;
-mod convert;
-mod coo;
-mod csc;
 mod csr;
 mod error;
 
-pub use bcoo::Bcoo;
 pub use blocked_ell::{BlockedEll, ELL_PAD};
 pub use bsr::Bsr;
-pub use convert::{block_fill_ratio, bsr_to_csr, csr_to_bsr};
-pub use coo::Coo;
-pub use csc::Csc;
-pub use csr::{Csr, RowStats};
+pub use csr::Csr;
 pub use error::SparseError;

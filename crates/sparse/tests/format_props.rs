@@ -1,6 +1,6 @@
 //! Property-based tests over sparse format invariants and conversions.
 
-use mg_sparse::{block_fill_ratio, bsr_to_csr, csr_to_bsr, Bcoo, BlockedEll, Coo, Csc, Csr};
+use mg_sparse::{BlockedEll, Bsr, Csr};
 use mg_tensor::Matrix;
 use proptest::prelude::*;
 
@@ -38,51 +38,20 @@ proptest! {
         prop_assert_eq!(csr.to_dense(), dense);
     }
 
-    /// COO -> CSR agrees with direct CSR extraction.
-    #[test]
-    fn coo_to_csr_agrees(dense in dense_matrix(6)) {
-        let coo = Coo::from_dense(&dense);
-        let csr = Csr::from_dense(&dense);
-        prop_assert_eq!(coo.to_csr(), csr);
-    }
-
-    /// CSC of A equals CSR of A^T up to representation.
-    #[test]
-    fn csc_is_transposed_csr(dense in dense_matrix(5)) {
-        let csc = Csc::from_dense(&dense);
-        let csr_t = Csr::from_dense(&dense.transpose());
-        prop_assert_eq!(csc.into_transposed_csr(), csr_t);
-    }
-
-    /// CSR -> BSR -> dense preserves every element, and the BSR stores at
-    /// least as many elements as the CSR (block padding only adds).
+    /// Dense -> BSR -> dense preserves every element, and the BSR stores
+    /// at least as many elements as the CSR (block padding only adds).
     #[test]
     fn csr_bsr_conversion_is_lossless(dense in dense_matrix(5)) {
         let csr = Csr::from_dense(&dense);
-        let bsr = csr_to_bsr(&csr, 4).expect("dimensions are multiples of 4");
+        let bsr = Bsr::from_dense(&dense, 4);
         prop_assert_eq!(bsr.to_dense(), dense);
         prop_assert!(bsr.stored_elements() >= csr.nnz());
-        prop_assert_eq!(bsr_to_csr(&bsr), csr);
     }
 
-    /// Block fill ratio equals nnz / stored elements.
-    #[test]
-    fn fill_ratio_definition(dense in dense_matrix(5)) {
-        let csr = Csr::from_dense(&dense);
-        let bsr = csr_to_bsr(&csr, 4).expect("aligned");
-        let ratio = block_fill_ratio(&bsr);
-        if bsr.stored_elements() > 0 {
-            let expect = csr.nnz() as f64 / bsr.stored_elements() as f64;
-            prop_assert!((ratio - expect).abs() < 1e-12);
-        }
-        prop_assert!((0.0..=1.0).contains(&ratio));
-    }
-
-    /// BCOO and Blocked-ELL both reproduce the BSR contents.
+    /// Blocked-ELL reproduces the BSR contents.
     #[test]
     fn blocked_formats_agree(dense in dense_matrix(4)) {
-        let bsr = mg_sparse::Bsr::from_dense(&dense, 4);
-        prop_assert_eq!(Bcoo::from_bsr(&bsr).to_dense(), dense.clone());
+        let bsr = Bsr::from_dense(&dense, 4);
         prop_assert_eq!(BlockedEll::from_bsr(&bsr).to_dense(), dense);
     }
 

@@ -44,13 +44,8 @@ impl Half {
     pub const INFINITY: Half = Half(0x7C00);
     /// The largest finite value, `65504.0`.
     pub const MAX: Half = Half(0x7BFF);
-    /// The smallest finite value, `-65504.0`.
-    pub const MIN: Half = Half(0xFBFF);
     /// The smallest positive normal value, `2^-14`.
     pub const MIN_POSITIVE: Half = Half(0x0400);
-    /// Machine epsilon: the difference between `1.0` and the next larger
-    /// representable value (`2^-10`).
-    pub const EPSILON: Half = Half(0x1400);
     /// A canonical quiet NaN.
     pub const NAN: Half = Half(0x7E00);
 
@@ -149,13 +144,6 @@ impl Half {
     #[inline]
     pub fn is_finite(self) -> bool {
         (self.0 & 0x7C00) != 0x7C00
-    }
-
-    /// Returns `true` if the sign bit is set (including `-0.0` and NaNs with
-    /// a negative sign).
-    #[inline]
-    pub fn is_sign_negative(self) -> bool {
-        (self.0 & 0x8000) != 0
     }
 
     /// Returns the absolute value.
@@ -314,9 +302,8 @@ mod tests {
 
     #[test]
     fn overflow_saturates_to_infinity() {
-        assert!(Half::from_f32(70000.0).is_infinite());
-        assert!(Half::from_f32(-70000.0).is_infinite());
-        assert!(Half::from_f32(-70000.0).is_sign_negative());
+        assert_eq!(Half::from_f32(70000.0), Half::INFINITY);
+        assert_eq!(Half::from_f32(-70000.0), Half::NEG_INFINITY);
         // 65504 is the max finite value; 65520 rounds to infinity.
         assert_eq!(Half::from_f32(65504.0), Half::MAX);
         assert!(Half::from_f32(65520.0).is_infinite());
@@ -337,7 +324,8 @@ mod tests {
     #[test]
     fn round_to_nearest_even() {
         // 1.0 + eps/2 is exactly halfway between 1.0 and 1.0+eps -> even (1.0).
-        let eps = Half::EPSILON.to_f32();
+        // Machine epsilon: the gap between 1.0 and the next Half, 2^-10.
+        let eps = (2.0f32).powi(-10);
         assert_eq!(Half::from_f32(1.0 + eps / 2.0), Half::ONE);
         // (1.0+eps) + eps/2 is halfway, rounds to even mantissa (1.0+2eps).
         let halfway_up = 1.0 + eps + eps / 2.0;

@@ -199,11 +199,6 @@ impl<T: Scalar> Matrix<T> {
         }
     }
 
-    /// Total bytes occupied by the element buffer (metadata excluded).
-    pub fn byte_len(&self) -> u64 {
-        self.data.len() as u64 * T::byte_size()
-    }
-
     /// Returns the maximum absolute element-wise difference to `other`,
     /// treating matching infinities as equal.
     ///
@@ -386,11 +381,5 @@ mod tests {
         a.set(0, 0, f32::NEG_INFINITY);
         b.set(0, 0, f32::NEG_INFINITY);
         assert_eq!(a.max_abs_diff(&b), 0.0);
-    }
-
-    #[test]
-    fn byte_len_counts_element_bytes() {
-        assert_eq!(Matrix::<Half>::zeros(4, 4).byte_len(), 32);
-        assert_eq!(Matrix::<f32>::zeros(4, 4).byte_len(), 64);
     }
 }
