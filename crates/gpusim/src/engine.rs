@@ -278,24 +278,6 @@ pub fn time_kernel(spec: &DeviceSpec, kernel: &KernelRuns) -> KernelRecord {
     }
 }
 
-/// Times a batch of independent kernels, each alone on the whole
-/// device, returning records in input order.
-///
-/// With the `parallel` feature enabled the profiles are timed on multiple
-/// threads; each kernel's list schedule still runs serially, so the
-/// records are bit-identical to calling [`time_kernel`] in a loop.
-pub fn time_kernels_par(spec: &DeviceSpec, kernels: &[KernelRuns]) -> Vec<KernelRecord> {
-    #[cfg(feature = "parallel")]
-    {
-        use rayon::prelude::*;
-        kernels.par_iter().map(|k| time_kernel(spec, k)).collect()
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        kernels.iter().map(|k| time_kernel(spec, k)).collect()
-    }
-}
-
 /// Splits `capacity` units among demands: each claimant gets at most its
 /// demand and at least 1; surplus is redistributed to still-hungry
 /// claimants (waterfilling).

@@ -40,8 +40,7 @@ mod timeline;
 
 pub use device::DeviceSpec;
 pub use engine::{
-    busy_seconds, time_kernel, time_kernels_par, BoundKind, Gpu, KernelId, KernelRecord, StreamId,
-    DEFAULT_STREAM,
+    busy_seconds, time_kernel, BoundKind, Gpu, KernelId, KernelRecord, StreamId, DEFAULT_STREAM,
 };
 pub use kernel::{CacheStats, KernelProfile, KernelRuns, LaunchConfig, Runs, TbWork};
 pub use timeline::{export_chrome_trace, export_chrome_trace_grouped, render_timeline};

@@ -1,14 +1,7 @@
-//! Batch kernel timing: `time_kernels_par` must be bit-identical to solo
-//! runs regardless of thread count.
+//! Stateless kernel timing: `time_kernel` must be bit-identical to a solo
+//! run on a fresh `Gpu`.
 
-use mg_gpusim::{
-    time_kernel, time_kernels_par, DeviceSpec, Gpu, KernelProfile, KernelRuns, LaunchConfig, TbWork,
-};
-use rayon::ThreadPoolBuilder;
-
-fn pool(n: usize) -> rayon::ThreadPool {
-    ThreadPoolBuilder::new().num_threads(n).build().unwrap()
-}
+use mg_gpusim::{time_kernel, DeviceSpec, Gpu, KernelProfile, KernelRuns, LaunchConfig, TbWork};
 
 fn profiles() -> Vec<KernelRuns> {
     (0..24)
@@ -58,26 +51,4 @@ fn time_kernel_matches_run_solo() {
             solo.achieved_over_theoretical.to_bits()
         );
     }
-}
-
-#[test]
-fn batch_timing_is_bit_identical_across_thread_counts() {
-    let spec = DeviceSpec::h100();
-    let ps = profiles();
-    let serial = pool(1).install(|| time_kernels_par(&spec, &ps));
-    for threads in [2, 3, 8] {
-        let par = pool(threads).install(|| time_kernels_par(&spec, &ps));
-        assert_eq!(serial.len(), par.len());
-        for (a, b) in serial.iter().zip(par.iter()) {
-            assert_eq!(a.name, b.name, "records stay in input order");
-            assert_eq!(a.end.to_bits(), b.end.to_bits(), "threads={threads}");
-            assert_eq!(a.bound, b.bound);
-        }
-    }
-}
-
-#[test]
-fn empty_batch_is_fine() {
-    let spec = DeviceSpec::a100();
-    assert!(time_kernels_par(&spec, &[]).is_empty());
 }

@@ -7,7 +7,8 @@ use std::path::PathBuf;
 /// MG_THREADS=1 bit-equality CI gates rely on; `H` codes are hard
 /// hygiene requirements of the workspace; `U` codes confine `unsafe`
 /// to its one sanctioned module; `A` codes police the suppression
-/// mechanism itself.
+/// mechanism itself. Names are never reused: `H2` and `H4` (checks of
+/// a retired `parallel` cargo feature) stay unassigned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LintCode {
     /// Hash-ordered collection (`HashMap`/`HashSet`) in non-test
@@ -31,16 +32,9 @@ pub enum LintCode {
     D5,
     /// Missing `#![forbid(unsafe_code)]` in a crate's `lib.rs`.
     H1,
-    /// `parallel` feature of a workspace dependency not forwarded
-    /// through the dependent crate's `Cargo.toml`.
-    H2,
     /// `print!`/`println!`/`eprint!`/`eprintln!` (and `dbg!`, `todo!`,
     /// `unimplemented!`) in library code outside `crates/bench`.
     H3,
-    /// `parallel` feature-gate inconsistency: gated code without a
-    /// `#[cfg(not(feature = "parallel"))]` serial sibling, or a crate
-    /// with gated code but no bit-equality test file.
-    H4,
     /// Malformed suppression: `mg-lint: allow(...)` without a reason,
     /// or with an unknown code.
     A1,
@@ -66,16 +60,14 @@ pub enum LintCode {
 
 impl LintCode {
     /// All codes, in severity-report order.
-    pub const ALL: [LintCode; 14] = [
+    pub const ALL: [LintCode; 12] = [
         LintCode::D1,
         LintCode::D2,
         LintCode::D3,
         LintCode::D4,
         LintCode::D5,
         LintCode::H1,
-        LintCode::H2,
         LintCode::H3,
-        LintCode::H4,
         LintCode::U1,
         LintCode::P1,
         LintCode::C1,
@@ -97,9 +89,7 @@ impl LintCode {
             LintCode::D4 => "D4",
             LintCode::D5 => "D5",
             LintCode::H1 => "H1",
-            LintCode::H2 => "H2",
             LintCode::H3 => "H3",
-            LintCode::H4 => "H4",
             LintCode::A1 => "A1",
             LintCode::A2 => "A2",
             LintCode::P1 => "P1",
@@ -109,7 +99,7 @@ impl LintCode {
     }
 
     /// Whether an `// mg-lint: allow(..)` comment may silence this
-    /// code. Structural requirements (H1, H2, H4, U1) and the
+    /// code. Structural requirements (H1, U1) and the
     /// allow-audit codes themselves (A1, A2) can only be fixed, not
     /// waived — in particular U1: the unsafe-confinement contract is
     /// precisely the thing a per-line waiver would dissolve.

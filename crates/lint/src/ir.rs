@@ -1,14 +1,11 @@
 //! Stage one of the analyzer: a per-file intermediate representation.
 //!
 //! The lexical rules of PR 4 matched token shapes line-locally. The
-//! flow- and workspace-sensitive passes (D4, D5, C1, H4) need more
+//! flow- and workspace-sensitive passes (D4, D5, C1) need more
 //! structure, so every file is first indexed into a [`FileIr`]:
 //!
 //! * an **item index** — every `fn` with its body token span, its call
 //!   sites, and whether it sits inside test code;
-//! * the **feature gates** — every `#[cfg(feature = "parallel")]` /
-//!   `#[cfg(not(feature = "parallel"))]` attribute with its enclosing
-//!   function;
 //! * **scope-aware bindings** — identifiers with a type fact attached
 //!   (hash-ordered container, floating point, thread-count-derived),
 //!   each valid over an explicit token range instead of the old
@@ -34,6 +31,13 @@ const THREAD_SOURCES: [&str; 4] = [
     "available_parallelism",
     "effective_threads",
 ];
+
+/// Whether a token is a direct thread-count source: a
+/// `current_num_threads`-style identifier or the `"MG_THREADS"` name.
+pub fn is_thread_source(t: &Tok) -> bool {
+    (t.kind == TokKind::Ident && THREAD_SOURCES.contains(&t.text.as_str()))
+        || t.text == "\"MG_THREADS\""
+}
 
 /// One call site inside a function body.
 #[derive(Debug, Clone)]
@@ -76,22 +80,6 @@ impl FnItem {
     }
 }
 
-/// One `parallel` feature gate attribute.
-#[derive(Debug, Clone)]
-pub struct CfgGate {
-    /// 1-based line of the attribute.
-    pub line: u32,
-    /// Token index of the `#`.
-    pub tok: usize,
-    /// `true` for `cfg(feature = "parallel")`, `false` for
-    /// `cfg(not(feature = "parallel"))`.
-    pub on: bool,
-    /// Index into [`FileIr::fns`] of the innermost enclosing function,
-    /// if the gate sits inside one (block-level gate); `None` for
-    /// item-level gates.
-    pub enclosing_fn: Option<usize>,
-}
-
 /// What the analyzer knows about a binding's type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TypeFact {
@@ -124,8 +112,6 @@ pub struct Binding {
 pub struct FileIr {
     /// All functions, in source order (nested fns follow their parent).
     pub fns: Vec<FnItem>,
-    /// All `parallel` feature gates.
-    pub gates: Vec<CfgGate>,
     /// All tracked bindings, in declaration order.
     pub bindings: Vec<Binding>,
     /// Per-token mask: inside `#[cfg(test)]` / `#[test]` code.
@@ -149,7 +135,6 @@ impl FileIr {
             ..FileIr::default()
         };
         ir.index_fns(toks);
-        ir.index_gates(toks);
         ir.index_bindings(toks);
         ir
     }
@@ -219,33 +204,6 @@ impl FileIr {
                 calls,
             });
         }
-    }
-
-    fn index_gates(&mut self, toks: &[Tok]) {
-        let mut gates = Vec::new();
-        let mut i = 0usize;
-        while i + 1 < toks.len() {
-            if toks[i].text != "#" || toks[i + 1].text != "[" {
-                i += 1;
-                continue;
-            }
-            let end = self.close_of.get(&(i + 1)).copied().unwrap_or(toks.len());
-            let span = &toks[i..end.min(toks.len())];
-            let has_cfg = span.iter().any(|t| t.text == "cfg");
-            let has_feature = span.iter().any(|t| t.text == "feature");
-            let is_parallel = span.iter().any(|t| t.text == "\"parallel\"");
-            if has_cfg && has_feature && is_parallel {
-                let negated = span.iter().any(|t| t.text == "not");
-                gates.push(CfgGate {
-                    line: toks[i].line,
-                    tok: i,
-                    on: !negated,
-                    enclosing_fn: self.enclosing_fn(i),
-                });
-            }
-            i = end.max(i + 1);
-        }
-        self.gates = gates;
     }
 
     /// Collects bindings with facts. Hash facts replicate the proven PR 4
@@ -322,14 +280,11 @@ impl FileIr {
                 end += 1;
             }
             let stmt = &toks[n + 1..end.min(toks.len())];
-            let fact = if stmt.iter().any(|t| {
-                (t.kind == TokKind::Ident && THREAD_SOURCES.contains(&t.text.as_str()))
-                    || t.text == "\"MG_THREADS\""
-                    || t.text == "\"RAYON_NUM_THREADS\""
-            }) || stmt.iter().enumerate().any(|(o, t)| {
-                t.kind == TokKind::Ident
-                    && self.binding_fact(&t.text, n + 1 + o) == Some(TypeFact::ThreadDerived)
-            }) {
+            let fact = if stmt.iter().any(is_thread_source)
+                || stmt.iter().enumerate().any(|(o, t)| {
+                    t.kind == TokKind::Ident
+                        && self.binding_fact(&t.text, n + 1 + o) == Some(TypeFact::ThreadDerived)
+                }) {
                 Some(TypeFact::ThreadDerived)
             } else if stmt.iter().any(|t| {
                 (t.kind == TokKind::Ident && (t.text == "f32" || t.text == "f64"))
@@ -639,28 +594,6 @@ mod tests {
         assert!(!outer.calls[0].is_method);
         assert_eq!(outer.calls[1].name, "max");
         assert!(outer.calls[1].is_method);
-    }
-
-    #[test]
-    fn gates_record_polarity_and_enclosing_fn() {
-        let src = "\
-#[cfg(feature = \"parallel\")]
-use rayon::prelude::*;
-pub fn f() {
-    #[cfg(feature = \"parallel\")]
-    { fast(); }
-    #[cfg(not(feature = \"parallel\"))]
-    { slow(); }
-}
-";
-        let ir = FileIr::build(&lex(src).toks);
-        assert_eq!(ir.gates.len(), 3);
-        assert!(ir.gates[0].on && ir.gates[0].enclosing_fn.is_none());
-        assert!(ir.gates[1].on && ir.gates[1].enclosing_fn == Some(0));
-        assert!(!ir.gates[2].on && ir.gates[2].enclosing_fn == Some(0));
-        // A different feature gate is not recorded.
-        let other = FileIr::build(&lex("#[cfg(feature = \"dsan\")]\nfn g() {}\n").toks);
-        assert!(other.gates.is_empty());
     }
 
     #[test]

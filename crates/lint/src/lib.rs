@@ -11,12 +11,12 @@
 //! The analyzer runs in two stages, built from scratch on a
 //! hand-rolled lexer (the build environment has no registry access, so
 //! no `syn`). **Stage one** ([`ir`]) indexes every file: functions
-//! with their bodies and call sites, `parallel` feature gates, and
-//! scope-aware bindings carrying type facts (hash-ordered, float,
-//! thread-count-derived); [`callgraph`] stitches the call sites into a
-//! workspace call graph by conservative name matching. **Stage two**
-//! ([`passes`]) runs the rules over that IR — the lexical rules plus
-//! the flow-sensitive and workspace-level ones the IR makes possible.
+//! with their bodies and call sites, and scope-aware bindings carrying
+//! type facts (hash-ordered, float, thread-count-derived);
+//! [`callgraph`] stitches the call sites into a workspace call graph by
+//! conservative name matching. **Stage two** ([`passes`]) runs the
+//! rules over that IR — the lexical rules plus the flow-sensitive and
+//! workspace-level ones the IR makes possible.
 //! The analyzer is honest about being an over-approximation: anything
 //! it cannot prove safe is a finding, and the escape hatch is an
 //! *audited* suppression comment on the offending line (or the line
@@ -34,9 +34,7 @@
 //! | D4 | thread-count-derived chunk geometry feeding a float combine |
 //! | D5 | panic source reachable from a `par::` callback |
 //! | H1 | missing `#![forbid(unsafe_code)]` in a crate's `lib.rs` |
-//! | H2 | `parallel` feature not forwarded through a dependent manifest |
 //! | H3 | `print!`-family, `dbg!`, `todo!`, `unimplemented!` in library code |
-//! | H4 | `parallel` gate without serial sibling or bit-equality test |
 //! | U1 | `unsafe` outside `crates/tensor/src/simd.rs`, or in it without `// SAFETY:` |
 //! | P1 | per-element `Half::to_f32` inside a loop in `crates/kernels` |
 //! | C1 | unpaired `*_compute` / `*_profile` kernel in `crates/kernels` |
@@ -44,7 +42,7 @@
 //! | A2 | `allow` directive that suppressed nothing |
 //!
 //! D-codes, H3, P1, and C1 are suppressible with a reasoned `allow`;
-//! H1/H2/H4/U1 are structural and must be fixed; A-codes audit the
+//! H1 and U1 are structural and must be fixed; A-codes audit the
 //! allows themselves. U1 pairs with a relaxed H1: `mg-tensor`'s
 //! `lib.rs` alone may use `#![deny(unsafe_code)]` (so the explicit-SIMD
 //! module can lift it with a scoped allow), and U1 then confines every
@@ -69,7 +67,7 @@ pub use diag::{Diagnostic, LintCode};
 pub use passes::FileCtx;
 pub use rustlint::{lint_rust, FileClass};
 
-use manifest::{lint_feature_forwarding, parse_manifest, workspace_members, ManifestInfo};
+use manifest::{package_name, workspace_members};
 use rustlint::apply_suppressions;
 use std::path::{Path, PathBuf};
 
@@ -78,12 +76,11 @@ use std::path::{Path, PathBuf};
 /// the canonical order, stable across filesystems, that both the text
 /// and `--json` emitters preserve.
 ///
-/// Per crate, the scan covers `Cargo.toml` (H2) and every `.rs` file
-/// under `src/` (everything else). Tests, benches, examples, and
+/// Per crate, the scan reads the package name from `Cargo.toml` and
+/// lints every `.rs` file under `src/`. Tests, benches, examples, and
 /// fixture corpora live outside `src/` and are exempt by construction;
 /// `#[cfg(test)]` regions inside `src/` are exempted by the analyzer
-/// itself. The `tests/` directory is consulted read-only for the
-/// bit-equality-test half of H4.
+/// itself.
 ///
 /// # Errors
 ///
@@ -101,52 +98,26 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
         ));
     }
 
-    let mut manifests: Vec<(PathBuf, ManifestInfo)> = Vec::new();
     let mut files: Vec<FileCtx> = Vec::new();
-    // Per crate: (directory, crate name, indices into `files`).
-    let mut crates: Vec<(PathBuf, String, Vec<usize>)> = Vec::new();
     for dir in &members {
         let manifest_path = dir.join("Cargo.toml");
         let manifest_src = std::fs::read_to_string(&manifest_path)
             .map_err(|e| format!("{}: {e}", manifest_path.display()))?;
-        let info = parse_manifest(&manifest_src);
-        let crate_name = info.name.clone();
-        manifests.push((rel(root, &manifest_path), info));
+        let crate_name = package_name(&manifest_src);
 
         let src_dir = dir.join("src");
         let mut paths = Vec::new();
         collect_rs_files(&src_dir, &mut paths)?;
         paths.sort();
-        let mut indices = Vec::new();
         for file in paths {
             let src =
                 std::fs::read_to_string(&file).map_err(|e| format!("{}: {e}", file.display()))?;
             let class = classify(&src_dir, &file, &crate_name);
-            indices.push(files.len());
             files.push(FileCtx::new(rel(root, &file), &src, class));
         }
-        crates.push((dir.clone(), crate_name, indices));
     }
 
     let mut per_file = passes::run_all(&files);
-
-    // The bit-equality-test half of H4 needs the `tests/` directories.
-    for (dir, crate_name, indices) in &crates {
-        if crate_name == "mg-bench" {
-            continue;
-        }
-        let of_crate: Vec<&FileCtx> = indices.iter().map(|&i| &files[i]).collect();
-        if passes::features::has_parallel_gates(&of_crate) && !has_bit_equality_tests(dir) {
-            if let Some(d) = passes::features::needs_bit_equality_tests(&of_crate) {
-                let anchor = indices
-                    .iter()
-                    .copied()
-                    .find(|&i| files[i].path == d.file)
-                    .unwrap_or(indices[0]);
-                per_file[anchor].push(d);
-            }
-        }
-    }
 
     let mut findings: Vec<Diagnostic> = Vec::new();
     for (i, ctx) in files.iter().enumerate() {
@@ -156,26 +127,10 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
             std::mem::take(&mut per_file[i]),
         ));
     }
-    findings.extend(lint_feature_forwarding(&manifests));
     findings.sort_by(|a, b| {
         (path_key(&a.file), a.line, a.code).cmp(&(path_key(&b.file), b.line, b.code))
     });
     Ok(findings)
-}
-
-/// Whether the crate at `dir` has a `tests/*.rs` following the
-/// bit-equality convention: pinning thread counts via
-/// `ThreadPoolBuilder` or `MG_THREADS`.
-fn has_bit_equality_tests(dir: &Path) -> bool {
-    let Ok(entries) = std::fs::read_dir(dir.join("tests")) else {
-        return false;
-    };
-    entries.flatten().any(|e| {
-        let p = e.path();
-        p.extension().is_some_and(|x| x == "rs")
-            && std::fs::read_to_string(&p)
-                .is_ok_and(|s| s.contains("ThreadPoolBuilder") || s.contains("MG_THREADS"))
-    })
 }
 
 /// Derives a file's [`FileClass`] from its path under `src/`.

@@ -1,78 +1,33 @@
-//! A small `Cargo.toml` reader and the H2 feature-forwarding check.
+//! A small `Cargo.toml` reader: the package name of a member manifest
+//! and the member list of the workspace root.
 //!
 //! Only the TOML subset the workspace actually uses is understood:
-//! `[section]` headers, `key = "string"`, `key = { inline table }`, and
-//! `key = [ multi-line string arrays ]`. That is enough to know each
-//! crate's name, its dependencies, and its feature lists — no external
-//! TOML crate required (the environment is registry-less by design).
+//! `[section]` headers, `key = "string"`, and `key = [ multi-line
+//! string arrays ]` — no external TOML crate required (the environment
+//! is registry-less by design).
 
-use crate::diag::{Diagnostic, LintCode};
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// The slice of a crate manifest the lints care about.
-#[derive(Debug, Default, Clone)]
-pub struct ManifestInfo {
-    /// `package.name`.
-    pub name: String,
-    /// `[dependencies]` keys mapped to their 1-based line numbers
-    /// (dev-dependencies are deliberately excluded: test-only edges do
-    /// not need to forward runtime features).
-    pub deps: BTreeMap<String, u32>,
-    /// `[features]` lists: feature name → (line, entries).
-    pub features: BTreeMap<String, (u32, Vec<String>)>,
-}
-
-/// Parses the lint-relevant subset of one `Cargo.toml`.
-pub fn parse_manifest(src: &str) -> ManifestInfo {
-    let mut info = ManifestInfo::default();
-    let mut section = String::new();
-    let mut lines = src.lines().enumerate().peekable();
-    while let Some((idx, raw)) = lines.next() {
-        let line_no = idx as u32 + 1;
-        let line = strip_toml_comment(raw).trim().to_string();
-        if line.is_empty() {
-            continue;
-        }
+/// The `package.name` of one `Cargo.toml`, or an empty string when the
+/// manifest names no package.
+pub fn package_name(src: &str) -> String {
+    let mut in_package = false;
+    for raw in src.lines() {
+        let line = strip_toml_comment(raw).trim();
         if line.starts_with('[') {
-            section = line
-                .trim_start_matches('[')
-                .trim_end_matches(']')
-                .to_string();
+            in_package = line == "[package]";
             continue;
         }
-        let Some((key, value)) = line.split_once('=') else {
+        if !in_package {
             continue;
-        };
-        let key = key.trim().trim_matches('"').to_string();
-        let mut value = value.trim().to_string();
-        match section.as_str() {
-            "package" if key == "name" => {
-                info.name = value.trim_matches('"').to_string();
+        }
+        if let Some((key, value)) = line.split_once('=') {
+            if key.trim() == "name" {
+                return value.trim().trim_matches('"').to_string();
             }
-            "dependencies" => {
-                info.deps.insert(key, line_no);
-            }
-            "features" => {
-                // Arrays may span lines; accumulate until the bracket
-                // balance closes.
-                while count(&value, '[') > count(&value, ']') {
-                    let Some((_, next)) = lines.next() else { break };
-                    value.push(' ');
-                    value.push_str(strip_toml_comment(next).trim());
-                }
-                let entries = value
-                    .split('"')
-                    .skip(1)
-                    .step_by(2)
-                    .map(str::to_string)
-                    .collect();
-                info.features.insert(key, (line_no, entries));
-            }
-            _ => {}
         }
     }
-    info
+    String::new()
 }
 
 fn count(s: &str, c: char) -> usize {
@@ -90,48 +45,6 @@ fn strip_toml_comment(line: &str) -> &str {
         }
     }
     line
-}
-
-/// H2: every workspace dependency that itself exposes a `parallel`
-/// feature must be forwarded through the dependent crate's own
-/// `parallel` feature (`"dep/parallel"` or `"dep?/parallel"`), so that
-/// `--no-default-features` and default builds stay two coherent
-/// configurations instead of a per-crate lottery.
-pub fn lint_feature_forwarding(manifests: &[(PathBuf, ManifestInfo)]) -> Vec<Diagnostic> {
-    let parallel_members: BTreeMap<&str, ()> = manifests
-        .iter()
-        .filter(|(_, m)| m.features.contains_key("parallel"))
-        .map(|(_, m)| (m.name.as_str(), ()))
-        .collect();
-    let mut out = Vec::new();
-    for (path, m) in manifests {
-        let forwarded: Vec<&str> = m
-            .features
-            .get("parallel")
-            .map(|(_, entries)| entries.iter().map(String::as_str).collect())
-            .unwrap_or_default();
-        for (dep, &line) in &m.deps {
-            if !parallel_members.contains_key(dep.as_str()) {
-                continue;
-            }
-            let fwd = format!("{dep}/parallel");
-            let fwd_opt = format!("{dep}?/parallel");
-            if !forwarded.contains(&fwd.as_str()) && !forwarded.contains(&fwd_opt.as_str()) {
-                out.push(Diagnostic {
-                    code: LintCode::H2,
-                    file: path.clone(),
-                    line,
-                    message: format!(
-                        "`{}` depends on `{dep}` but its `parallel` feature does not \
-                         forward `{dep}/parallel`; a `--no-default-features` build of \
-                         `{dep}` would silently mix serial and parallel layers",
-                        m.name
-                    ),
-                });
-            }
-        }
-    }
-    out
 }
 
 /// Reads `workspace.members` globs from the root manifest and expands
@@ -188,78 +101,17 @@ pub fn workspace_members(root: &Path, root_manifest: &str) -> Vec<PathBuf> {
 mod tests {
     use super::*;
 
-    const A: &str = "\
+    #[test]
+    fn reads_the_package_name_only_from_the_package_section() {
+        let src = "\
 [package]
-name = \"a\"
-
-[features]
-default = [\"parallel\"]
-parallel = []
-";
-
-    const B_BAD: &str = "\
-[package]
-name = \"b\"
-
-[features]
-default = [\"parallel\"]
-parallel = []
+name = \"b\" # a comment
+version = \"0.1.0\"
 
 [dependencies]
-a = { path = \"../a\" }
+name = { path = \"../name\" }
 ";
-
-    const B_GOOD: &str = "\
-[package]
-name = \"b\"
-
-[features]
-parallel = [
-    \"a/parallel\",
-]
-
-[dependencies]
-a = { path = \"../a\" } # a comment
-
-[dev-dependencies]
-c = { path = \"../c\" }
-";
-
-    #[test]
-    fn parses_multiline_feature_arrays_and_dep_lines() {
-        let m = parse_manifest(B_GOOD);
-        assert_eq!(m.name, "b");
-        assert_eq!(m.deps.len(), 1);
-        assert_eq!(m.deps["a"], 10);
-        assert_eq!(m.features["parallel"].1, vec!["a/parallel"]);
-    }
-
-    #[test]
-    fn missing_forward_is_h2_at_the_dep_line() {
-        let ms = vec![
-            (PathBuf::from("a/Cargo.toml"), parse_manifest(A)),
-            (PathBuf::from("b/Cargo.toml"), parse_manifest(B_BAD)),
-        ];
-        let out = lint_feature_forwarding(&ms);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].code, LintCode::H2);
-        assert_eq!(out[0].line, 9);
-        let ms = vec![
-            (PathBuf::from("a/Cargo.toml"), parse_manifest(A)),
-            (PathBuf::from("b/Cargo.toml"), parse_manifest(B_GOOD)),
-        ];
-        assert!(lint_feature_forwarding(&ms).is_empty());
-    }
-
-    #[test]
-    fn crate_without_parallel_feature_depending_on_one_is_flagged() {
-        let c = "[package]\nname = \"c\"\n\n[dependencies]\na = { path = \"../a\" }\n";
-        let ms = vec![
-            (PathBuf::from("a/Cargo.toml"), parse_manifest(A)),
-            (PathBuf::from("c/Cargo.toml"), parse_manifest(c)),
-        ];
-        let out = lint_feature_forwarding(&ms);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].line, 5);
+        assert_eq!(package_name(src), "b");
+        assert_eq!(package_name("[dependencies]\nname = \"x\"\n"), "");
     }
 }

@@ -22,7 +22,7 @@
 
 use crate::callgraph::{CallGraph, FnRef};
 use crate::diag::{Diagnostic, LintCode};
-use crate::ir::TypeFact;
+use crate::ir::{is_thread_source, TypeFact};
 use crate::lexer::{Tok, TokKind};
 use crate::passes::FileCtx;
 use std::collections::BTreeSet;
@@ -39,14 +39,6 @@ const CHUNKY_CALLS: [&str; 7] = [
     "for_each_part_mut2",
 ];
 
-/// Identifiers whose value is the runtime thread count.
-const THREAD_SOURCES: [&str; 4] = [
-    "current_num_threads",
-    "num_threads",
-    "available_parallelism",
-    "effective_threads",
-];
-
 /// `par::` entry points whose callback runs on worker threads.
 const PAR_ENTRIES: [&str; 5] = [
     "map_indexed",
@@ -58,13 +50,6 @@ const PAR_ENTRIES: [&str; 5] = [
 
 /// Reduction combinators that re-associate what the chunks produced.
 const COMBINES: [&str; 4] = ["sum", "fold", "reduce", "product"];
-
-/// Whether a token is a direct thread-count source.
-fn is_thread_source(t: &Tok) -> bool {
-    (t.kind == TokKind::Ident && THREAD_SOURCES.contains(&t.text.as_str()))
-        || t.text == "\"MG_THREADS\""
-        || t.text == "\"RAYON_NUM_THREADS\""
-}
 
 /// D4 over every file.
 pub fn run_d4(files: &[FileCtx], per_file: &mut [Vec<Diagnostic>]) {

@@ -6,7 +6,6 @@
 //!   float combines, D5 panic-reachable parallel regions);
 //! * [`coverage`] — C1, the `*_compute` ↔ `*_profile` pairing gate for
 //!   `crates/kernels`;
-//! * [`features`] — H4, `parallel` feature-gate consistency;
 //! * [`unsafety`] — U1, confinement of `unsafe` to the explicit-SIMD
 //!   module and the `// SAFETY:` justification requirement inside it.
 //!
@@ -16,7 +15,6 @@
 //! so the caller can apply suppression directives file by file.
 
 pub mod coverage;
-pub mod features;
 pub mod flow;
 pub mod lexical;
 pub mod unsafety;
@@ -57,14 +55,12 @@ impl FileCtx {
 
 /// Runs every pass over the indexed files. Returns raw findings
 /// (suppressions not yet applied) grouped per file, parallel to
-/// `files`. The tests-directory half of H4 needs filesystem context
-/// and runs only in `lint_workspace`.
+/// `files`.
 pub fn run_all(files: &[FileCtx]) -> Vec<Vec<Diagnostic>> {
     let graph = CallGraph::build(files);
     let mut per_file: Vec<Vec<Diagnostic>> = (0..files.len()).map(|_| Vec::new()).collect();
     for (idx, file) in files.iter().enumerate() {
         lexical::run(file, &mut per_file[idx]);
-        features::run_siblings(file, &mut per_file[idx]);
         unsafety::run(file, &mut per_file[idx]);
     }
     flow::run_d4(files, &mut per_file);

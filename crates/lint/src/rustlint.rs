@@ -10,7 +10,7 @@
 //! [`lint_rust`] lints one file as a one-file workspace: the fixture
 //! corpus uses it, and it is exactly what `lint_workspace` does per
 //! file minus the cross-file context (workspace call graph edges,
-//! crate-wide C1 pairing, the tests-directory half of H4).
+//! crate-wide C1 pairing).
 
 use crate::diag::{parse_directive, Diagnostic, Directive, LintCode};
 use crate::lexer::Lexed;

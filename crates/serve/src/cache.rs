@@ -213,7 +213,7 @@ fn push_lone_marker(
 ///
 /// Plans are shared out as `Arc<Attention>`: every request whose
 /// canonical form matches executes the same plan object, and the handle
-/// can cross into the dispatcher's parallel worker-stepping threads.
+/// is `Send + Sync`, so a plan can be handed to any thread.
 pub struct PlanCache {
     model: SparseTransformer,
     capacity: usize,

@@ -11,7 +11,7 @@ use crate::cache::PlanCache;
 use mg_gpusim::digest::Fnv1a;
 use mg_gpusim::{DeviceSpec, Gpu, KernelRecord};
 use mg_sparse::SparseError;
-use mg_tensor::{par, Half, Matrix};
+use mg_tensor::{Half, Matrix};
 use multigrain::{Attention, Op};
 use std::sync::Arc;
 
@@ -95,20 +95,6 @@ pub struct DispatchAttempt {
     pub failed: bool,
 }
 
-/// One planned batch bound for a specific worker: everything the worker
-/// needs to execute it without touching shared mutable state.
-struct Assignment {
-    batch_idx: usize,
-    admitted_s: f64,
-    request_ids: Vec<usize>,
-    plans: Vec<Arc<Attention>>,
-    cache_hits: Vec<bool>,
-}
-
-/// A worker, its share of a dispatch group, and the outcomes it produced
-/// (tagged with the batch's index in the group).
-type WorkUnit = (Worker, Vec<Assignment>, Vec<(usize, BatchOutcome)>);
-
 /// Round-robin dispatcher over `workers` simulated devices.
 pub struct Dispatcher {
     workers: Vec<Worker>,
@@ -174,106 +160,24 @@ impl Dispatcher {
         batch: &Batch,
         cache: &mut PlanCache,
     ) -> Result<BatchOutcome, SparseError> {
-        let mut outcomes = self.dispatch_many(std::slice::from_ref(batch), cache)?;
-        Ok(outcomes.pop().expect("one batch in, one outcome out"))
+        let worker = self.next_online_worker();
+        Ok(self.step(worker, batch, cache, None)?.outcome)
     }
 
     /// Executes a group of batches released at the same simulated event,
-    /// bit-identically to dispatching them one at a time in slice order.
-    ///
-    /// Planning runs serially in admission order — the LRU cache is
-    /// shared mutable state and its hit/evict sequence is part of the
-    /// deterministic contract. Worker stepping, the expensive part, then
-    /// runs with one task per worker: each worker owns its [`Gpu`] and
-    /// replays its share of the batches sequentially, so the per-worker
-    /// timeline (and thus every outcome) is independent of thread count.
+    /// exactly as dispatching them one at a time in slice order: each
+    /// batch is planned through the shared LRU cache (whose hit/evict
+    /// sequence is part of the deterministic contract) and stepped on
+    /// its round-robin worker before the next batch is planned.
     pub fn dispatch_many(
         &mut self,
         batches: &[Batch],
         cache: &mut PlanCache,
     ) -> Result<Vec<BatchOutcome>, SparseError> {
-        if batches.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut queues: Vec<Vec<Assignment>> =
-            (0..self.workers.len()).map(|_| Vec::new()).collect();
-        for (batch_idx, batch) in batches.iter().enumerate() {
-            let worker_idx = self.next_online_worker();
-            let mut plans = Vec::with_capacity(batch.requests.len());
-            let mut cache_hits = Vec::with_capacity(batch.requests.len());
-            for request in &batch.requests {
-                let hits_before = cache.stats().hits;
-                plans.push(cache.get_or_plan(request)?);
-                cache_hits.push(cache.stats().hits > hits_before);
-            }
-            queues[worker_idx].push(Assignment {
-                batch_idx,
-                admitted_s: batch.admitted_s,
-                request_ids: batch.requests.iter().map(|r| r.id).collect(),
-                plans,
-                cache_hits,
-            });
-        }
-
-        let policy = self.policy;
-        let numeric = self.numeric;
-        let workers = std::mem::take(&mut self.workers);
-        let mut units: Vec<WorkUnit> = workers
-            .into_iter()
-            .zip(queues)
-            .map(|(worker, queue)| (worker, queue, Vec::new()))
-            .collect();
-        par::for_each_chunk_mut(&mut units, 1, |worker_idx, unit| {
-            let (worker, queue, done) = &mut unit[0];
-            for a in queue.drain(..) {
-                let started_s = a.admitted_s.max(worker.free_at);
-                worker.gpu.advance_to(started_s);
-                let refs: Vec<&Attention> = a.plans.iter().map(Arc::as_ref).collect();
-                match policy {
-                    StreamPolicy::Serial => run_serial(&refs, &mut worker.gpu),
-                    StreamPolicy::RoleStreams => {
-                        Attention::run_timed_batch(&refs, &mut worker.gpu);
-                    }
-                    StreamPolicy::Pipelined => {
-                        Attention::run_timed_pipelined_batch(&refs, &mut worker.gpu);
-                    }
-                }
-                let finished_s = worker.gpu.elapsed();
-                worker.free_at = finished_s;
-                let numeric_digest = if numeric {
-                    batch_numeric_digest(&a.plans, &a.request_ids)
-                } else {
-                    0
-                };
-                done.push((
-                    a.batch_idx,
-                    BatchOutcome {
-                        request_ids: a.request_ids,
-                        worker: worker_idx,
-                        admitted_s: a.admitted_s,
-                        started_s,
-                        finished_s,
-                        cache_hits: a.cache_hits,
-                        numeric_digest,
-                    },
-                ));
-            }
-        });
-
-        let mut outcomes: Vec<Option<BatchOutcome>> = (0..batches.len()).map(|_| None).collect();
-        self.workers = units
-            .into_iter()
-            .map(|(worker, _, done)| {
-                for (batch_idx, outcome) in done {
-                    outcomes[batch_idx] = Some(outcome);
-                }
-                worker
-            })
-            .collect();
-        Ok(outcomes
-            .into_iter()
-            .map(|o| o.expect("every batch executed"))
-            .collect())
+        batches
+            .iter()
+            .map(|batch| self.dispatch(batch, cache))
+            .collect()
     }
 
     /// Index of the next online worker in round-robin order, advancing
@@ -375,6 +279,23 @@ impl Dispatcher {
             WorkerState::Online,
             "dispatch_on targets an online worker"
         );
+        self.step(worker, batch, cache, abort_at)
+    }
+
+    /// The one worker step behind every dispatch: plans `batch`'s
+    /// members through `cache` in admission order, advances `worker`'s
+    /// device to the later of the admission time and the moment it
+    /// frees up, launches the batch under the stream policy, and builds
+    /// the outcome. A failure time `abort_at` that lands before the
+    /// batch finishes halts the worker there (see
+    /// [`Dispatcher::dispatch_on`]).
+    fn step(
+        &mut self,
+        worker: usize,
+        batch: &Batch,
+        cache: &mut PlanCache,
+        abort_at: Option<f64>,
+    ) -> Result<DispatchAttempt, SparseError> {
         let mut plans = Vec::with_capacity(batch.requests.len());
         let mut cache_hits = Vec::with_capacity(batch.requests.len());
         for request in &batch.requests {

@@ -115,9 +115,7 @@ impl ServeSim {
         for request in &requests {
             let now = request.arrival_s;
             // Release everything due before this arrival, plus the batch
-            // (if any) the arrival itself fills. All of these belong to
-            // the same simulated instant, so the dispatcher may step the
-            // workers they land on in parallel.
+            // (if any) the arrival itself fills, in release order.
             let mut due = batcher.poll(now);
             due.extend(batcher.push(request.clone(), now));
             executed.extend(self.dispatcher.dispatch_many(&due, &mut self.cache)?);

@@ -88,7 +88,6 @@ impl ShadowWriteSet {
         for &(chunk, start, end) in &writes {
             if let Some((pc, _, pe)) = prev {
                 if start < pe {
-                    // mg-lint: allow(D5): the sanitizer's verdict IS the panic; it only runs in diagnostic dsan builds
                     panic!(
                         "dsan: chunks {pc} and {chunk} of `{}` overlap on \
                          {start}..{} — partitioned mutation must be disjoint, or the \
@@ -99,7 +98,6 @@ impl ShadowWriteSet {
                 }
             }
             if start > covered_to {
-                // mg-lint: allow(D5): the sanitizer's verdict IS the panic; it only runs in diagnostic dsan builds
                 panic!(
                     "dsan: `{}` has an unwritten gap {covered_to}..{start} — \
                      partitioned mutation must cover the buffer",
@@ -110,7 +108,6 @@ impl ShadowWriteSet {
             prev = Some((chunk, start, end));
         }
         if covered_to < self.len {
-            // mg-lint: allow(D5): the sanitizer's verdict IS the panic; it only runs in diagnostic dsan builds
             panic!(
                 "dsan: `{}` has an unwritten tail {covered_to}..{} — \
                  partitioned mutation must cover the buffer",

@@ -1,40 +1,33 @@
 //! Deterministic parallel helpers shared across the workspace.
 //!
-//! Every helper here has a serial fallback compiled when the `parallel`
-//! feature is off, and both paths produce **bit-identical** results: work
-//! items are independent, outputs are written to disjoint regions, and
-//! results are combined in input order. Per-item floating-point
+//! Every helper produces **bit-identical** results at any thread count:
+//! work items are independent, outputs are written to disjoint regions,
+//! and results are combined in input order. Per-item floating-point
 //! accumulation order is whatever the caller's closure does — the helpers
-//! never re-associate reductions across items.
+//! never re-associate reductions across items. At one thread every
+//! callback runs inline on the calling thread in ascending index order,
+//! which is the serial reference path.
 //!
-//! Thread count is controlled by the `MG_THREADS` / `RAYON_NUM_THREADS`
-//! environment variables or an enclosing `rayon::ThreadPool::install`
-//! scope (see the vendored `rayon` crate's docs).
+//! Thread count is controlled by the `MG_THREADS` environment variable
+//! or an enclosing `rayon::ThreadPool::install` scope (see the vendored
+//! `rayon` crate's docs).
 //!
 //! With the `dsan` feature on, every partitioned-mutation helper also
 //! shadows its chunks with a [`crate::dsan::ShadowWriteSet`] and asserts
 //! pairwise disjointness and full coverage at join time.
 
-#[cfg(feature = "parallel")]
 use rayon::prelude::*;
 
 /// Maps `0..n` through `f`, returning results in index order.
 ///
-/// Parallel when the `parallel` feature is on; the output vector is
-/// identical either way because item `i`'s result only depends on `i`.
+/// The output vector is identical at any thread count because item
+/// `i`'s result only depends on `i`.
 pub fn map_indexed<U, F>(n: usize, f: F) -> Vec<U>
 where
     U: Send,
     F: Fn(usize) -> U + Sync,
 {
-    #[cfg(feature = "parallel")]
-    {
-        (0..n).into_par_iter().map(f).collect()
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        (0..n).map(f).collect()
-    }
+    (0..n).into_par_iter().map(f).collect()
 }
 
 /// Applies `f(chunk_index, chunk)` to consecutive disjoint `chunk`-sized
@@ -56,18 +49,9 @@ where
         shadow.record(i, i * chunk, i * chunk + c.len());
         f(i, c);
     };
-    #[cfg(feature = "parallel")]
-    {
-        data.par_chunks_mut(chunk)
-            .enumerate()
-            .for_each(|(i, c)| f(i, c));
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        data.chunks_mut(chunk)
-            .enumerate()
-            .for_each(|(i, c)| f(i, c));
-    }
+    data.par_chunks_mut(chunk)
+        .enumerate()
+        .for_each(|(i, c)| f(i, c));
     #[cfg(feature = "dsan")]
     shadow.assert_disjoint_cover();
 }
@@ -96,14 +80,7 @@ where
         shadow.record(i, bounds[i], bounds[i] + p.len());
         f(i, p);
     };
-    #[cfg(feature = "parallel")]
-    {
-        parts.into_par_iter().enumerate().for_each(|(i, p)| f(i, p));
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        parts.into_iter().enumerate().for_each(|(i, p)| f(i, p));
-    }
+    parts.into_par_iter().enumerate().for_each(|(i, p)| f(i, p));
     #[cfg(feature = "dsan")]
     shadow.assert_disjoint_cover();
 }
@@ -147,20 +124,10 @@ pub fn for_each_part_mut2<A, B, F>(
         shadow_b.record(i, b_bounds[i], b_bounds[i] + pb.len());
         f(i, pa, pb);
     };
-    #[cfg(feature = "parallel")]
-    {
-        zipped
-            .into_par_iter()
-            .enumerate()
-            .for_each(|(i, (pa, pb))| f(i, pa, pb));
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        zipped
-            .into_iter()
-            .enumerate()
-            .for_each(|(i, (pa, pb))| f(i, pa, pb));
-    }
+    zipped
+        .into_par_iter()
+        .enumerate()
+        .for_each(|(i, (pa, pb))| f(i, pa, pb));
     #[cfg(feature = "dsan")]
     shadow_a.assert_disjoint_cover();
     #[cfg(feature = "dsan")]

@@ -40,12 +40,11 @@
 //!
 //! The first microkernel call reads the `MG_SIMD` environment variable:
 //! `MG_SIMD=0` forces the scalar path; anything else (including unset)
-//! selects the vector path **iff** the `simd` feature is compiled in,
-//! the target is x86_64, and `is_x86_feature_detected!` reports the CPU
-//! supports AVX2 and F16C. The decision is cached in an atomic;
-//! [`set_override`] flips it programmatically (the perf study's
-//! three-way A/B uses this) and `set_override(None)` drops back to the
-//! environment-driven decision. Because both paths are bit-identical,
+//! selects the vector path **iff** the target is x86_64 and
+//! `is_x86_feature_detected!` reports the CPU supports AVX2 and F16C.
+//! The decision is cached in an atomic; [`set_override`] flips it
+//! programmatically (the perf study's three-way A/B uses this) and
+//! `set_override(None)` drops back to the environment-driven decision. Because both paths are bit-identical,
 //! the dispatch decision can never change a result — only a timing.
 //!
 //! ## Unsafe confinement contract
@@ -79,16 +78,16 @@ const MODE_SIMD: u8 = 2;
 /// probe (re)reads `MG_SIMD` and the CPUID feature bits.
 static MODE: AtomicU8 = AtomicU8::new(MODE_UNINIT);
 
-/// Whether the vector path exists at all on this build and CPU: the
-/// `simd` feature is compiled in, the target is x86_64, and the CPU
-/// reports AVX2 and F16C. Independent of the `MG_SIMD` override.
+/// Whether the vector path exists at all on this target and CPU: the
+/// target is x86_64 and the CPU reports AVX2 and F16C. Independent of
+/// the `MG_SIMD` override.
 #[inline]
 pub fn available() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("f16c")
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }
@@ -157,7 +156,7 @@ pub fn row_panel_span<const SKIP_ZEROS: bool>(
     j0: usize,
     out: &mut [f32; SPAN],
 ) -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if active() && j0 + SPAN <= n && a_f.len().saturating_mul(n) <= bp.len() {
         // SAFETY: AVX2 is present (`active` implies `available`), and the
         // guard proves every SPAN-wide load at `bp[kk*n + j0]` with
@@ -188,7 +187,7 @@ pub fn row_panel_span2<const SKIP_ZEROS: bool>(
     out0: &mut [f32; SPAN],
     out1: &mut [f32; SPAN],
 ) -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if active()
         && a0_f.len() == a1_f.len()
         && j0 + SPAN <= n
@@ -217,7 +216,7 @@ pub fn row_panel_block<const SKIP_ZEROS: bool>(
     j0: usize,
     out: &mut [f32; NR],
 ) -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if active() && j0 + NR <= n && a_f.len().saturating_mul(n) <= bp.len() {
         // SAFETY: AVX2 is present, and the guard proves every NR-wide load
         // at `bp[kk*n + j0]` with `kk < a_f.len()` lies inside `bp`.
@@ -234,7 +233,7 @@ pub fn row_panel_block<const SKIP_ZEROS: bool>(
 /// panic semantics).
 #[inline]
 pub fn dot_rows_block(a: &[f32], lanes: &[&[f32]; NR]) -> Option<[f32; NR]> {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if active() && lanes.iter().all(|lane| lane.len() == a.len()) {
         // SAFETY: AVX2 is present, and every lane was just checked to be
         // exactly `a.len()` long, so each `lanes[j][k]` read is in bounds.
@@ -251,7 +250,7 @@ pub fn dot_rows_block(a: &[f32], lanes: &[&[f32]; NR]) -> Option<[f32; NR]> {
 /// path owns the panic semantics).
 #[inline]
 pub fn decode_f16(src: &[Half], dst: &mut [f32]) -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if active() && src.len() == dst.len() {
         // SAFETY: AVX2 (and thus the vector gather) is present, the lengths
         // match, and every gather index is a u16 — always inside the
@@ -273,7 +272,7 @@ pub fn decode_f16(src: &[Half], dst: &mut [f32]) -> bool {
 /// differ (the scalar path owns the panic semantics).
 #[inline]
 pub fn encode_f16(src: &[f32], dst: &mut [Half]) -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if active() && src.len() == dst.len() {
         // SAFETY: AVX2 and F16C are present (`active` implies `available`)
         // and the lengths match, so every 8-wide load and store is in
@@ -285,7 +284,7 @@ pub fn encode_f16(src: &[f32], dst: &mut [Half]) -> bool {
     false
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx2 {
     //! The AVX2 implementations. Everything here runs under
     //! `#[target_feature(enable = "avx2")]` (plus `f16c` for the encode)

@@ -3,14 +3,61 @@
 //! Every parallel routine in `mg-tensor` promises results bit-identical to
 //! its serial execution. These tests pin that promise by running the same
 //! computation under 1-thread and N-thread pools and comparing raw bits.
-//! With the `parallel` feature disabled both runs are serial and the tests
-//! pass trivially.
+//! The 1-thread run is the serial reference path: the `par` helpers call
+//! every callback inline on the calling thread, in ascending index order,
+//! which `one_thread_runs_every_callback_inline_in_index_order` pins.
 
-use mg_tensor::{gemm, gemm_nt, softmax_rows, Half, Matrix};
+use mg_tensor::{gemm, gemm_nt, par, softmax_rows, Half, Matrix};
 use rayon::ThreadPoolBuilder;
+use std::sync::Mutex;
+use std::thread::{self, ThreadId};
 
 fn pool(n: usize) -> rayon::ThreadPool {
     ThreadPoolBuilder::new().num_threads(n).build().unwrap()
+}
+
+/// Runs `work` on a one-thread pool, handing it a recorder for callback
+/// indices, and asserts every recorded call ran on the calling thread in
+/// ascending order `0..n`.
+fn assert_inline_in_order(name: &str, n: usize, work: impl FnOnce(&(dyn Fn(usize) + Sync))) {
+    let caller = thread::current().id();
+    let calls: Mutex<Vec<(usize, ThreadId)>> = Mutex::new(Vec::new());
+    pool(1).install(|| {
+        work(&|i| calls.lock().unwrap().push((i, thread::current().id())));
+    });
+    let calls = calls.into_inner().unwrap();
+    let order: Vec<usize> = calls.iter().map(|&(i, _)| i).collect();
+    assert_eq!(order, (0..n).collect::<Vec<_>>(), "{name}: call order");
+    assert!(
+        calls.iter().all(|&(_, t)| t == caller),
+        "{name}: a callback left the calling thread"
+    );
+}
+
+#[test]
+fn one_thread_runs_every_callback_inline_in_index_order() {
+    assert_inline_in_order("map_indexed", 9, |record| {
+        let out = par::map_indexed(9, |i| {
+            record(i);
+            i * 3
+        });
+        assert_eq!(out, (0..9).map(|i| i * 3).collect::<Vec<_>>());
+    });
+    assert_inline_in_order("for_each_chunk_mut", 5, |record| {
+        let mut data = vec![0u8; 23];
+        par::for_each_chunk_mut(&mut data, 5, |i, _| record(i));
+    });
+    assert_inline_in_order("for_each_part_mut", 4, |record| {
+        let mut data = vec![0u8; 10];
+        par::for_each_part_mut(&mut data, &[0, 3, 3, 7, 10], |i, _| record(i));
+    });
+    assert_inline_in_order("for_each_part_mut2", 3, |record| {
+        let mut a = vec![0u8; 6];
+        let mut b = vec![0u16; 9];
+        par::for_each_part_mut2(&mut a, &[0, 2, 2, 6], &mut b, &[0, 8, 9, 9], |i, _, _| {
+            record(i)
+        });
+    });
 }
 
 fn bits_f32(m: &Matrix<f32>) -> Vec<u32> {
