@@ -120,3 +120,16 @@ fn load_reports_missing_files() {
     let err = TuningDb::load(std::path::Path::new("/nonexistent/tuning_db.json")).unwrap_err();
     assert!(err.contains("reading"), "{err}");
 }
+
+#[test]
+fn deeply_nested_input_is_an_error_not_a_crash() {
+    // A database file is untrusted input: 100k nested arrays under
+    // "entries" must come back as a parse error, not overflow the stack.
+    let text = format!(
+        "{{\"version\": 1, \"entries\": {}{}}}",
+        "[".repeat(100_000),
+        "]".repeat(100_000)
+    );
+    let err = TuningDb::from_json(&text).unwrap_err();
+    assert!(err.contains("nesting deeper than"), "{err}");
+}

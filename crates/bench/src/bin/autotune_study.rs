@@ -28,6 +28,11 @@
 //! baseline anywhere, or if no cell selects different winning methods
 //! on at least one pair of devices.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the footer reports the search's wall-clock time; no table depends on it"
+)]
+
 use mg_autotune::{
     candidates, evaluate, tune, ExecPolicy, Strategy, TuneConfig, TuneEntry, TuneKey, TuningDb,
 };

@@ -33,6 +33,11 @@
 //!   digest; byte-identical across thread counts.
 //! * `--threads N`   — pin the parallel layer to N threads.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the footer reports the study's wall-clock time; no simulated number depends on it"
+)]
+
 use mg_bench::cli::{self, StudyArgs};
 use mg_bench::{threads, Table};
 use mg_decode::{BatchingMode, DecodeConfig, DecodeReport, DecodeSim, DecodeTraffic};

@@ -9,6 +9,11 @@
 //! * `--threads N` — pin the parallel layer to N threads (default: the
 //!   `MG_THREADS` environment variable, then all cores).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the footer reports the grid's wall-clock time; no table depends on it"
+)]
+
 use mg_bench::cli::StudyArgs;
 use mg_bench::runners::{BLOCK, HEADS, HEAD_DIM, SEED};
 use mg_bench::{threads, Table};

@@ -36,6 +36,11 @@
 //!   dispatch-independent, so two runs at any thread counts and either
 //!   `MG_SIMD` setting must produce byte-identical files.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the study times kernel legs on the wall clock; digests hash outputs only"
+)]
+
 use mg_bench::cli::{self, StudyArgs};
 use mg_bench::runners::{BLOCK, HEAD_DIM, SEED};
 use mg_bench::{threads, Table};

@@ -566,7 +566,8 @@ impl Attention {
     /// but does not synchronize; the caller owns the barrier.
     fn launch_pipelined_dag(&self, gpu: &mut Gpu, spec: &mg_gpusim::DeviceSpec) {
         // Kernel-name -> id table. Lookup-only today, but a BTreeMap
-        // keeps even accidental iteration deterministic (mg-lint D1).
+        // keeps even accidental iteration deterministic (`clippy.toml`
+        // bans `HashMap`).
         let mut ids: std::collections::BTreeMap<String, mg_gpusim::KernelId> =
             std::collections::BTreeMap::new();
         for op in [Op::Sddmm, Op::Softmax, Op::Spmm, Op::Merge] {

@@ -325,7 +325,10 @@ fn waterfill(demands: &[usize], capacity: usize) -> Vec<usize> {
 #[derive(PartialEq, PartialOrd)]
 struct OrderedF64(f64);
 impl Eq for OrderedF64 {}
-#[allow(clippy::derive_ord_xor_partial_ord)]
+#[allow(
+    clippy::derive_ord_xor_partial_ord,
+    reason = "total order over finite times, consistent with the derived PartialOrd"
+)]
 impl Ord for OrderedF64 {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.partial_cmp(other).expect("times are finite")
@@ -476,7 +479,7 @@ impl Gpu {
         loop {
             // Admit the head kernel of every stream that has none active
             // and whose dependencies have all completed.
-            #[allow(clippy::needless_range_loop)] // q indexes two arrays
+            #[allow(clippy::needless_range_loop, reason = "q indexes two arrays")]
             for q in 0..self.queues.len() {
                 let has_active = active.iter().any(|a| a.queue == q);
                 if !has_active && cursors[q] < self.queues[q].len() {

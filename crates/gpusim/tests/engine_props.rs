@@ -130,7 +130,10 @@ proptest! {
 #[derive(PartialEq, PartialOrd)]
 struct Time(f64);
 impl Eq for Time {}
-#[allow(clippy::derive_ord_xor_partial_ord)]
+#[allow(
+    clippy::derive_ord_xor_partial_ord,
+    reason = "total order over finite times, consistent with the derived PartialOrd"
+)]
 impl Ord for Time {
     fn cmp(&self, other: &Self) -> Ordering {
         self.partial_cmp(other).expect("finite times")

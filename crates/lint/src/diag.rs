@@ -8,18 +8,12 @@ use std::path::PathBuf;
 /// hygiene requirements of the workspace; `U` codes confine `unsafe`
 /// to its one sanctioned module; `A` codes police the suppression
 /// mechanism itself. Names are never reused: `H2` and `H4` (checks of
-/// a retired `parallel` cargo feature) stay unassigned.
+/// a retired `parallel` cargo feature) and `D3` (unseeded RNG, whose
+/// names the vendored `rand` cannot resolve) stay unassigned, and `D1`
+/// and `D2` (hash-ordered collections, wall clocks) moved to the
+/// `disallowed-types` list of the workspace `clippy.toml`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LintCode {
-    /// Hash-ordered collection (`HashMap`/`HashSet`) in non-test
-    /// library code: declaration, construction, or iteration.
-    D1,
-    /// Wall-clock time source (`Instant`, `SystemTime`) outside
-    /// `crates/bench`.
-    D2,
-    /// Unseeded randomness (`thread_rng`, `from_entropy`) outside test
-    /// code.
-    D3,
     /// Flow-sensitive float-reduction-order hazard: a chunked traversal
     /// whose chunk geometry derives from the runtime thread count,
     /// inside a function that accumulates floats — the combine order
@@ -60,10 +54,7 @@ pub enum LintCode {
 
 impl LintCode {
     /// All codes, in severity-report order.
-    pub const ALL: [LintCode; 12] = [
-        LintCode::D1,
-        LintCode::D2,
-        LintCode::D3,
+    pub const ALL: [LintCode; 9] = [
         LintCode::D4,
         LintCode::D5,
         LintCode::H1,
@@ -75,7 +66,7 @@ impl LintCode {
         LintCode::A2,
     ];
 
-    /// Parses a code name (`"D1"`), case-sensitively.
+    /// Parses a code name (`"D4"`), case-sensitively.
     pub fn parse(s: &str) -> Option<LintCode> {
         LintCode::ALL.into_iter().find(|c| c.as_str() == s)
     }
@@ -83,9 +74,6 @@ impl LintCode {
     /// The stable textual name.
     pub fn as_str(&self) -> &'static str {
         match self {
-            LintCode::D1 => "D1",
-            LintCode::D2 => "D2",
-            LintCode::D3 => "D3",
             LintCode::D4 => "D4",
             LintCode::D5 => "D5",
             LintCode::H1 => "H1",
@@ -106,14 +94,7 @@ impl LintCode {
     pub fn suppressible(&self) -> bool {
         matches!(
             self,
-            LintCode::D1
-                | LintCode::D2
-                | LintCode::D3
-                | LintCode::D4
-                | LintCode::D5
-                | LintCode::H3
-                | LintCode::P1
-                | LintCode::C1
+            LintCode::D4 | LintCode::D5 | LintCode::H3 | LintCode::P1 | LintCode::C1
         )
     }
 }
@@ -213,25 +194,28 @@ mod tests {
 
     #[test]
     fn well_formed_directive_parses() {
-        let d = parse_directive("mg-lint: allow(D1): lookup-only map", 10, false).unwrap();
-        assert_eq!(d.code, Some(LintCode::D1));
+        let d = parse_directive("mg-lint: allow(H3): CLI-facing report", 10, false).unwrap();
+        assert_eq!(d.code, Some(LintCode::H3));
         assert!(d.has_reason);
         assert_eq!(d.target_line, 10);
     }
 
     #[test]
     fn standalone_directive_targets_the_next_line() {
-        let d = parse_directive("mg-lint: allow(D2): trace timestamps", 4, true).unwrap();
+        let d = parse_directive("mg-lint: allow(P1): single decode", 4, true).unwrap();
         assert_eq!(d.target_line, 5);
     }
 
     #[test]
     fn bare_and_unknown_directives_are_flagged_not_ignored() {
-        let bare = parse_directive("mg-lint: allow(D1)", 1, false).unwrap();
+        let bare = parse_directive("mg-lint: allow(H3)", 1, false).unwrap();
         assert!(!bare.has_reason);
         let unknown = parse_directive("mg-lint: allow(Z9): whatever", 1, false).unwrap();
         assert_eq!(unknown.code, None);
-        let empty = parse_directive("mg-lint: allow(D1):   ", 1, false).unwrap();
+        // Retired codes parse as unknown: their directives are audited.
+        let retired = parse_directive("mg-lint: allow(D1): lookup-only map", 1, false).unwrap();
+        assert_eq!(retired.code, None);
+        let empty = parse_directive("mg-lint: allow(H3):   ", 1, false).unwrap();
         assert!(!empty.has_reason);
         assert!(parse_directive("just a comment", 1, false).is_none());
     }

@@ -6,11 +6,10 @@
 //!
 //! * an **item index** — every `fn` with its body token span, its call
 //!   sites, and whether it sits inside test code;
-//! * **scope-aware bindings** — identifiers with a type fact attached
-//!   (hash-ordered container, floating point, thread-count-derived),
-//!   each valid over an explicit token range instead of the old
-//!   file-global ident set, so a `HashMap`-typed `m` in one function no
-//!   longer taints an unrelated `m` in another.
+//! * **scope-aware bindings** — `let` bindings with a type fact attached
+//!   (floating point, thread-count-derived), each valid until the end
+//!   of its function body, so a float `acc` in one function does not
+//!   taint an unrelated `acc` in another.
 //!
 //! The IR is still built from the hand-rolled token stream — it is an
 //! honest over-approximation, not a compiler front end — but every
@@ -83,8 +82,6 @@ impl FnItem {
 /// What the analyzer knows about a binding's type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TypeFact {
-    /// Hash-ordered container (`HashMap`/`HashSet`).
-    Hash,
     /// Floating-point value or container of them.
     Float,
     /// Value derived from the runtime thread count.
@@ -116,8 +113,6 @@ pub struct FileIr {
     pub bindings: Vec<Binding>,
     /// Per-token mask: inside `#[cfg(test)]` / `#[test]` code.
     pub in_test: Vec<bool>,
-    /// Per-token mask: inside a `use ...;` statement.
-    pub in_use: Vec<bool>,
     /// Per-token mask: inside a `for`/`while`/`loop` body.
     pub in_loop: Vec<bool>,
     /// For every `{`/`(`/`[` token index, the index of its closer.
@@ -129,7 +124,6 @@ impl FileIr {
     pub fn build(toks: &[Tok]) -> FileIr {
         let mut ir = FileIr {
             in_test: test_token_mask(toks),
-            in_use: use_token_mask(toks),
             in_loop: loop_body_mask(toks),
             close_of: match_delims(toks),
             ..FileIr::default()
@@ -206,50 +200,9 @@ impl FileIr {
         }
     }
 
-    /// Collects bindings with facts. Hash facts replicate the proven PR 4
-    /// matching (`name: HashMap<..>` ascriptions and `name =
-    /// HashMap::new()` bindings) but attach a scope; float and
-    /// thread-derived facts come from `let` statements and parameter
-    /// ascriptions. A binding introduced outside any function body
-    /// (struct field, const, static) is visible file-wide from token 0 —
-    /// a field may be declared after the impl that iterates it.
+    /// Collects float and thread-derived facts from `let` statements
+    /// inside function bodies.
     fn index_bindings(&mut self, toks: &[Tok]) {
-        let mut bindings = Vec::new();
-        // Hash-typed idents, PR 4 shape, now scoped.
-        for i in 0..toks.len() {
-            if toks[i].kind != TokKind::Ident
-                || (toks[i].text != "HashMap" && toks[i].text != "HashSet")
-            {
-                continue;
-            }
-            // Walk to the head of a `std::collections::HashMap` path.
-            let mut j = i;
-            while j >= 3
-                && toks[j - 1].text == ":"
-                && toks[j - 2].text == ":"
-                && toks[j - 3].kind == TokKind::Ident
-            {
-                j -= 3;
-            }
-            let mut k = j;
-            while k >= 1 && (toks[k - 1].text == "&" || toks[k - 1].text == "mut") {
-                k -= 1;
-            }
-            // `name : Type` ascription (single colon only).
-            if k >= 2
-                && toks[k - 1].text == ":"
-                && toks[k - 2].kind == TokKind::Ident
-                && !(k >= 3 && toks[k - 3].text == ":")
-            {
-                bindings.push(self.scoped_binding(toks, k - 2, TypeFact::Hash));
-            }
-            // `name = HashMap::new()` binding or reassignment.
-            if k >= 2 && toks[k - 1].text == "=" && toks[k - 2].kind == TokKind::Ident {
-                bindings.push(self.scoped_binding(toks, k - 2, TypeFact::Hash));
-            }
-        }
-        // `let`-statement facts: float and thread-derived initializers.
-        self.bindings = bindings;
         for i in 0..toks.len() {
             if toks[i].kind != TokKind::Ident || toks[i].text != "let" {
                 continue;
@@ -294,33 +247,15 @@ impl FileIr {
             } else {
                 None
             };
-            if let Some(fact) = fact {
-                let b = self.scoped_binding(toks, n, fact);
-                self.bindings.push(b);
+            if let (Some(fact), Some(f)) = (fact, self.enclosing_fn(n)) {
+                self.bindings.push(Binding {
+                    name: name.text.clone(),
+                    decl_tok: n,
+                    line: name.line,
+                    scope_end: self.fns[f].body.1,
+                    fact,
+                });
             }
-        }
-        self.bindings.sort_by_key(|b| b.decl_tok);
-    }
-
-    /// Builds a binding for the name at token `name_tok`: scoped to the
-    /// innermost enclosing function-body brace when there is one,
-    /// file-wide (from token 0) otherwise.
-    fn scoped_binding(&self, toks: &[Tok], name_tok: usize, fact: TypeFact) -> Binding {
-        match self.enclosing_fn(name_tok) {
-            Some(f) => Binding {
-                name: toks[name_tok].text.clone(),
-                decl_tok: name_tok,
-                line: toks[name_tok].line,
-                scope_end: self.fns[f].body.1,
-                fact,
-            },
-            None => Binding {
-                name: toks[name_tok].text.clone(),
-                decl_tok: 0,
-                line: toks[name_tok].line,
-                scope_end: toks.len(),
-                fact,
-            },
         }
     }
 }
@@ -539,23 +474,6 @@ fn loop_body_mask(toks: &[Tok]) -> Vec<bool> {
     mask
 }
 
-/// Marks tokens inside `use ...;` statements — an import alone is not a
-/// D1 finding (the offending declaration or iteration will be).
-fn use_token_mask(toks: &[Tok]) -> Vec<bool> {
-    let mut mask = vec![false; toks.len()];
-    let mut in_use = false;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind == TokKind::Ident && t.text == "use" {
-            in_use = true;
-        }
-        mask[i] = in_use;
-        if t.text == ";" {
-            in_use = false;
-        }
-    }
-    mask
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,36 +518,22 @@ mod tests {
     fn bindings_are_scoped_to_their_function() {
         let src = "\
 pub fn a() {
-    let m = std::collections::HashMap::new();
-    m.insert(1, 2);
+    let m = 0.5f32;
+    m.sqrt();
 }
 pub fn b(m: &[u32]) -> usize { m.len() }
 ";
         let ir = FileIr::build(&lex(src).toks);
         let toks = lex(src).toks;
-        // Inside `a`, `m` is hash-typed...
+        // Inside `a`, `m` is a float...
         let use_in_a = toks
             .iter()
-            .position(|t| t.text == "insert")
-            .expect("insert tok");
-        assert_eq!(ir.binding_fact("m", use_in_a - 2), Some(TypeFact::Hash));
+            .position(|t| t.text == "sqrt")
+            .expect("sqrt tok");
+        assert_eq!(ir.binding_fact("m", use_in_a - 2), Some(TypeFact::Float));
         // ...but the unrelated `m` in `b` is not.
         let use_in_b = toks.iter().rposition(|t| t.text == "len").expect("len tok");
         assert_eq!(ir.binding_fact("m", use_in_b - 2), None);
-    }
-
-    #[test]
-    fn struct_fields_are_visible_file_wide() {
-        let src = "\
-impl C {
-    pub fn f(&self) -> usize { self.entries.len() }
-}
-pub struct C { entries: std::collections::HashMap<u64, u64> }
-";
-        let ir = FileIr::build(&lex(src).toks);
-        let toks = lex(src).toks;
-        let use_tok = toks.iter().position(|t| t.text == "len").expect("len tok");
-        assert_eq!(ir.binding_fact("entries", use_tok), Some(TypeFact::Hash));
     }
 
     #[test]

@@ -365,12 +365,12 @@ mod tests {
 
     #[test]
     fn comments_record_trailing_position() {
-        let src = "let x = 1; // mg-lint: allow(D1): reason\n// alone\nlet y = 2;\n";
+        let src = "let x = 1; // mg-lint: allow(H3): reason\n// alone\nlet y = 2;\n";
         let lexed = lex(src);
         assert_eq!(lexed.comments.len(), 2);
         assert!(lexed.line_has_code(1));
         assert!(!lexed.line_has_code(2));
-        assert_eq!(lexed.comments[0].text, "mg-lint: allow(D1): reason");
+        assert_eq!(lexed.comments[0].text, "mg-lint: allow(H3): reason");
     }
 
     #[test]

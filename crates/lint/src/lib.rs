@@ -11,8 +11,8 @@
 //! The analyzer runs in two stages, built from scratch on a
 //! hand-rolled lexer (the build environment has no registry access, so
 //! no `syn`). **Stage one** ([`ir`]) indexes every file: functions
-//! with their bodies and call sites, and scope-aware bindings carrying
-//! type facts (hash-ordered, float, thread-count-derived);
+//! with their bodies and call sites, and function-scoped `let` bindings
+//! carrying type facts (float, thread-count-derived);
 //! [`callgraph`] stitches the call sites into a workspace call graph by
 //! conservative name matching. **Stage two** ([`passes`]) runs the
 //! rules over that IR — the lexical rules plus the flow-sensitive and
@@ -23,14 +23,11 @@
 //! directly above):
 //!
 //! ```text
-//! // mg-lint: allow(D1): membership-only set, never iterated
+//! // mg-lint: allow(P1): single score decode, not an operand sweep
 //! ```
 //!
 //! | Code | Meaning |
 //! |------|---------|
-//! | D1 | hash-ordered `HashMap`/`HashSet` in non-test library code |
-//! | D2 | wall-clock `Instant`/`SystemTime` outside `crates/bench` |
-//! | D3 | unseeded RNG (`thread_rng`, `from_entropy`) outside tests |
 //! | D4 | thread-count-derived chunk geometry feeding a float combine |
 //! | D5 | panic source reachable from a `par::` callback |
 //! | H1 | missing `#![forbid(unsafe_code)]` in a crate's `lib.rs` |
@@ -40,6 +37,11 @@
 //! | C1 | unpaired `*_compute` / `*_profile` kernel in `crates/kernels` |
 //! | A1 | bare/unknown/non-suppressible `allow` directive |
 //! | A2 | `allow` directive that suppressed nothing |
+//!
+//! The type bans (`HashMap`/`HashSet`, `Instant`/`SystemTime`) are not
+//! mg-lint codes: they are `disallowed-types` in the workspace
+//! `clippy.toml`, which resolves paths and aliases and covers tests and
+//! examples too. `D1`–`D3` are retired; see `CODES.md`.
 //!
 //! D-codes, H3, P1, and C1 are suppressible with a reasoned `allow`;
 //! H1 and U1 are structural and must be fixed; A-codes audit the
@@ -221,7 +223,7 @@ mod tests {
     #[test]
     fn json_escaping_is_sound_and_paths_are_normalized() {
         let d = Diagnostic {
-            code: LintCode::D1,
+            code: LintCode::H3,
             file: PathBuf::from("a\\b.rs"),
             line: 3,
             message: "say \"hi\"\n".to_string(),

@@ -1,31 +1,14 @@
-//! The per-file token-shape rules: D1–D3, H1, H3, P1.
+//! The per-file token-shape rules: H1, H3, P1.
 //!
-//! These are the PR 4 lexical rules rebased onto the IR. The one
-//! behavioral upgrade is D1: the old file-global "hash-typed ident"
-//! set is replaced by the IR's scope-aware bindings, so a `HashMap`
-//! named `m` in one function no longer taints iteration over an
-//! unrelated slice `m` in another.
+//! The type bans that used to live here (hash-ordered collections, wall
+//! clocks) are `disallowed-types` in the workspace `clippy.toml`, where
+//! the compiler resolves paths, aliases and tests that token matching
+//! could not.
 
 use crate::diag::{Diagnostic, LintCode};
-use crate::ir::TypeFact;
 use crate::lexer::{Tok, TokKind};
 use crate::passes::FileCtx;
 use std::collections::BTreeSet;
-
-/// Iterator-producing methods whose order is the hasher's, not the
-/// program's.
-const ITER_METHODS: [&str; 10] = [
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "into_iter",
-    "into_keys",
-    "into_values",
-    "retain",
-];
 
 /// Runs the lexical rules over one file, appending raw findings.
 pub fn run(file: &FileCtx, out: &mut Vec<Diagnostic>) {
@@ -51,47 +34,6 @@ pub fn run(file: &FileCtx, out: &mut Vec<Diagnostic>) {
             continue;
         }
         match t.text.as_str() {
-            // D1a: any mention of a hash-ordered collection type in
-            // library code (declaration, construction, return type).
-            "HashMap" | "HashSet" if !class.is_bin && !ir.in_use[i] => {
-                push_once(
-                    out,
-                    LintCode::D1,
-                    t.line,
-                    format!(
-                        "hash-ordered `{}` in library code: iteration order depends on \
-                         hasher state; use `BTreeMap`/`BTreeSet`/sorted `Vec`, or add \
-                         `// mg-lint: allow(D1): <reason>` if access is lookup-only",
-                        t.text
-                    ),
-                );
-            }
-            // D2: wall-clock time sources outside the bench harness.
-            "Instant" | "SystemTime" if !exempt_bench => {
-                push_once(
-                    out,
-                    LintCode::D2,
-                    t.line,
-                    format!(
-                        "wall-clock `{}` outside crates/bench: simulated time \
-                         (`Gpu::elapsed`) is the only clock the determinism contract allows",
-                        t.text
-                    ),
-                );
-            }
-            // D3: entropy-seeded randomness outside tests.
-            "thread_rng" | "from_entropy" => {
-                push_once(
-                    out,
-                    LintCode::D3,
-                    t.line,
-                    format!(
-                        "unseeded RNG `{}`: derive every stream from an explicit \
-                         `StdRng::seed_from_u64` seed",
-                        t.text
-                    ),
-                );
-            }
             // H3: stdout/stderr prints and leftover development macros
             // in library code.
             "print" | "println" | "eprint" | "eprintln" | "dbg" | "todo" | "unimplemented"
@@ -136,47 +78,6 @@ pub fn run(file: &FileCtx, out: &mut Vec<Diagnostic>) {
         }
     }
 
-    // D1b: iteration over bindings the IR knows to be hash-typed at
-    // the use site.
-    let is_hash = |name: &str, tok: usize| ir.binding_fact(name, tok) == Some(TypeFact::Hash);
-    for i in 0..toks.len() {
-        if ir.in_test[i] || class.is_bin {
-            continue;
-        }
-        if toks[i].text == "."
-            && toks.get(i + 1).is_some_and(|m| {
-                m.kind == TokKind::Ident && ITER_METHODS.contains(&m.text.as_str())
-            })
-            && toks.get(i + 2).is_some_and(|p| p.text == "(")
-        {
-            let Some(r) = i.checked_sub(1) else { continue };
-            let recv = &toks[r];
-            if recv.kind == TokKind::Ident && is_hash(&recv.text, r) {
-                let chain = selection_chain_note(toks, i + 2);
-                push_once(
-                    out,
-                    LintCode::D1,
-                    toks[i + 1].line,
-                    format!(
-                        "iteration over hash-ordered `{}`{}: order depends on hasher \
-                         state, so results can differ run to run",
-                        recv.text, chain
-                    ),
-                );
-            }
-        }
-        if toks[i].text == "for" && toks[i].kind == TokKind::Ident {
-            if let Some((line, name)) = for_loop_hash_receiver(toks, i, &is_hash) {
-                push_once(
-                    out,
-                    LintCode::D1,
-                    line,
-                    format!("for-loop over hash-ordered `{name}`: order depends on hasher state"),
-                );
-            }
-        }
-    }
-
     // H1: lib.rs must forbid unsafe code. The single exception is
     // mg-tensor, which hosts the explicit-SIMD layer: its lib.rs may
     // use `deny(unsafe_code)` instead (so `crates/tensor/src/simd.rs`
@@ -192,70 +93,6 @@ pub fn run(file: &FileCtx, out: &mut Vec<Diagnostic>) {
             message: "missing `#![forbid(unsafe_code)]` in lib.rs".to_string(),
         });
     }
-}
-
-/// If the call chain starting at the `(` of an iterator method feeds a
-/// `min_by_key`/`max_by_key` selection before the statement ends,
-/// returns a note naming it (ties there resolve by encounter order —
-/// exactly how the PlanCache eviction bug escaped).
-fn selection_chain_note(toks: &[Tok], open: usize) -> &'static str {
-    for t in toks.iter().skip(open).take(80) {
-        if t.text == ";" {
-            break;
-        }
-        if t.text == "min_by_key" || t.text == "max_by_key" {
-            return " (feeds a min_by_key/max_by_key selection whose ties resolve by \
-                    encounter order)";
-        }
-    }
-    ""
-}
-
-/// Detects `for pat in [&][mut] [self.]name {` over a hash-typed
-/// `name`. Chained receivers (`map.keys()`) are left to the
-/// method-call rule.
-fn for_loop_hash_receiver(
-    toks: &[Tok],
-    for_idx: usize,
-    is_hash: &dyn Fn(&str, usize) -> bool,
-) -> Option<(u32, String)> {
-    let mut depth = 0i32;
-    let mut j = for_idx + 1;
-    // Find the `in` of this loop at bracket depth 0.
-    loop {
-        let t = toks.get(j)?;
-        match t.text.as_str() {
-            "(" | "[" => depth += 1,
-            ")" | "]" => depth -= 1,
-            "{" => return None,
-            "in" if depth == 0 && t.kind == TokKind::Ident => break,
-            _ => {}
-        }
-        if j - for_idx > 40 {
-            return None;
-        }
-        j += 1;
-    }
-    let mut k = j + 1;
-    while toks
-        .get(k)
-        .is_some_and(|t| t.text == "&" || t.text == "mut")
-    {
-        k += 1;
-    }
-    if toks.get(k).is_some_and(|t| t.text == "self")
-        && toks.get(k + 1).is_some_and(|t| t.text == ".")
-    {
-        k += 2;
-    }
-    let recv = toks.get(k)?;
-    if recv.kind == TokKind::Ident
-        && is_hash(&recv.text, k)
-        && toks.get(k + 1).is_some_and(|t| t.text == "{")
-    {
-        return Some((recv.line, recv.text.clone()));
-    }
-    None
 }
 
 /// Whether the token stream contains `forbid ( unsafe_code )`.

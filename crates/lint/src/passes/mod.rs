@@ -1,7 +1,6 @@
 //! Stage two: the analysis passes, each a module over the shared IR.
 //!
-//! * [`lexical`] — the per-file token-shape rules (D1–D3, H1, H3, P1),
-//!   with D1 upgraded to scope-aware binding facts;
+//! * [`lexical`] — the per-file token-shape rules (H1, H3, P1);
 //! * [`flow`] — the flow-sensitive determinism rules (D4 chunk-order
 //!   float combines, D5 panic-reachable parallel regions);
 //! * [`coverage`] — C1, the `*_compute` ↔ `*_profile` pairing gate for

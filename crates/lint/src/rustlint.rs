@@ -23,7 +23,7 @@ pub struct FileClass {
     /// Package name of the owning crate (e.g. `mg-serve`).
     pub crate_name: String,
     /// Whether the file is a binary target (`src/bin/**` or
-    /// `src/main.rs`): exempt from the library-code rules D1 and H3.
+    /// `src/main.rs`): exempt from the library-code rule H3.
     pub is_bin: bool,
     /// Whether the file is the crate's `lib.rs` (H1 applies).
     pub is_lib_rs: bool,
@@ -137,83 +137,30 @@ mod tests {
     }
 
     #[test]
-    fn hash_decl_and_iteration_both_fire() {
-        let src = "\
-#![forbid(unsafe_code)]
-use std::collections::HashMap;
-pub struct C { entries: HashMap<u64, u64> }
-impl C {
-    pub fn f(&self) -> Option<u64> {
-        self.entries.iter().min_by_key(|(_, v)| **v).map(|(k, _)| *k)
-    }
-}
-";
-        let got = codes(src, &lib_class());
-        assert_eq!(got, vec![(LintCode::D1, 3), (LintCode::D1, 6)]);
-    }
-
-    #[test]
-    fn hash_bindings_do_not_leak_across_functions() {
-        // The old file-global ident set would have flagged the `.iter()`
-        // in `g`: same name, different (slice-typed) binding.
-        let src = "\
-pub fn f() -> usize {
-    let m = std::collections::HashMap::<u32, u32>::new();
-    m.len()
-}
-pub fn g(m: Vec<u32>) -> u32 {
-    m.iter().sum()
-}
-";
-        let got = codes(src, &lib_class());
-        assert_eq!(got, vec![(LintCode::D1, 2)]);
-    }
-
-    #[test]
-    fn lookup_only_maps_still_need_an_allow_but_it_works() {
-        let src = "\
-pub fn f(xs: &[(u32, u32)]) -> u32 {
-    // mg-lint: allow(D1): lookup-only index map, never iterated
-    let m: std::collections::HashMap<u32, u32> = xs.iter().copied().collect();
-    m[&1]
-}
-";
-        assert!(codes(src, &lib_class()).is_empty());
-    }
-
-    #[test]
     fn test_modules_are_exempt() {
         let src = "\
 pub fn ok() {}
 #[cfg(test)]
 mod tests {
-    use std::collections::HashSet;
     #[test]
     fn t() {
-        let s: HashSet<u32> = HashSet::new();
-        for x in s { let _ = x; }
+        let x = 1u32;
+        println!(\"{x}\");
+        dbg!(x);
     }
 }
 ";
         assert!(codes(src, &lib_class()).is_empty());
-    }
-
-    #[test]
-    fn for_loop_over_hash_set_fires() {
-        let src = "\
-pub fn f() {
-    let mut s = std::collections::HashSet::new();
-    s.insert(1u32);
-    for x in &s { let _ = x; }
-}
-";
-        let got = codes(src, &lib_class());
-        // Line 2 construction, line 4 iteration.
-        assert_eq!(got, vec![(LintCode::D1, 2), (LintCode::D1, 4)]);
+        // The same body outside the test module fires.
+        let outside = "pub fn t() { let x = 1u32; println!(\"{x}\"); dbg!(x); }\n";
+        assert_eq!(codes(outside, &lib_class()), vec![(LintCode::H3, 1)]);
     }
 
     #[test]
     fn wall_clock_and_rng_and_prints_fire_with_lines() {
+        // Wall clocks and hash-ordered collections are clippy's
+        // `disallowed-types` now, and no RNG in the build draws entropy:
+        // only the print is mg-lint's, at its own line.
         let src = "\
 use std::time::Instant;
 pub fn f() {
@@ -223,15 +170,7 @@ pub fn f() {
 }
 ";
         let got = codes(src, &lib_class());
-        assert_eq!(
-            got,
-            vec![
-                (LintCode::D2, 1),
-                (LintCode::D2, 3),
-                (LintCode::D3, 4),
-                (LintCode::H3, 5),
-            ]
-        );
+        assert_eq!(got, vec![(LintCode::H3, 5)]);
     }
 
     #[test]
@@ -259,12 +198,14 @@ pub fn g() { unimplemented!() }
         };
         let src = "use std::time::Instant;\npub fn f() { print!(\"x\"); }\n";
         assert!(codes(src, &bench).is_empty());
+        assert_eq!(codes(src, &lib_class()), vec![(LintCode::H3, 2)]);
         let bin = FileClass {
             is_bin: true,
             ..lib_class()
         };
-        let src = "fn main() { let m = std::collections::HashMap::<u8, u8>::new(); println!(\"{:?}\", m); }\n";
+        let src = "fn main() { let m = 1u8; println!(\"{:?}\", m); }\n";
         assert!(codes(src, &bin).is_empty());
+        assert_eq!(codes(src, &lib_class()), vec![(LintCode::H3, 1)]);
     }
 
     #[test]
@@ -432,10 +373,11 @@ pub fn f(xs: &[Half]) -> f32 {
     fn bare_unknown_and_unused_allows_are_audited() {
         let src = "\
 pub fn f() {}
-// mg-lint: allow(D1)
+// mg-lint: allow(H3)
 // mg-lint: allow(Z9): nonsense
 // mg-lint: allow(H1): structural
-// mg-lint: allow(D2): nothing here to suppress
+// mg-lint: allow(H3): nothing here to suppress
+// mg-lint: allow(D1): a retired code is unknown
 pub fn g() {}
 ";
         let got = codes(src, &lib_class());
@@ -446,6 +388,7 @@ pub fn g() {}
                 (LintCode::A1, 3),
                 (LintCode::A1, 4),
                 (LintCode::A2, 5),
+                (LintCode::A1, 6),
             ]
         );
     }
@@ -454,11 +397,15 @@ pub fn g() {}
     fn standalone_allow_covers_the_next_line() {
         let src = "\
 pub fn f() {
-    // mg-lint: allow(D1): membership-only set, never iterated
-    let seen: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    let _ = seen;
+    // mg-lint: allow(H3): the caller asked for a console report
+    println!(\"report\");
 }
 ";
         assert!(codes(src, &lib_class()).is_empty());
+        let unsuppressed = src.replace("allow(H3)", "allow(P1)");
+        assert_eq!(
+            codes(&unsuppressed, &lib_class()),
+            vec![(LintCode::A2, 2), (LintCode::H3, 3)]
+        );
     }
 }

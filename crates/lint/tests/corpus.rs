@@ -1,7 +1,7 @@
 //! The fixture corpus: one known-bad file per lint code (plus the
 //! suppression cases), each asserting the exact diagnostic codes and
-//! line numbers, and the pre-fix `PlanCache` eviction replica that
-//! motivated the whole pass.
+//! line numbers, and the check that `CODES.md` documents exactly the
+//! codes the analyzer emits.
 
 use mg_lint::{lint_rust, lint_workspace, FileClass, LintCode};
 use std::path::{Path, PathBuf};
@@ -28,56 +28,6 @@ fn lint_fixture(name: &str, class: &FileClass) -> Vec<(LintCode, u32)> {
         .into_iter()
         .map(|d| (d.code, d.line))
         .collect()
-}
-
-#[test]
-fn d1_declaration_fires_at_the_decl_line() {
-    assert_eq!(
-        lint_fixture("d1_decl.rs", &lib_class()),
-        vec![(LintCode::D1, 3)]
-    );
-}
-
-#[test]
-fn d1_prefix_cache_eviction_fires_at_decl_and_eviction_site() {
-    // The acceptance case: the pre-fix crates/serve/src/cache.rs shape
-    // must trigger D1 at the eviction's `.iter()` feeding min_by_key,
-    // not just at the map declaration.
-    let got = lint_fixture("d1_prefix_cache_eviction.rs", &lib_class());
-    assert_eq!(got, vec![(LintCode::D1, 8), (LintCode::D1, 17)]);
-    let (path, src) = fixture("d1_prefix_cache_eviction.rs");
-    let eviction = lint_rust(&path, &src, &lib_class())
-        .into_iter()
-        .find(|d| d.line == 17)
-        .unwrap();
-    assert!(
-        eviction.message.contains("min_by_key"),
-        "the eviction-site diagnostic should name the tie-breaking hazard: {}",
-        eviction.message
-    );
-}
-
-#[test]
-fn d2_wall_clock_fires_outside_bench_only() {
-    assert_eq!(
-        lint_fixture("d2_wall_clock.rs", &lib_class()),
-        vec![(LintCode::D2, 3), (LintCode::D2, 6), (LintCode::D2, 7)]
-    );
-    // The same file inside crates/bench is fine: the harness owns the
-    // wall clock.
-    let bench = FileClass {
-        crate_name: "mg-bench".to_string(),
-        ..lib_class()
-    };
-    assert_eq!(lint_fixture("d2_wall_clock.rs", &bench), vec![]);
-}
-
-#[test]
-fn d3_unseeded_rng_fires() {
-    assert_eq!(
-        lint_fixture("d3_unseeded_rng.rs", &lib_class()),
-        vec![(LintCode::D3, 4), (LintCode::D3, 5)]
-    );
 }
 
 #[test]
@@ -113,7 +63,7 @@ fn a1_bare_unknown_and_unwaivable_allows_fire() {
         lint_fixture("a1_bare_allow.rs", &lib_class()),
         vec![
             (LintCode::A1, 5),
-            (LintCode::D1, 6),
+            (LintCode::H3, 6),
             (LintCode::A1, 8),
             (LintCode::A1, 11),
         ]
@@ -270,10 +220,6 @@ fn every_bad_fixture_would_fail_a_deny_run() {
     // The --deny contract: each known-bad fixture contributes at least
     // one finding of its advertised code.
     for (name, code) in [
-        ("d1_decl.rs", LintCode::D1),
-        ("d1_prefix_cache_eviction.rs", LintCode::D1),
-        ("d2_wall_clock.rs", LintCode::D2),
-        ("d3_unseeded_rng.rs", LintCode::D3),
         ("d4_chunk_combine.rs", LintCode::D4),
         ("d5_panic_reachable.rs", LintCode::D5),
         ("h3_println.rs", LintCode::H3),
@@ -300,4 +246,68 @@ fn every_bad_fixture_would_fail_a_deny_run() {
         got.iter().any(|(c, _)| *c == LintCode::P1),
         "p1_decode_in_loop.rs should contain P1, got {got:?}"
     );
+}
+
+/// A lint-code name: one capital letter, then digits (`D4`, `A2`).
+fn code_shaped(s: &str) -> bool {
+    s.len() >= 2
+        && s.starts_with(|c: char| c.is_ascii_uppercase())
+        && s[1..].bytes().all(|b| b.is_ascii_digit())
+}
+
+#[test]
+fn codes_md_documents_exactly_the_live_codes() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("CODES.md");
+    let doc = std::fs::read_to_string(&path).expect("CODES.md readable");
+    // Code rows are `| `CODE` | ... |`; rows under the "Retired" heading
+    // name codes that no longer exist, every other row a live one.
+    let mut live = Vec::new();
+    let mut retired = Vec::new();
+    let mut in_retired = false;
+    for line in doc.lines() {
+        if let Some(heading) = line.strip_prefix("## ") {
+            in_retired = heading.starts_with("Retired");
+        } else if let Some(code) = line
+            .strip_prefix("| `")
+            .and_then(|rest| rest.split_once('`'))
+            .map(|(code, _)| code.to_string())
+            .filter(|code| code_shaped(code))
+        {
+            if in_retired {
+                retired.push(code);
+            } else {
+                live.push(code);
+            }
+        }
+    }
+    for code in LintCode::ALL {
+        assert!(
+            live.iter().any(|c| c == code.as_str()),
+            "{code} has no row in CODES.md"
+        );
+    }
+    for code in &live {
+        assert!(
+            LintCode::parse(code).is_some(),
+            "CODES.md documents `{code}`, which mg-lint does not emit"
+        );
+    }
+    for code in &retired {
+        assert!(
+            LintCode::parse(code).is_none(),
+            "`{code}` is listed as retired but is still a live code"
+        );
+    }
+    // Every code-shaped name the file mentions (a capital letter and
+    // digits in backticks) is live or listed as retired.
+    // Fences are dropped first so their triple backticks cannot shift
+    // the inline-span pairing.
+    for code in doc.replace("```", "").split('`').skip(1).step_by(2) {
+        if code_shaped(code) {
+            assert!(
+                live.iter().chain(&retired).any(|c| c == code),
+                "CODES.md mentions `{code}`, which is neither live nor retired"
+            );
+        }
+    }
 }

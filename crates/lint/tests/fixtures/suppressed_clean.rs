@@ -1,9 +1,9 @@
-// Known-good: every hash-ordered collection carries an audited allow,
-// one standalone (covering the next line) and one trailing. Expected
+// Known-good: every library print carries an audited allow, one
+// standalone (covering the next line) and one trailing. Expected
 // finding set: empty.
 pub fn f(keys: &[u64]) -> bool {
-    // mg-lint: allow(D1): membership-only set, never iterated
-    let seen: std::collections::HashSet<u64> = keys.iter().copied().collect();
-    let lookup = std::collections::HashMap::from([(1u64, 2u64)]); // mg-lint: allow(D1): lookup-only
-    seen.contains(&1) && lookup.contains_key(&1)
+    // mg-lint: allow(H3): the caller asked for a console report
+    println!("{} keys", keys.len());
+    eprintln!("done"); // mg-lint: allow(H3): progress line on stderr
+    keys.contains(&1)
 }

@@ -5,12 +5,16 @@
 use mg_lint::lint_workspace;
 use std::path::Path;
 
-#[test]
-fn the_real_workspace_has_zero_findings() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(Path::parent)
-        .expect("crates/lint sits two levels below the workspace root");
+        .expect("crates/lint sits two levels below the workspace root")
+}
+
+#[test]
+fn the_real_workspace_has_zero_findings() {
+    let root = workspace_root();
     let findings = lint_workspace(root).expect("workspace lints");
     assert!(
         findings.is_empty(),
@@ -21,4 +25,27 @@ fn the_real_workspace_has_zero_findings() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+/// The type bans live in `clippy.toml` (enforced by the CI Clippy step,
+/// not by `cargo test`), so a test pins that the list still names them.
+#[test]
+fn clippy_toml_bans_hash_order_and_wall_clocks() {
+    let path = workspace_root().join("clippy.toml");
+    let config = std::fs::read_to_string(&path).expect("clippy.toml readable");
+    for banned in [
+        "std::collections::HashMap",
+        "std::collections::HashSet",
+        "std::time::Instant",
+        "std::time::SystemTime",
+    ] {
+        let entry = config
+            .lines()
+            .find(|l| l.contains(&format!("path = \"{banned}\"")))
+            .unwrap_or_else(|| panic!("clippy.toml does not disallow {banned}"));
+        assert!(
+            entry.contains("reason = "),
+            "{banned} is banned without a reason"
+        );
+    }
 }

@@ -277,7 +277,7 @@ pub struct SliceStats {
 mod tests {
     use super::*;
     use crate::AtomicPattern;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     fn compound() -> CompoundPattern {
         CompoundPattern::new(32)
@@ -294,7 +294,7 @@ mod tests {
         let pattern = compound();
         let sliced = SlicedPattern::from_compound(&pattern, 4).expect("aligned");
         // Every valid element is owned by exactly one grain.
-        let mut owned: HashSet<(usize, usize)> = HashSet::new();
+        let mut owned: BTreeSet<(usize, usize)> = BTreeSet::new();
         if let Some(coarse) = sliced.coarse() {
             let b = coarse.structure.block_size();
             let sq = b * b;
@@ -317,7 +317,7 @@ mod tests {
                 assert!(owned.insert((r, c)), "duplicate ownership ({r},{c})");
             }
         }
-        let expected: HashSet<(usize, usize)> = pattern.coords().into_iter().collect();
+        let expected: BTreeSet<(usize, usize)> = pattern.coords().into_iter().collect();
         assert_eq!(owned, expected, "partition covers exactly the pattern");
     }
 

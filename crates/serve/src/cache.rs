@@ -27,7 +27,7 @@ use std::sync::Arc;
 /// Keys are totally ordered (`Ord`) so the cache can live in a
 /// `BTreeMap` and eviction ties can break by key order — the map's
 /// iteration order must never leak hasher state into which plan gets
-/// dropped (mg-lint D1).
+/// dropped (`clippy.toml` bans `HashMap` outright).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PlanKey {
     /// Attention method the plan was built for.
@@ -630,7 +630,7 @@ mod tests {
 
     #[test]
     fn equal_tick_eviction_is_key_ordered_not_insertion_ordered() {
-        // Regression for the D1 finding that motivated mg-lint: with
+        // Regression for the hash-order bug that motivated the type ban: with
         // the cache full of entries whose `last_used` ticks are all
         // equal, the evicted plan must be the smallest PlanKey — for
         // every insertion order. The pre-fix HashMap broke ties by

@@ -32,7 +32,6 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub};
 #[repr(transparent)]
 pub struct Half(u16);
 
-#[allow(non_camel_case_types)]
 impl Half {
     /// Positive zero.
     pub const ZERO: Half = Half(0);

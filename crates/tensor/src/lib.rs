@@ -26,7 +26,6 @@
 // module stays unsafe-free, every crate above this one keeps `forbid`,
 // and mg-lint's U1 pass enforces the confinement workspace-wide.
 #![deny(unsafe_code)]
-#![allow(non_camel_case_types)]
 
 pub mod dsan;
 mod gemm;

@@ -58,7 +58,10 @@
 //! is a deny-level finding. Every safe wrapper below validates the slice
 //! geometry *before* entering the intrinsics, so the unsafe surface is a
 //! handful of bounds-proved loads and stores.
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "std::arch intrinsics; U1 confines unsafe to this module and requires SAFETY comments"
+)]
 
 use crate::gemm::NR;
 use crate::Half;

@@ -7,7 +7,7 @@ use mg_patterns::{
 use mg_sparse::{Bsr, Csr};
 use mg_tensor::Half;
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Strategy for the eight atomic kinds other than `Dense`.
 fn atomic_pattern() -> impl Strategy<Value = AtomicPattern> {
@@ -168,7 +168,7 @@ proptest! {
     #[test]
     fn slicing_partitions_pattern_exactly(pattern in compound_pattern()) {
         let sliced = SlicedPattern::from_compound(&pattern, 8).expect("aligned");
-        let mut owned: HashSet<(usize, usize)> = HashSet::new();
+        let mut owned: BTreeSet<(usize, usize)> = BTreeSet::new();
         if let Some(coarse) = sliced.coarse() {
             let b = coarse.structure.block_size();
             let sq = b * b;
@@ -193,7 +193,7 @@ proptest! {
                 prop_assert!(owned.insert((r, c)), "global duplicates ({r},{c})");
             }
         }
-        let expected: HashSet<(usize, usize)> = pattern.coords().into_iter().collect();
+        let expected: BTreeSet<(usize, usize)> = pattern.coords().into_iter().collect();
         prop_assert_eq!(owned, expected);
     }
 
