@@ -7,6 +7,11 @@
 //!           [--block N] [--device a100|rtx3090] [--timeline]
 //!           [--trace FILE.json] [--autotune]
 //!
+//! `--seq` is at most 16,384 tokens (twice the longest sequence the
+//! studies time) and, unless `--autotune` picks the block, a multiple of
+//! `--block`; with `--autotune` it must be a multiple of 16, the smallest
+//! block the tuner tries. Sizes are checked before any O(seq) work.
+//!
 //! Pattern SPEC syntax (see `mg_patterns::parse_pattern`):
 //!   L512+S(0..16)+G(0..16)    Longformer-flavoured
 //!   LB128+R24@7               BigBird-flavoured
@@ -14,8 +19,13 @@
 use mg_bench::cli::{self, Flags};
 use mg_gpusim::{export_chrome_trace, render_timeline, DeviceSpec, Gpu};
 use mg_patterns::parse_pattern;
-use multigrain::{autotune_block_size, Attention, AttentionProblem, Method};
+use multigrain::{autotune_block_size, Attention, AttentionProblem, Method, AUTOTUNE_BLOCK_SIZES};
 use std::process::ExitCode;
+
+/// The longest `--seq` accepted: twice the longest sequence the studies
+/// time. Pattern construction and planning are O(seq) or worse, so a
+/// size past it is refused before any of that work starts.
+const MAX_SEQ: usize = 16_384;
 
 struct Args {
     pattern: String,
@@ -49,7 +59,7 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--seq" => args.seq = at_least_one(&flag, flags.parse(&flag)?)?,
             "--heads" => args.heads = at_least_one(&flag, flags.parse(&flag)?)?,
             "--batch" => args.batch = at_least_one(&flag, flags.parse(&flag)?)?,
-            "--block" => args.block = flags.parse(&flag)?,
+            "--block" => args.block = at_least_one(&flag, flags.parse(&flag)?)?,
             "--device" => {
                 args.device = match flags.value(&flag)?.to_lowercase().as_str() {
                     "a100" => DeviceSpec::a100(),
@@ -63,6 +73,25 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--help" | "-h" => return Ok(None),
             _ => return Err(cli::unknown(&flag)),
         }
+    }
+    if args.seq > MAX_SEQ {
+        return Err(format!(
+            "--seq: {} exceeds the ceiling of {MAX_SEQ} tokens",
+            args.seq
+        ));
+    }
+    // The autotuner tries its candidates smallest first, and every
+    // larger one is a multiple of the smallest.
+    let (block, by) = if args.autotune {
+        (AUTOTUNE_BLOCK_SIZES[0], "the smallest autotuned block")
+    } else {
+        (args.block, "--block")
+    };
+    if !args.seq.is_multiple_of(block) {
+        return Err(format!(
+            "--seq: {} is not a multiple of {by} ({block})",
+            args.seq
+        ));
     }
     Ok(Some(args))
 }

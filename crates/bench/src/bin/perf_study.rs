@@ -3,24 +3,29 @@
 //!
 //! Every compute kernel in the workspace routes its operands through the
 //! packed-panel microkernel layer (`mg_tensor::pack`), and underneath
-//! the NR=8 microkernels sits the explicit AVX2 layer
-//! (`mg_tensor::simd`), runtime-dispatched and bit-identical to scalar.
-//! This study times three legs per kernel:
+//! the NR=8 microkernels sits the explicit SIMD layer
+//! (`mg_tensor::simd`: AVX2, plus an AVX-512 row-group kernel),
+//! runtime-dispatched and bit-identical to scalar. This study times these
+//! legs per kernel:
 //!
 //! * **naive** — the library's retained pre-packing references
 //!   (`naive`, `fine::naive`, `coarse::naive`, `fused::naive`), which
 //!   decode per element inside the loops;
-//! * **scalar** — the packed production kernels with the SIMD layer
-//!   forced off (`simd::set_override(Some(false))`);
+//! * **scalar** — the packed production kernels forced to the scalar
+//!   level (`simd::set_override(Some(Level::Scalar))`);
 //! * **packed** — the production kernels under the ambient `MG_SIMD`
-//!   dispatch (the vector path, unless the env or hardware says no).
+//!   dispatch (the best level the CPU has, unless the env says no);
+//! * **avx2** — only when the ambient level is AVX-512, and only for the
+//!   kernels that run the row-group microkernel (the dense and coarse
+//!   pairs): the production kernels forced to AVX2. A second table
+//!   reports these kernels per level.
 //!
-//! All three legs are asserted bit-identical on every output, the
-//! speedups and the scalar→SIMD gain are recorded, and the digest file
-//! hashes the production output — so digest files written under
-//! `MG_SIMD=0` and `MG_SIMD=1` must be byte-identical, which CI checks
-//! with `cmp`. The fused row compares the register-tiled single-pass
-//! kernel against the library's retained `fused::naive` scalar path.
+//! All legs are asserted bit-identical on every output, the speedups and
+//! the scalar→SIMD gain are recorded, and the digest file hashes the
+//! production output — so digest files written under `MG_SIMD=0` and
+//! `MG_SIMD=1` must be byte-identical, which CI checks with `cmp`. The
+//! fused row compares the register-tiled single-pass kernel against the
+//! library's retained `fused::naive` scalar path.
 //!
 //! Usage: `cargo run --release -p mg-bench --bin perf_study --
 //!   [--smoke] [--json] [--threads N] [--digest FILE]`
@@ -53,18 +58,15 @@ use mg_kernels::{
 use mg_models::workload;
 use mg_patterns::presets;
 use mg_serve::RequestClass;
-use mg_sparse::Csr;
-use mg_tensor::{naive, simd, Half, Matrix};
+use mg_sparse::{Bsr, Csr};
+use mg_tensor::simd::{self, Level};
+use mg_tensor::{naive, Half, Matrix};
 use std::process::ExitCode;
 use std::time::Instant;
 
 // ---------------------------------------------------------------------
 // Harness
 // ---------------------------------------------------------------------
-
-fn digest_matrix(m: &Matrix<Half>) -> u64 {
-    digest_slice(m.as_slice())
-}
 
 fn digest_slice(values: &[Half]) -> u64 {
     let mut h = Fnv1a::new();
@@ -83,30 +85,52 @@ fn digest_slice(values: &[Half]) -> u64 {
 /// all 60.
 const FINE_GUARD_LEG_S: f64 = 0.250;
 
-/// Interleaved best-of-N timing over the three legs: the production
-/// (ambient-dispatch) kernel, the same kernel with the SIMD layer
-/// forced off, and the naive reference run alternately, each keeping
-/// its minimum wall clock. Interleaving the reps means a scheduler
-/// hiccup or frequency drift on a shared box hits every side of the
-/// comparison instead of poisoning one of them, and best-of-N discards
-/// the reps it still lands on. N is at least five, and reps continue
-/// until every leg has run for `min_leg_s` in total, so sub-millisecond
-/// legs still get enough reps for a stable minimum. The dispatch
-/// override is restored to the ambient (`MG_SIMD`-driven) mode before
-/// returning.
-fn time_triple<P, N>(
+/// One kernel's timed legs: each leg's last output and its best wall
+/// clock.
+struct Legs<P> {
+    /// The production kernel under the ambient (`MG_SIMD`-driven) level.
+    packed: P,
+    /// The same kernel at [`Level::Scalar`].
+    scalar: P,
+    /// Whether the kernel runs the row-group microkernel, whose speed
+    /// differs between the vector levels.
+    per_level: bool,
+    /// The same kernel at [`Level::Avx2`], when `per_level` and the
+    /// ambient level is AVX-512.
+    avx2: Option<P>,
+    /// The naive reference.
+    naive: P,
+    packed_s: f64,
+    scalar_s: f64,
+    avx2_s: Option<f64>,
+    naive_s: f64,
+}
+
+/// Interleaved best-of-N timing over the legs: the production
+/// (ambient-level) kernel, the same kernel forced to the scalar level,
+/// with `per_level` and an AVX-512 ambient level the same kernel forced
+/// to AVX2, and the naive reference, run alternately, each keeping its
+/// minimum wall clock. Interleaving the reps means a scheduler hiccup or
+/// frequency drift on a shared box hits every side of the comparison
+/// instead of poisoning one of them, and best-of-N discards the reps it
+/// still lands on. N is at least five, and reps continue until every leg
+/// has run for `min_leg_s` in total, so sub-millisecond legs still get
+/// enough reps for a stable minimum. The dispatch override is restored
+/// to the ambient level before returning.
+fn time_legs<P>(
     min_leg_s: f64,
+    per_level: bool,
     mut packed: impl FnMut() -> P,
-    mut naive: impl FnMut() -> N,
-) -> (P, P, N, f64, f64, f64) {
+    mut naive: impl FnMut() -> P,
+) -> Legs<P> {
     const MIN_REPS: usize = 5;
-    let mut best = [f64::MAX; 3];
-    let mut spent = [0.0f64; 3];
-    let mut packed_out = None;
-    let mut scalar_out = None;
-    let mut naive_out = None;
+    let avx2_leg = per_level && simd::level() == Level::Avx512;
+    let legs = if avx2_leg { 4 } else { 3 };
+    let mut best = [f64::MAX; 4];
+    let mut spent = [0.0f64; 4];
+    let (mut packed_out, mut scalar_out, mut avx2_out, mut naive_out) = (None, None, None, None);
     let mut reps = 0;
-    while reps < MIN_REPS || spent.iter().any(|&s| s < min_leg_s) {
+    while reps < MIN_REPS || spent[..legs].iter().any(|&s| s < min_leg_s) {
         let mut record = |leg: usize, started: Instant| {
             let secs = started.elapsed().as_secs_f64();
             best[leg] = best[leg].min(secs);
@@ -115,35 +139,76 @@ fn time_triple<P, N>(
         let started = Instant::now();
         packed_out = Some(packed());
         record(0, started);
-        simd::set_override(Some(false));
+        simd::set_override(Some(Level::Scalar));
         let started = Instant::now();
         scalar_out = Some(packed());
         record(1, started);
+        if avx2_leg {
+            simd::set_override(Some(Level::Avx2));
+            let started = Instant::now();
+            avx2_out = Some(packed());
+            record(3, started);
+        }
         simd::set_override(None);
         let started = Instant::now();
         naive_out = Some(naive());
         record(2, started);
         reps += 1;
     }
-    let [packed_best, scalar_best, naive_best] = best;
-    (
-        packed_out.expect("at least one rep"),
-        scalar_out.expect("at least one rep"),
-        naive_out.expect("at least one rep"),
-        packed_best,
-        scalar_best,
-        naive_best,
-    )
+    Legs {
+        packed: packed_out.expect("at least one rep"),
+        scalar: scalar_out.expect("at least one rep"),
+        per_level,
+        avx2: avx2_out,
+        naive: naive_out.expect("at least one rep"),
+        packed_s: best[0],
+        scalar_s: best[1],
+        avx2_s: avx2_leg.then_some(best[3]),
+        naive_s: best[2],
+    }
 }
 
-/// One kernel's three-leg measurement, plus a digest of the production
-/// output bits (the scalar and naive outputs are asserted bit-equal
-/// before this is recorded).
+impl<P> Legs<P> {
+    /// Asserts that every leg produced the production output's bits,
+    /// then records the timings and the output digest.
+    fn verify(
+        &self,
+        kernel: &'static str,
+        flops: f64,
+        values: impl Fn(&P) -> &[Half],
+    ) -> KernelResult {
+        let want = values(&self.packed);
+        assert_values_bits_eq(want, values(&self.naive), &format!("{kernel} vs naive"));
+        assert_values_bits_eq(want, values(&self.scalar), &format!("{kernel} vs scalar"));
+        if let Some(avx2) = &self.avx2 {
+            assert_values_bits_eq(want, values(avx2), &format!("{kernel} vs avx2"));
+        }
+        KernelResult {
+            kernel,
+            naive_s: self.naive_s,
+            scalar_s: self.scalar_s,
+            per_level: self.per_level,
+            avx2_s: self.avx2_s,
+            packed_s: self.packed_s,
+            flops,
+            digest: digest_slice(want),
+        }
+    }
+}
+
+/// One kernel's leg measurements, plus a digest of the production
+/// output bits (the other legs' outputs are asserted bit-equal before
+/// this is recorded).
 struct KernelResult {
     kernel: &'static str,
     naive_s: f64,
     /// Packed path with the SIMD layer forced off.
     scalar_s: f64,
+    /// Whether the kernel runs the row-group microkernel.
+    per_level: bool,
+    /// Packed path forced to AVX2, when `per_level` and the ambient
+    /// level is AVX-512.
+    avx2_s: Option<f64>,
     /// Production path under the ambient `MG_SIMD` dispatch.
     packed_s: f64,
     /// Useful floating-point work the kernel performs (multiply-adds
@@ -215,164 +280,92 @@ fn run_class(class: RequestClass, seq_len: usize, window: usize) -> ClassResult 
     let coarse_flops = 2.0 * blocked.structure.values().len() as f64 * d;
     let fused_flops = 2.0 * fine_flops;
 
-    // Dense pair: S = QKᵀ (gemm_nt), C = S·V (gemm).
-    let (s_dense, s_dense_scalar, s_dense_naive, packed_s, scalar_s, naive_s) = time_triple(
+    // Dense pair: S = QKᵀ (gemm_nt), C = S·V (gemm). These and the
+    // coarse pair run the row-group microkernel, so they get the
+    // per-level AVX2 leg.
+    let legs = time_legs(
         0.0,
+        true,
         || -> Matrix<Half> { mg_tensor::gemm_nt(&q, &k) },
-        || -> Matrix<Half> { naive::gemm_nt(&q, &k) },
+        || naive::gemm_nt(&q, &k),
     );
-    assert_bits_eq(&s_dense, &s_dense_naive, "dense_gemm_nt vs naive");
-    assert_bits_eq(&s_dense, &s_dense_scalar, "dense_gemm_nt vs scalar");
-    kernels.push(KernelResult {
-        kernel: "dense_gemm_nt",
-        naive_s,
-        scalar_s,
-        packed_s,
-        flops: dense_flops,
-        digest: digest_matrix(&s_dense),
-    });
+    kernels.push(legs.verify("dense_gemm_nt", dense_flops, Matrix::as_slice));
+    let s_dense = legs.packed;
 
-    let (c_dense, c_dense_scalar, c_dense_naive, packed_s, scalar_s, naive_s) = time_triple(
+    let legs = time_legs(
         0.0,
+        true,
         || -> Matrix<Half> { mg_tensor::gemm(&s_dense, &v) },
-        || -> Matrix<Half> { naive::gemm(&s_dense, &v) },
+        || naive::gemm(&s_dense, &v),
     );
-    assert_bits_eq(&c_dense, &c_dense_naive, "dense_gemm vs naive");
-    assert_bits_eq(&c_dense, &c_dense_scalar, "dense_gemm vs scalar");
-    kernels.push(KernelResult {
-        kernel: "dense_gemm",
-        naive_s,
-        scalar_s,
-        packed_s,
-        flops: dense_flops,
-        digest: digest_matrix(&c_dense),
-    });
+    kernels.push(legs.verify("dense_gemm", dense_flops, Matrix::as_slice));
 
     // Fine (Sputnik-style) pair over the pattern's CSR rendering; the
     // compound softmax between them is shared code, not part of the
     // naive/packed delta, so it is not timed.
-    let (s_fine, s_fine_scalar, s_fine_naive, packed_s, scalar_s, naive_s) = time_triple(
+    let legs = time_legs(
         FINE_GUARD_LEG_S,
+        false,
         || fine_sddmm_compute(&q, &k, &csr),
         || fine::naive::fine_sddmm_compute(&q, &k, &csr),
     );
-    assert_eq!(
-        s_fine.values().len(),
-        s_fine_naive.values().len(),
-        "fine_sddmm nnz"
-    );
-    assert_values_bits_eq(
-        s_fine.values(),
-        s_fine_naive.values(),
-        "fine_sddmm vs naive",
-    );
-    assert_values_bits_eq(
-        s_fine.values(),
-        s_fine_scalar.values(),
-        "fine_sddmm vs scalar",
-    );
+    kernels.push(legs.verify("fine_sddmm", fine_flops, Csr::values));
     // The short-row regression guard: the packed path falls back to a
     // direct per-element pass below FINE_SDDMM_DIRECT_NNZ, so the
     // packed kernel must never lose to naive on any class — in either
     // dispatch mode. Its legs get interleaved reps until each has run
     // FINE_GUARD_LEG_S in total.
-    for (leg, secs) in [("packed", packed_s), ("scalar", scalar_s)] {
+    for (leg, secs) in [("packed", legs.packed_s), ("scalar", legs.scalar_s)] {
         assert!(
-            secs <= naive_s,
+            secs <= legs.naive_s,
             "fine_sddmm regression on class {}: {leg} path {:.6}s slower than naive {:.6}s",
             class.label(),
             secs,
-            naive_s,
+            legs.naive_s,
         );
     }
-    kernels.push(KernelResult {
-        kernel: "fine_sddmm",
-        naive_s,
-        scalar_s,
-        packed_s,
-        flops: fine_flops,
-        digest: digest_slice(s_fine.values()),
-    });
+    let s_fine = legs.packed;
 
     let (_, p_fine) = compound_softmax_compute(None, Some(&s_fine), scale);
     let p_fine = p_fine.expect("fine part present");
-    let (c_fine, c_fine_scalar, c_fine_naive, packed_s, scalar_s, naive_s) = time_triple(
+    let legs = time_legs(
         0.0,
+        false,
         || fine_spmm_compute(&p_fine, &v),
         || fine::naive::fine_spmm_compute(&p_fine, &v),
     );
-    assert_bits_eq(&c_fine, &c_fine_naive, "fine_spmm vs naive");
-    assert_bits_eq(&c_fine, &c_fine_scalar, "fine_spmm vs scalar");
-    kernels.push(KernelResult {
-        kernel: "fine_spmm",
-        naive_s,
-        scalar_s,
-        packed_s,
-        flops: fine_flops,
-        digest: digest_matrix(&c_fine),
-    });
+    kernels.push(legs.verify("fine_spmm", fine_flops, Matrix::as_slice));
 
     // Coarse (Triton-style) pair over the blocked rendering.
-    let (s_coarse, s_coarse_scalar, s_coarse_naive, packed_s, scalar_s, naive_s) = time_triple(
+    let legs = time_legs(
         0.0,
+        true,
         || coarse_sddmm_compute(&q, &k, &blocked.structure),
         || coarse::naive::coarse_sddmm_compute(&q, &k, &blocked.structure),
     );
-    assert_values_bits_eq(
-        s_coarse.values(),
-        s_coarse_naive.values(),
-        "coarse_sddmm vs naive",
-    );
-    assert_values_bits_eq(
-        s_coarse.values(),
-        s_coarse_scalar.values(),
-        "coarse_sddmm vs scalar",
-    );
-    kernels.push(KernelResult {
-        kernel: "coarse_sddmm",
-        naive_s,
-        scalar_s,
-        packed_s,
-        flops: coarse_flops,
-        digest: digest_slice(s_coarse.values()),
-    });
+    kernels.push(legs.verify("coarse_sddmm", coarse_flops, Bsr::values));
+    let s_coarse = legs.packed;
 
     let (p_coarse, _) = compound_softmax_compute(Some((&s_coarse, &blocked.mask)), None, scale);
     let p_coarse = p_coarse.expect("coarse part present");
-    let (c_coarse, c_coarse_scalar, c_coarse_naive, packed_s, scalar_s, naive_s) = time_triple(
+    let legs = time_legs(
         0.0,
+        true,
         || coarse_spmm_compute(&p_coarse, &v),
         || coarse::naive::coarse_spmm_compute(&p_coarse, &v),
     );
-    assert_bits_eq(&c_coarse, &c_coarse_naive, "coarse_spmm vs naive");
-    assert_bits_eq(&c_coarse, &c_coarse_scalar, "coarse_spmm vs scalar");
-    kernels.push(KernelResult {
-        kernel: "coarse_spmm",
-        naive_s,
-        scalar_s,
-        packed_s,
-        flops: coarse_flops,
-        digest: digest_matrix(&c_coarse),
-    });
+    kernels.push(legs.verify("coarse_spmm", coarse_flops, Matrix::as_slice));
 
     // Fused (FlashAttention-style) pair over the compound pattern: the
     // register-tiled single-pass kernel against the library's retained
     // scalar path.
-    let (c_fused, c_fused_scalar, c_fused_naive, packed_s, scalar_s, naive_s) = time_triple(
+    let legs = time_legs(
         0.0,
+        false,
         || fused_attention_compute(&q, &k, &v, &pattern, scale),
         || fused::naive::fused_attention_compute(&q, &k, &v, &pattern, scale),
     );
-    assert_bits_eq(&c_fused, &c_fused_naive, "fused vs naive");
-    assert_bits_eq(&c_fused, &c_fused_scalar, "fused vs scalar");
-    kernels.push(KernelResult {
-        kernel: "fused",
-        naive_s,
-        scalar_s,
-        packed_s,
-        flops: fused_flops,
-        digest: digest_matrix(&c_fused),
-    });
+    kernels.push(legs.verify("fused", fused_flops, Matrix::as_slice));
 
     ClassResult {
         class: class.label(),
@@ -380,12 +373,8 @@ fn run_class(class: RequestClass, seq_len: usize, window: usize) -> ClassResult 
     }
 }
 
-fn assert_bits_eq(production: &Matrix<Half>, reference: &Matrix<Half>, label: &str) {
-    assert_eq!(production.rows(), reference.rows(), "{label}: row count");
-    assert_values_bits_eq(production.as_slice(), reference.as_slice(), label);
-}
-
 fn assert_values_bits_eq(production: &[Half], reference: &[Half], label: &str) {
+    assert_eq!(production.len(), reference.len(), "{label}: output length");
     for (i, (p, n)) in production.iter().zip(reference.iter()).enumerate() {
         assert_eq!(
             p.to_bits(),
@@ -410,6 +399,7 @@ fn json_report(results: &[ClassResult], smoke: bool, seq_len: usize) -> String {
                         ("packed_s", k.packed_s.into()),
                         ("speedup", (k.naive_s / k.packed_s).into()),
                         ("simd_gain", (k.scalar_s / k.packed_s).into()),
+                        ("avx2_s", k.avx2_s.map_or(Json::Null, Json::from)),
                         ("gflops", k.gflops().into()),
                     ])
                 })
@@ -431,6 +421,7 @@ fn json_report(results: &[ClassResult], smoke: bool, seq_len: usize) -> String {
         ("smoke", smoke.into()),
         ("seq_len", seq_len.into()),
         ("simd_active", simd::active().into()),
+        ("simd_level", simd::level().name().into()),
         ("threads", threads::effective_threads().into()),
         ("classes", Json::Arr(classes)),
     ])
@@ -448,6 +439,49 @@ fn digest_report(results: &[ClassResult]) -> String {
         }
     }
     out
+}
+
+/// The row-group kernels' best times at each SIMD level this run timed:
+/// the scalar leg, the ambient level's production leg, and the AVX2 leg
+/// an AVX-512 ambient level adds. A level not timed prints `-`.
+fn per_level_table(results: &[ClassResult]) -> Table {
+    let ambient = simd::level();
+    let mut t = Table::new(
+        format!(
+            "Row-group kernels per SIMD level (ambient {})",
+            ambient.name()
+        ),
+        &[
+            "Class",
+            "Kernel",
+            "Scalar ms",
+            "AVX2 ms",
+            "AVX-512 ms",
+            "AVX-512 gain",
+        ],
+    );
+    let ms = |secs: Option<f64>| secs.map_or("-".to_owned(), |s| format!("{:.3}", s * 1e3));
+    for class in results {
+        for k in class.kernels.iter().filter(|k| k.per_level) {
+            let avx2 = match ambient {
+                Level::Avx2 => Some(k.packed_s),
+                _ => k.avx2_s,
+            };
+            let avx512 = (ambient == Level::Avx512).then_some(k.packed_s);
+            let gain = avx2
+                .zip(avx512)
+                .map_or("-".to_owned(), |(a, b)| format!("{:.2}x", a / b));
+            t.push(vec![
+                class.class.to_string(),
+                k.kernel.to_string(),
+                ms(Some(k.scalar_s)),
+                ms(avx2),
+                ms(avx512),
+                gain,
+            ]);
+        }
+    }
+    t
 }
 
 fn main() -> ExitCode {
@@ -510,12 +544,13 @@ fn run() -> Result<ExitCode, String> {
         ]);
     }
     print!("{}", t.render());
+    print!("{}", per_level_table(&results).render());
     println!(
-        "{} classes in {:.3} s on {} thread(s), SIMD dispatch {}; all three paths bit-identical",
+        "{} classes in {:.3} s on {} thread(s), SIMD level {}; all paths bit-identical",
         results.len(),
         elapsed.as_secs_f64(),
         threads::effective_threads(),
-        if simd::active() { "vector" } else { "scalar" },
+        simd::level().name(),
     );
 
     if args.json {

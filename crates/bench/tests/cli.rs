@@ -37,11 +37,62 @@ fn explore_rejects_bad_input_with_exit_2() {
     // Zero tokens is an empty problem, not a pattern to time.
     assert_bad_input(exe, &["--seq", "0"], "--seq");
     assert_bad_input(exe, &["--device", "v100"], "v100");
+    // Sizes past the ceiling, off the block grid, or a zero block.
+    assert_bad_input(exe, &["--seq", "16448"], "--seq");
+    assert_bad_input(exe, &["--seq", "100"], "--block");
+    assert_bad_input(exe, &["--seq", "100", "--autotune"], "autotuned block");
+    assert_bad_input(exe, &["--block", "0"], "--block");
     assert_bad_input(
         exe,
         &["--trace", "/nonexistent/t.json"],
         "/nonexistent/t.json",
     );
+}
+
+/// Runs `exe` with `args` on one thread and waits at most `deadline_s`
+/// for it, polling; a run past the deadline is killed and fails the
+/// test. Returns (exit code, stderr).
+fn run_with_deadline(exe: &str, args: &[&str], deadline_s: u64) -> (Option<i32>, String) {
+    use std::io::Read;
+    use std::process::Stdio;
+    const POLL_MS: u64 = 50;
+    let mut child = Command::new(exe)
+        .args(args)
+        .env("MG_THREADS", "1")
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary starts");
+    for _ in 0..deadline_s * 1000 / POLL_MS {
+        if let Some(status) = child.try_wait().expect("child status") {
+            let mut stderr = String::new();
+            child
+                .stderr
+                .take()
+                .expect("piped stderr")
+                .read_to_string(&mut stderr)
+                .expect("stderr reads");
+            return (status.code(), stderr);
+        }
+        std::thread::sleep(std::time::Duration::from_millis(POLL_MS));
+    }
+    child.kill().expect("child killed");
+    child.wait().expect("child reaped");
+    panic!("{exe} {args:?} ran past its {deadline_s} s deadline");
+}
+
+#[test]
+fn explore_rejects_a_huge_seq_before_any_work() {
+    // Checking the size only when the plan is built came after an O(seq)
+    // walk of the pattern, which never ends at this size.
+    let exe = env!("CARGO_BIN_EXE_explore");
+    let (code, stderr) = run_with_deadline(
+        exe,
+        &["--pattern", "L8", "--seq", "18446744073709551615"],
+        10,
+    );
+    assert_eq!(code, Some(2), "stderr {stderr}");
+    assert!(stderr.contains("--seq"), "{stderr:?} does not name --seq");
 }
 
 #[test]

@@ -695,13 +695,16 @@ impl Attention {
     }
 }
 
+/// The block sizes [`autotune_block_size`] tries, smallest first.
+pub const AUTOTUNE_BLOCK_SIZES: [usize; 4] = [16, 32, 64, 128];
+
 /// Picks the coarse block size that minimizes Multigrain's simulated
 /// pipeline time for this problem on the given device — a small design-
 /// space search using the execution model itself (the paper fixes 64; the
 /// best choice shifts with the pattern's fill and granularity).
 ///
-/// Candidates are the powers of two in `[16, 128]` that divide the
-/// sequence length. Returns `(block_size, simulated_seconds)`.
+/// Candidates are the [`AUTOTUNE_BLOCK_SIZES`] that divide the sequence
+/// length. Returns `(block_size, simulated_seconds)`.
 ///
 /// # Panics
 ///
@@ -711,7 +714,7 @@ pub fn autotune_block_size(
     problem: &AttentionProblem,
 ) -> (usize, f64) {
     let mut best: Option<(usize, f64)> = None;
-    for block in [16usize, 32, 64, 128] {
+    for block in AUTOTUNE_BLOCK_SIZES {
         if !problem.pattern().seq_len().is_multiple_of(block) {
             continue;
         }

@@ -39,7 +39,9 @@ mod problem;
 mod reference;
 mod report;
 
-pub use attention::{autotune_block_size, Attention, Method, Op, PlanMemory, StreamRole};
+pub use attention::{
+    autotune_block_size, Attention, Method, Op, PlanMemory, StreamRole, AUTOTUNE_BLOCK_SIZES,
+};
 pub use problem::AttentionProblem;
 pub use reference::reference_attention;
 pub use report::PipelineReport;

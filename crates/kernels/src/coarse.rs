@@ -18,8 +18,8 @@ use crate::{tuning, AttnDims};
 use mg_gpusim::{DeviceSpec, KernelRuns, LaunchConfig, Runs, TbWork};
 use mg_sparse::Bsr;
 use mg_tensor::pack::{decode_slice, encode_slice, Panel, Slabs};
-use mg_tensor::simd::SPAN;
-use mg_tensor::{accumulate_row_window, accumulate_row_window2, par, Half, Matrix};
+use mg_tensor::simd::{GROUP, SPAN};
+use mg_tensor::{accumulate_row_windows, par, Half, Matrix};
 
 /// Thread-block mapping for the coarse kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,11 +107,11 @@ pub fn coarse_sddmm_profile(
 /// positions, which is exactly the coarse method's wasted work.
 ///
 /// The dense-tile path: `Kᵀ` is packed once into k-major column
-/// [`Slabs`], and each stored block is scored by the seeded row
-/// microkernel on paired Q rows over the (at most two) slabs covering its
-/// columns. Every score is one ascending-d chain from the `-0.0` seed
-/// [`mg_tensor::dot`]'s `Sum` fold uses, so the result is bit-identical
-/// to [`naive::coarse_sddmm_compute`].
+/// [`Slabs`], and each stored block is scored by the seeded row-group
+/// microkernel on groups of up to [`GROUP`] Q rows over the (at most
+/// two) slabs covering its columns. Every score is one ascending-d chain
+/// from the `-0.0` seed [`mg_tensor::dot`]'s `Sum` fold uses, so the
+/// result is bit-identical to [`naive::coarse_sddmm_compute`].
 ///
 /// # Panics
 ///
@@ -124,7 +124,7 @@ pub fn coarse_sddmm_compute(
     assert_eq!(q.rows(), structure.rows(), "Q rows mismatch");
     assert_eq!(k.rows(), structure.cols(), "K rows mismatch");
     assert_eq!(q.cols(), k.cols(), "head dimension mismatch");
-    let b = structure.block_size();
+    let (b, dh) = (structure.block_size(), q.cols());
     let q_panel = Panel::from_matrix(q);
     let kt = Slabs::from_matrix_transposed(k);
     // Stored blocks are independent: map block index -> owning block row
@@ -143,27 +143,15 @@ pub fn coarse_sddmm_compute(
             let lo = j0.max(c0);
             let w = (j0 + sw).min(c0 + b) - lo;
             let (off, col) = (lo - j0, lo - c0);
-            for (p, rows) in blk.chunks_mut(2 * b).enumerate() {
-                let q0 = q_panel.row(r0 + 2 * p);
-                let mut acc0 = [-0.0f32; SPAN];
-                if rows.len() == 2 * b {
-                    let q1 = q_panel.row(r0 + 2 * p + 1);
-                    let mut acc1 = [-0.0f32; SPAN];
-                    accumulate_row_window2::<false>(
-                        q0,
-                        q1,
-                        slab,
-                        sw,
-                        off,
-                        &mut acc0[..w],
-                        &mut acc1[..w],
-                    );
-                    let (out0, out1) = rows.split_at_mut(b);
-                    encode_slice(&acc0[..w], &mut out0[col..col + w]);
-                    encode_slice(&acc1[..w], &mut out1[col..col + w]);
-                } else {
-                    accumulate_row_window::<false>(q0, slab, sw, off, &mut acc0[..w]);
-                    encode_slice(&acc0[..w], &mut rows[col..col + w]);
+            for (g, rows) in blk.chunks_mut(GROUP * b).enumerate() {
+                let r = r0 + g * GROUP;
+                let group = rows.len() / b;
+                let mut acc = [[-0.0f32; SPAN]; GROUP];
+                let acc = &mut acc[..group];
+                let q_rows = &q_panel.as_slice()[r * dh..(r + group) * dh];
+                accumulate_row_windows::<false>(q_rows, slab, sw, off, acc, w);
+                for (acc_r, out_r) in acc.iter().zip(rows.chunks_mut(b)) {
+                    encode_slice(&acc_r[..w], &mut out_r[col..col + w]);
                 }
             }
         }
@@ -236,10 +224,11 @@ pub fn coarse_spmm_profile(
 ///
 /// The dense-tile path: `V` is packed once into k-major column
 /// [`Slabs`]; each block row decodes its own P blocks into a buffer of
-/// its own and accumulates paired output rows across its blocks with the
-/// seeded row microkernel. Every output element is one chain from `+0.0`
-/// over ascending (block column, column in block) that skips zero P
-/// elements — the order and the zero skip of
+/// its own and accumulates groups of up to [`GROUP`] output rows, one
+/// slab window at a time, across its blocks with the seeded row-group
+/// microkernel, then encodes each window to FP16 once. Every output
+/// element is one chain from `+0.0` over ascending (block column, column
+/// in block) that skips zero P elements — the order and the zero skip of
 /// [`naive::coarse_spmm_compute`], so the result is bit-identical to it
 /// for every `V`, infinities and NaNs included.
 ///
@@ -252,44 +241,42 @@ pub fn coarse_spmm_compute(p: &Bsr<Half>, v: &Matrix<Half>) -> Matrix<Half> {
     let dh = v.cols();
     let sq = b * b;
     let v_slabs = Slabs::from_matrix(v);
-    let mut acc = Matrix::<f32>::zeros(p.rows(), dh);
+    let mut out = Matrix::<Half>::zeros(p.rows(), dh);
     // A block row's blocks only touch output rows br*b..(br+1)*b, so block
     // rows parallelize cleanly. P is decoded one block row at a time, so
     // the staged copy stays a few blocks in size. It is a plain allocation
     // rather than a `scratch` buffer: the pool hands its buffers to every
     // later kernel, which grow them, and a pooled P buffer raised the
     // peak RSS of a two-layer QDS-base forward by 2 MiB.
-    par::for_each_chunk_mut(acc.as_mut_slice(), b * dh, |br, out_rows| {
+    par::for_each_chunk_mut(out.as_mut_slice(), b * dh, |br, out_rows| {
         let blocks = p.block_row_range(br);
         let mut p_f = vec![0.0f32; blocks.len() * sq];
         decode_slice(&p.values()[blocks.start * sq..blocks.end * sq], &mut p_f);
         let block_cols = &p.block_col_indices()[blocks];
         for (j0, w, slab) in v_slabs.iter() {
-            for (pr, pair) in out_rows.chunks_mut(2 * dh).enumerate() {
-                let r = 2 * pr;
+            for (g, rows) in out_rows.chunks_mut(GROUP * dh).enumerate() {
+                let r = g * GROUP;
+                let group = rows.len() / dh;
+                let mut acc = [[0.0f32; SPAN]; GROUP];
+                let acc = &mut acc[..group];
                 for (blk, &bc) in p_f.chunks_exact(sq).zip(block_cols) {
                     let v_rows = &slab[bc * b * w..(bc + 1) * b * w];
-                    let p0 = &blk[r * b..(r + 1) * b];
-                    if pair.len() == 2 * dh {
-                        let p1 = &blk[(r + 1) * b..(r + 2) * b];
-                        let (out0, out1) = pair.split_at_mut(dh);
-                        accumulate_row_window2::<true>(
-                            p0,
-                            p1,
-                            v_rows,
-                            w,
-                            0,
-                            &mut out0[j0..j0 + w],
-                            &mut out1[j0..j0 + w],
-                        );
-                    } else {
-                        accumulate_row_window::<true>(p0, v_rows, w, 0, &mut pair[j0..j0 + w]);
-                    }
+                    accumulate_row_windows::<true>(
+                        &blk[r * b..(r + group) * b],
+                        v_rows,
+                        w,
+                        0,
+                        acc,
+                        w,
+                    );
+                }
+                for (acc_r, out_r) in acc.iter().zip(rows.chunks_mut(dh)) {
+                    encode_slice(&acc_r[..w], &mut out_r[j0..j0 + w]);
                 }
             }
         }
     });
-    acc.cast()
+    out
 }
 
 /// The pre-slab reference implementations: one score or one output

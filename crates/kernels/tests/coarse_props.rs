@@ -1,7 +1,7 @@
 //! Bit-equality corpus for the Multigrain numeric kernels on the slab
 //! path: the coarse SDDMM and SpMM must equal `coarse::naive` bit for
 //! bit, and the one-exp compound softmax must equal the three-pass sweep
-//! it replaced, at every thread count and in both dispatch modes.
+//! it replaced, at every thread count and at every dispatch level.
 //!
 //! The corpus targets what the slab path could get wrong: block sizes
 //! that straddle the 32-column slabs (12) or are odd (5), head dims that are not
@@ -12,7 +12,8 @@
 
 use mg_kernels::{coarse, coarse_sddmm_compute, coarse_spmm_compute, compound_softmax_compute};
 use mg_sparse::{Bsr, Csr};
-use mg_tensor::{simd, Half, Matrix};
+use mg_tensor::simd::{self, Level};
+use mg_tensor::{Half, Matrix};
 use rayon::ThreadPoolBuilder;
 
 /// Deterministic LCG over raw u16 bit patterns (MMIX constants) — same
@@ -88,15 +89,20 @@ fn pool(n: usize) -> rayon::ThreadPool {
     ThreadPoolBuilder::new().num_threads(n).build().unwrap()
 }
 
-/// Runs `body` at one and four threads under each forced dispatch mode.
-/// Both modes must equal the oracle, so another test flipping the
-/// process-wide override concurrently cannot make a correct kernel fail.
+/// Runs `body` at one and four threads at every dispatch level the host
+/// supports; a level it lacks is skipped with a line naming it. Every
+/// level must equal the oracle, so another test setting the process-wide
+/// override concurrently cannot make a correct kernel fail.
 fn in_every_mode(mut body: impl FnMut(&str)) {
     for threads in [1, 4] {
-        for simd_on in [false, true] {
+        for level in Level::ALL {
+            if !level.supported() {
+                println!("skipping SIMD level {}: this CPU lacks it", level.name());
+                continue;
+            }
             pool(threads).install(|| {
-                simd::set_override(Some(simd_on));
-                body(&format!("threads {threads}, simd {simd_on}"));
+                simd::set_override(Some(level));
+                body(&format!("threads {threads}, {}", level.name()));
             });
         }
     }
@@ -114,9 +120,12 @@ fn assert_halves_eq(got: &[Half], want: &[Half], ctx: &str) {
     }
 }
 
-/// 12 straddles the 32-column slabs; 5 leaves each block's last row
-/// without a partner, so the single-row kernels run too.
-const BLOCKS: [usize; 7] = [4, 5, 8, 12, 16, 32, 64];
+/// 12 and 36 straddle the 32-column slabs; 5 leaves each block's last
+/// row without a partner, so the single-row kernels run too. 36, 45 and
+/// 62 are wider than a slab but no multiple of 8, so the row-group
+/// kernel runs full 32-column windows whose last 8-row group holds 4, 5
+/// and 6 rows.
+const BLOCKS: [usize; 10] = [4, 5, 8, 12, 16, 32, 36, 45, 62, 64];
 const HEAD_DIMS: [usize; 5] = [1, 5, 13, 40, 70];
 
 /// Block rows per structure: enough for several slabs at small blocks,

@@ -8,13 +8,14 @@
 //! zero in FP16) against V rows holding ±Inf and NaN, so a zero product
 //! that is computed instead of skipped turns its output NaN. The head
 //! dims and band widths cover the span, block and tail paths of the
-//! microkernel. Every pin must hold at one and four threads and in both
-//! dispatch modes.
+//! microkernel. Every pin must hold at one and four threads and at every
+//! dispatch level.
 
 use mg_gpusim::digest::Fnv1a;
 use mg_kernels::{ell_spmm_compute, sliding_chunk_attention_compute};
 use mg_sparse::{BlockedEll, Bsr};
-use mg_tensor::{simd, Half, Matrix};
+use mg_tensor::simd::{self, Level};
+use mg_tensor::{Half, Matrix};
 use rayon::ThreadPoolBuilder;
 
 /// Deterministic LCG (MMIX constants), the idiom of the other corpora.
@@ -69,19 +70,34 @@ fn digests(outputs: &[Matrix<Half>]) -> (u64, u64) {
     (exact.finish(), canonical.finish())
 }
 
-/// Runs `outputs` at one and four threads under each forced dispatch
-/// mode and asserts each run's digests equal `pins` (exact, canonical).
+/// The dispatch levels this CPU can run, lowest first; a level it lacks
+/// is skipped with a line naming it.
+fn supported_levels() -> Vec<Level> {
+    Level::ALL
+        .into_iter()
+        .filter(|level| {
+            let ok = level.supported();
+            if !ok {
+                println!("skipping SIMD level {}: this CPU lacks it", level.name());
+            }
+            ok
+        })
+        .collect()
+}
+
+/// Runs `outputs` at one and four threads at every supported dispatch
+/// level and asserts each run's digests equal `pins` (exact, canonical).
 /// The exact pin is checked in debug builds only: optimized builds may
 /// commute an add of two NaNs, which changes the payload that survives
 /// but no other bit, so they are held to the canonical pin.
 fn assert_pinned(pins: (u64, u64), mut outputs: impl FnMut() -> Vec<Matrix<Half>>) {
     for threads in [1, 4] {
-        for simd_on in [false, true] {
+        for level in supported_levels() {
             let (exact, canonical) = pool(threads).install(|| {
-                simd::set_override(Some(simd_on));
+                simd::set_override(Some(level));
                 digests(&outputs())
             });
-            let ctx = format!("threads {threads}, simd {simd_on}");
+            let ctx = format!("threads {threads}, {}", level.name());
             assert_eq!(
                 canonical, pins.1,
                 "{ctx}: canonical digest {canonical:#018x}"

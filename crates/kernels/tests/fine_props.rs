@@ -1,6 +1,6 @@
 //! Bit-equality corpus for the fine (Sputnik-style) kernels: the packed
 //! SDDMM and SpMM must equal `fine::naive` bit for bit, at every thread
-//! count and in both dispatch modes.
+//! count and at every dispatch level.
 //!
 //! The corpus targets the SDDMM's three routes through a CSR row: rows
 //! shorter than one `NR` chunk (the direct per-element path),
@@ -22,7 +22,8 @@
 
 use mg_kernels::{fine, fine_sddmm_compute, fine_spmm_compute};
 use mg_sparse::Csr;
-use mg_tensor::{simd, Half, Matrix, NR};
+use mg_tensor::simd::{self, Level};
+use mg_tensor::{Half, Matrix, NR};
 use rayon::ThreadPoolBuilder;
 
 /// Deterministic LCG over raw u16 bit patterns (MMIX constants) — same
@@ -112,15 +113,20 @@ fn pool(n: usize) -> rayon::ThreadPool {
     ThreadPoolBuilder::new().num_threads(n).build().unwrap()
 }
 
-/// Runs `body` at one and four threads under each forced dispatch mode.
-/// Both modes must equal the oracle, so another test flipping the
-/// process-wide override concurrently cannot make a correct kernel fail.
+/// Runs `body` at one and four threads at every dispatch level the host
+/// supports; a level it lacks is skipped with a line naming it. Every
+/// level must equal the oracle, so another test setting the process-wide
+/// override concurrently cannot make a correct kernel fail.
 fn in_every_mode(mut body: impl FnMut(&str)) {
     for threads in [1, 4] {
-        for simd_on in [false, true] {
+        for level in Level::ALL {
+            if !level.supported() {
+                println!("skipping SIMD level {}: this CPU lacks it", level.name());
+                continue;
+            }
             pool(threads).install(|| {
-                simd::set_override(Some(simd_on));
-                body(&format!("threads {threads}, simd {simd_on}"));
+                simd::set_override(Some(level));
+                body(&format!("threads {threads}, {}", level.name()));
             });
         }
     }

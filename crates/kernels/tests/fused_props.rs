@@ -16,7 +16,8 @@
 use mg_kernels::fused;
 use mg_kernels::fused_attention_compute;
 use mg_patterns::{AtomicPattern, CompoundPattern};
-use mg_tensor::{simd, Half, Matrix};
+use mg_tensor::simd::{self, Level};
+use mg_tensor::{Half, Matrix};
 use rayon::ThreadPoolBuilder;
 
 /// Deterministic LCG over raw u16 bit patterns (MMIX constants), covering
@@ -137,39 +138,56 @@ fn tiled_matches_naive_bitwise_over_full_half_space() {
     }
 }
 
+/// The dispatch levels this CPU can run, lowest first; a level it lacks
+/// is skipped with a line naming it.
+fn supported_levels() -> Vec<Level> {
+    Level::ALL
+        .into_iter()
+        .filter(|level| {
+            let ok = level.supported();
+            if !ok {
+                println!("skipping SIMD level {}: this CPU lacks it", level.name());
+            }
+            ok
+        })
+        .collect()
+}
+
 #[test]
 fn simd_and_scalar_dispatch_agree_bitwise() {
-    // Force the two dispatch modes in turn on identical inputs and demand
+    // Force every supported level in turn on identical inputs and demand
     // *strict* bit equality — stronger than the NaN-normalized tiled-vs-
-    // naive comparison, because scalar and vector legs of the SAME fused
-    // kernel share one accumulation order, payload bits included.
+    // naive comparison, because the scalar and vector legs of the SAME
+    // fused kernel share one accumulation order, payload bits included.
     let mut rng = BitRng(0x5eed_d15b);
+    let levels = supported_levels();
     for threads in [1, 4] {
         for l in [8, 33, 64] {
             for (name, p) in patterns(l) {
                 let q = rng.matrix(l, 16);
                 let k = rng.matrix(l, 16);
                 let v = rng.matrix(l, 16);
-                let (scalar_out, simd_out) = pool(threads).install(|| {
-                    simd::set_override(Some(false));
-                    let s = fused_attention_compute(&q, &k, &v, &p, 0.25);
-                    simd::set_override(Some(true));
-                    let vec = fused_attention_compute(&q, &k, &v, &p, 0.25);
+                let outs: Vec<Matrix<Half>> = pool(threads).install(|| {
+                    let outs = levels
+                        .iter()
+                        .map(|&level| {
+                            simd::set_override(Some(level));
+                            fused_attention_compute(&q, &k, &v, &p, 0.25)
+                        })
+                        .collect();
                     simd::set_override(None);
-                    (s, vec)
+                    outs
                 });
-                for (i, (a, b)) in simd_out
-                    .as_slice()
-                    .iter()
-                    .zip(scalar_out.as_slice())
-                    .enumerate()
-                {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "cross-mode {name} l={l} threads {threads}: element {i} \
-                         diverges: simd {a:?} vs scalar {b:?}"
-                    );
+                for (level, out) in levels.iter().zip(&outs).skip(1) {
+                    for (i, (a, b)) in out.as_slice().iter().zip(outs[0].as_slice()).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "cross-level {name} l={l} threads {threads}: element {i} \
+                             diverges: {} {a:?} vs scalar {b:?}",
+                            level.name()
+                        );
+                    }
                 }
             }
         }
@@ -277,8 +295,8 @@ fn finite_operands_match_naive_strictly_on_run_and_gathered_chunks() {
     // row's first chunk has set the running max, most later chunks raise
     // nothing: window runs take the chunk-batched accumulate and the
     // scattered columns between them take the per-column update. With no
-    // NaN anywhere, tiled and naive must agree strictly, in both dispatch
-    // modes.
+    // NaN anywhere, tiled and naive must agree strictly, at every
+    // dispatch level.
     for (l, window, per_row) in [(64, 24, 6), (100, 40, 9)] {
         let p = CompoundPattern::new(l)
             .with(AtomicPattern::Local { window })
@@ -292,9 +310,9 @@ fn finite_operands_match_naive_strictly_on_run_and_gathered_chunks() {
             let scale = 1.0 / (dh as f32).sqrt();
             let reference = fused::naive::fused_attention_compute(&q, &k, &v, &p, scale);
             for threads in [1, 4] {
-                for simd_on in [false, true] {
+                for level in supported_levels() {
                     let tiled = pool(threads).install(|| {
-                        simd::set_override(Some(simd_on));
+                        simd::set_override(Some(level));
                         fused_attention_compute(&q, &k, &v, &p, scale)
                     });
                     for (i, (a, b)) in tiled
@@ -306,8 +324,9 @@ fn finite_operands_match_naive_strictly_on_run_and_gathered_chunks() {
                         assert_eq!(
                             a.to_bits(),
                             b.to_bits(),
-                            "l={l} dh={dh} threads {threads} simd {simd_on}: element {i} \
-                             diverges: tiled {a:?} vs naive {b:?}"
+                            "l={l} dh={dh} threads {threads} {}: element {i} \
+                             diverges: tiled {a:?} vs naive {b:?}",
+                            level.name()
                         );
                     }
                 }

@@ -12,16 +12,19 @@
 //! into [`crate::pack::Slabs`]: contiguous, k-major column slabs of width
 //! [`simd::SPAN`], the last one ragged. The output is cut into blocks of
 //! [`MC`] rows, one parallel work item each. A block decodes its A rows
-//! once, then walks the slabs in the outer loop and its row pairs in the
-//! inner loop. A slab (at most `k × SPAN` floats, 384 KiB at `k = 3072`)
-//! and the block's A rows then stay cache-resident while every row of the
-//! block reuses them. A whole-width panel walked row pair by row pair
-//! does not: once it outgrows L2, each pair re-streams it from memory.
+//! once, then walks the slabs in the outer loop and its row groups of up
+//! to [`simd::GROUP`] rows in the inner loop. A slab (at most `k × SPAN`
+//! floats, 384 KiB at `k = 3072`) and the block's A rows then stay
+//! cache-resident while every row of the block reuses them. A whole-width
+//! panel walked group by group does not: once it outgrows L2, each group
+//! re-streams it from memory.
 //!
-//! Inside a slab the seeded row microkernel [`accumulate_row_window`] is
-//! register-tiled: a [`simd::SPAN`] wide span kernel when the vector
-//! dispatch is active and the slab is full, [`NR`]-wide register blocks
-//! otherwise. Every output element is still one uninterrupted
+//! Inside a slab the row-group microkernel [`accumulate_row_windows`] is
+//! register-tiled: when the vector dispatch is active and the slab is
+//! full, a [`simd::SPAN`] wide span kernel runs the whole group in one
+//! pass at AVX-512 (each loaded slab vector feeds eight rows) and in
+//! pairs at AVX2; otherwise each row runs [`NR`]-wide register blocks.
+//! Every output element is still one uninterrupted
 //! ascending-k chain of mul-then-add from `+0.0`, the order the retained
 //! [`naive`] reference uses. Blocking changes only
 //! *when* an element is computed, never how, and decode is exact, so the
@@ -118,43 +121,47 @@ pub fn accumulate_row_window<const SKIP_ZEROS: bool>(
     }
 }
 
-/// Paired-row form of [`accumulate_row_window`]: two A rows over the same
-/// window, so the span kernel reuses each loaded panel vector for both
-/// rows ([`simd::row_panel_span2`]). Per row the computation, and
-/// therefore every output bit, is identical to two
-/// [`accumulate_row_window`] calls; past the spans, that is literally
-/// what runs.
+/// Row-group form of [`accumulate_row_window`]: `acc.len()` A rows (at
+/// most [`simd::GROUP`]), stored back to back in `a`, over the same
+/// window `j0..j0 + w` of the panel, `w <= SPAN`. Row `r`'s window is
+/// `acc[r][..w]`. A full [`simd::SPAN`]-wide window goes through
+/// [`simd::row_panel_span_group`], which reuses each loaded panel vector
+/// for every row of the group; a ragged window, and every window when the
+/// dispatch is scalar, runs [`accumulate_row_window`] row by row. Per row
+/// the computation, and therefore every output bit, is identical to one
+/// [`accumulate_row_window`] call.
 ///
 /// # Panics
 ///
-/// As [`accumulate_row_window`], and if the two rows or the two
-/// accumulators differ in length.
+/// As [`accumulate_row_window`], and if the group holds more than
+/// [`simd::GROUP`] rows, `a` does not split into `acc.len()` equal rows,
+/// or `w` exceeds [`simd::SPAN`].
 #[inline]
-pub fn accumulate_row_window2<const SKIP_ZEROS: bool>(
-    a0: &[f32],
-    a1: &[f32],
+pub fn accumulate_row_windows<const SKIP_ZEROS: bool>(
+    a: &[f32],
     bp: &[f32],
     n: usize,
     j0: usize,
-    acc0: &mut [f32],
-    acc1: &mut [f32],
+    acc: &mut [[f32; simd::SPAN]],
+    w: usize,
 ) {
-    assert_eq!(a0.len(), a1.len(), "paired rows differ in length");
-    assert_eq!(acc0.len(), acc1.len(), "paired windows differ in width");
-    let mut j = 0;
-    for (s0, s1) in acc0
-        .chunks_exact_mut(simd::SPAN)
-        .zip(acc1.chunks_exact_mut(simd::SPAN))
-    {
-        let s0: &mut [f32; simd::SPAN] = s0.try_into().expect("SPAN-wide chunk");
-        let s1: &mut [f32; simd::SPAN] = s1.try_into().expect("SPAN-wide chunk");
-        if !simd::row_panel_span2::<SKIP_ZEROS>(a0, a1, bp, n, j0 + j, s0, s1) {
-            break;
-        }
-        j += simd::SPAN;
+    let rows = acc.len();
+    assert!(rows <= simd::GROUP, "row group larger than GROUP");
+    assert!(w <= simd::SPAN, "window wider than SPAN");
+    if rows == 0 {
+        return;
     }
-    accumulate_row_window::<SKIP_ZEROS>(a0, bp, n, j0 + j, &mut acc0[j..]);
-    accumulate_row_window::<SKIP_ZEROS>(a1, bp, n, j0 + j, &mut acc1[j..]);
+    assert!(
+        a.len().is_multiple_of(rows),
+        "grouped rows differ in length"
+    );
+    let k = a.len() / rows;
+    if w == simd::SPAN && simd::row_panel_span_group::<SKIP_ZEROS>(a, bp, n, j0, acc) {
+        return;
+    }
+    for (r, acc_r) in acc.iter_mut().enumerate() {
+        accumulate_row_window::<SKIP_ZEROS>(&a[r * k..(r + 1) * k], bp, n, j0, &mut acc_r[..w]);
+    }
 }
 
 /// One full [`NR`]-wide scalar register window of
@@ -185,9 +192,9 @@ fn register_window<const SKIP_ZEROS: bool>(
 
 /// The blocked loop nest shared by [`gemm`] and [`gemm_nt`], whose only
 /// difference is how the slabs were packed: one parallel work item per
-/// [`MC`]-row output block, slabs outer, row pairs inner. Each output
-/// element is one [`accumulate_row_window`] chain from `+0.0`, rounded
-/// to `O` once.
+/// [`MC`]-row output block, slabs outer, groups of up to
+/// [`simd::GROUP`] rows inner. Each output element is one
+/// [`accumulate_row_window`] chain from `+0.0`, rounded to `O` once.
 fn gemm_slabs<A: Scalar, O: Scalar>(a: &Matrix<A>, b: &pack::Slabs) -> Matrix<O> {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let mut out = Matrix::<O>::zeros(m, n);
@@ -198,27 +205,14 @@ fn gemm_slabs<A: Scalar, O: Scalar>(a: &Matrix<A>, b: &pack::Slabs) -> Matrix<O>
         let mut a_f = scratch::take_zeroed(rows * k);
         pack::decode_slice(&a.as_slice()[r0 * k..(r0 + rows) * k], &mut a_f);
         for (j0, w, bp) in b.iter() {
-            for (p, pair) in out_blk.chunks_mut(2 * n).enumerate() {
-                let a0_f = &a_f[2 * p * k..(2 * p + 1) * k];
-                let mut acc0 = [0.0f32; simd::SPAN];
-                let mut acc1 = [0.0f32; simd::SPAN];
-                if pair.len() == 2 * n {
-                    let a1_f = &a_f[(2 * p + 1) * k..(2 * p + 2) * k];
-                    accumulate_row_window2::<false>(
-                        a0_f,
-                        a1_f,
-                        bp,
-                        w,
-                        0,
-                        &mut acc0[..w],
-                        &mut acc1[..w],
-                    );
-                    let (out0, out1) = pair.split_at_mut(n);
-                    pack::encode_slice(&acc0[..w], &mut out0[j0..j0 + w]);
-                    pack::encode_slice(&acc1[..w], &mut out1[j0..j0 + w]);
-                } else {
-                    accumulate_row_window::<false>(a0_f, bp, w, 0, &mut acc0[..w]);
-                    pack::encode_slice(&acc0[..w], &mut pair[j0..j0 + w]);
+            for (g, out_rows) in out_blk.chunks_mut(simd::GROUP * n).enumerate() {
+                let r = g * simd::GROUP;
+                let group = out_rows.len() / n;
+                let mut acc = [[0.0f32; simd::SPAN]; simd::GROUP];
+                let acc = &mut acc[..group];
+                accumulate_row_windows::<false>(&a_f[r * k..(r + group) * k], bp, w, 0, acc, w);
+                for (acc_r, out_r) in acc.iter().zip(out_rows.chunks_mut(n)) {
+                    pack::encode_slice(&acc_r[..w], &mut out_r[j0..j0 + w]);
                 }
             }
         }
@@ -545,16 +539,16 @@ mod tests {
     fn dot_rows_block_lanes_match_dot_f32_bitwise() {
         // Every lane of the gathered-row microkernel must reproduce
         // `dot_f32` bit-for-bit, including repeated rows, non-finite
-        // values, and ragged widths with empty trailing lanes — under
-        // both dispatch modes (full width routes to the AVX2 kernel when
-        // forced on and available; the assertions are mode-independent).
+        // values, and ragged widths with empty trailing lanes — at every
+        // dispatch level (full width routes to the AVX2 kernel at either
+        // vector level; the assertions are level-independent).
         let m = Matrix::<f32>::from_fn(6, 16, |r, c| {
             ((r * 31 + c * 7) as f32).sin() * 2.0 - ((c % 3) as f32)
         });
         let mut a: Vec<f32> = m.row(0).to_vec();
         a[3] = f32::INFINITY;
         a[7] = -0.0;
-        simd::in_both_modes(|simd_on| {
+        simd::in_every_level(|level| {
             for width in 0..=NR {
                 let mut rows: [&[f32]; NR] = [&[]; NR];
                 for (j, row) in rows[..width].iter_mut().enumerate() {
@@ -565,7 +559,7 @@ mod tests {
                     assert_eq!(
                         reg.to_bits(),
                         dot_f32(&a, rows[j]).to_bits(),
-                        "lane {j} at width {width} (simd {simd_on})"
+                        "lane {j} at width {width} ({level:?})"
                     );
                 }
                 for &reg in &regs[width..] {
@@ -590,7 +584,7 @@ mod tests {
         // Over the d-major panel of K from a `-0.0` seed, each lane of a
         // window must equal `dot_f32` against its K row bit for bit, at
         // every width (tail, block and span paths) and every start,
-        // non-finite values included, in both dispatch modes.
+        // non-finite values included, at every dispatch level.
         let rows = simd::SPAN + NR + 5;
         let mut k = Matrix::<Half>::random(rows, 16, 21);
         k.set(2, 5, Half::INFINITY);
@@ -601,7 +595,7 @@ mod tests {
             .collect();
         let mut a: Vec<f32> = (0..16).map(|i| (i as f32 * 0.7).cos()).collect();
         a[4] = -0.0;
-        simd::in_both_modes(|simd_on| {
+        simd::in_every_level(|level| {
             for width in 0..=rows {
                 for c0 in 0..=(rows - width) {
                     let mut regs = vec![-0.0f32; width];
@@ -610,7 +604,7 @@ mod tests {
                         assert_eq!(
                             reg.to_bits(),
                             dot_f32(&a, &k_rows[c0 + j]).to_bits(),
-                            "lane {j} at width {width} start {c0} (simd {simd_on})"
+                            "lane {j} at width {width} start {c0} ({level:?})"
                         );
                     }
                 }
@@ -622,14 +616,14 @@ mod tests {
     fn accumulate_row_window_matches_per_column_passes_bitwise() {
         // A probability row against consecutive V rows must equal
         // `width` successive per-column `acc += p_j * v_j` passes bit for
-        // bit, for head dims with and without a ragged tail, in both
-        // dispatch modes.
+        // bit, for head dims with and without a ragged tail, at every
+        // dispatch level.
         let max_dh = simd::SPAN + NR + 3;
         let v = Matrix::<f32>::from_fn(NR, max_dh, |j, d| {
             ((j * 13 + d * 7) as f32).sin() * 4.0 - 1.0
         });
         let p: Vec<f32> = (0..NR).map(|j| (j as f32 * 1.3).cos() * 2.0).collect();
-        simd::in_both_modes(|simd_on| {
+        simd::in_every_level(|level| {
             for dh in [0usize, 3, NR, NR + 3, simd::SPAN, max_dh] {
                 let panel: Vec<f32> = (0..NR).flat_map(|j| v.row(j)[..dh].to_vec()).collect();
                 for width in 0..=NR {
@@ -645,12 +639,65 @@ mod tests {
                         assert_eq!(
                             got.to_bits(),
                             w.to_bits(),
-                            "dh {dh} width {width} d {d} (simd {simd_on})"
+                            "dh {dh} width {width} d {d} ({level:?})"
                         );
                     }
                 }
             }
         });
+    }
+
+    #[test]
+    fn accumulate_row_windows_match_single_rows_bitwise() {
+        // Every group size 0..=GROUP, full and ragged windows, with and
+        // without zero skipping, at every dispatch level: each row of the
+        // group must equal its own `accumulate_row_window` call bit for
+        // bit, from mixed seeds, against a panel with non-finite values.
+        let (k, n) = (11, simd::SPAN + 5);
+        let mut b = Matrix::<f32>::from_fn(k, n, |r, c| ((r * 29 + c * 3) as f32).cos() * 2.0);
+        b.set(1, 3, f32::INFINITY);
+        b.set(4, 20, f32::NAN);
+        b.set(6, 31, f32::NEG_INFINITY);
+        let bp = pack::Panel::from_matrix(&b);
+        let mut a: Vec<f32> = (0..simd::GROUP * k)
+            .map(|i| (i as f32 * 0.43).sin() - 0.2)
+            .collect();
+        for r in 0..simd::GROUP {
+            a[r * k + r % k] = 0.0;
+        }
+        fn seeds(r: usize) -> [f32; simd::SPAN] {
+            std::array::from_fn(|j| [0.0, 1.25, -3.5, 0.5][(r + j) % 4])
+        }
+        fn check<const SKIP: bool>(a: &[f32], bp: &[f32], n: usize, k: usize, level: simd::Level) {
+            for rows in 0..=simd::GROUP {
+                for (j0, w) in [(0, simd::SPAN), (5, simd::SPAN), (3, NR + 2), (0, 0)] {
+                    let mut group: Vec<[f32; simd::SPAN]> = (0..rows).map(seeds).collect();
+                    accumulate_row_windows::<SKIP>(&a[..rows * k], bp, n, j0, &mut group, w);
+                    for (r, got) in group.iter().enumerate() {
+                        let mut want = seeds(r);
+                        let a_r = &a[r * k..(r + 1) * k];
+                        accumulate_row_window::<SKIP>(a_r, bp, n, j0, &mut want[..w]);
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(got),
+                            bits(&want),
+                            "rows {rows} row {r} window {j0}+{w} skip {SKIP} ({level:?})"
+                        );
+                    }
+                }
+            }
+        }
+        simd::in_every_level(|level| {
+            check::<false>(&a, bp.as_slice(), n, k, level);
+            check::<true>(&a, bp.as_slice(), n, k, level);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "row group larger than GROUP")]
+    fn accumulate_row_windows_rejects_oversized_groups() {
+        let mut acc = [[0.0f32; simd::SPAN]; simd::GROUP + 1];
+        accumulate_row_windows::<false>(&[], &[], simd::SPAN, 0, &mut acc, simd::SPAN);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod simd;
 mod softmax;
 
 pub use gemm::{
-    accumulate_row_window, accumulate_row_window2, dot, dot_f32, dot_rows_block, gemm, gemm_nt,
+    accumulate_row_window, accumulate_row_windows, dot, dot_f32, dot_rows_block, gemm, gemm_nt,
     naive, NR,
 };
 pub use half::Half;

@@ -2,50 +2,77 @@
 //!
 //! Every hot kernel in the workspace funnels through two shared
 //! microkernels plus the f16↔f32 conversions: the seeded dense row
-//! microkernel behind [`crate::accumulate_row_window`] (every product
-//! over a contiguous operand), the gathered-column
-//! [`crate::dot_rows_block`], [`crate::pack::decode_slice`] (a LUT
-//! gather) and [`crate::pack::encode_slice`] (F16C). This module
-//! reimplements their inner loops — the row microkernel's span, paired
-//! span and block forms, the gathered dot, and the two conversions — on
-//! stable `std::arch` x86_64 AVX2 and F16C intrinsics and dispatches to
-//! them at runtime; the scalar register-window code stays in place as
-//! the fallback and the only path on non-x86_64 targets.
+//! microkernel behind [`crate::accumulate_row_window`] and its row-group
+//! form [`crate::accumulate_row_windows`] (every product over a
+//! contiguous operand), the gathered-column [`crate::dot_rows_block`],
+//! [`crate::pack::decode_slice`] (a LUT gather) and
+//! [`crate::pack::encode_slice`] (F16C). This module reimplements their
+//! inner loops — the row microkernel's span, row-group span and block
+//! forms, the gathered dot, and the two conversions — on stable
+//! `std::arch` x86_64 intrinsics and dispatches to them at runtime; the
+//! scalar register-window code stays in place as the fallback and the
+//! only path on non-x86_64 targets.
+//!
+//! ## Levels
+//!
+//! [`Level`] orders what the CPU offers: [`Level::Scalar`], then
+//! [`Level::Avx2`] (AVX2 and F16C: every vector kernel), then
+//! [`Level::Avx512`] (AVX-512F on top of AVX2 and F16C). The 512-bit
+//! level changes exactly one kernel, [`row_panel_span_group`]: up to
+//! [`GROUP`] A rows run against one [`SPAN`]-wide window in a single
+//! pass, two `zmm` accumulators per row, so each loaded panel vector
+//! feeds eight rows. At [`Level::Avx2`] the same group runs in pairs.
+//! Everything else — the single-row span and block kernels, the gathered
+//! dot and the F16C conversions — stays 256-bit at both vector levels:
+//! one or two rows of 512-bit chains are bound by the add latency, not
+//! by the arithmetic, and gain nothing from the wider registers.
 //!
 //! ## The no-FMA bit-equality argument
 //!
-//! The vector kernels use `_mm256_add_ps(_mm256_mul_ps(a, b), acc)` —
-//! deliberately **not** `_mm256_fmadd_ps`. A separate IEEE multiply and
-//! add per element is the identical operation sequence the scalar
-//! `[f32; NR]` register windows perform lane by lane: same rounding at
-//! the same points, same accumulation order (ascending `k` from the same
-//! seed), no contraction. The lanes of one vector are *independent* sums
-//! — vectorizing across them reorders nothing — so every result is
-//! bitwise identical to the scalar path, NaN payloads and signed zeros
-//! included. Operand *order* in each op is chosen to match the scalar
-//! codegen's NaN-payload propagation (x86 keeps the first source's
-//! payload when both operands are NaN): the multiply takes the broadcast
-//! A element first, and the accumulate takes the fresh product first —
-//! the compiled `acc += av * bv` keeps the product's payload, not the
-//! accumulator's. The full-bit-space property tests would catch either
-//! order being wrong. The f16→f32 decode gathers from the same 65,536-entry LUT
-//! that [`crate::Half::to_f32`] indexes, so it is exact by construction.
+//! The vector kernels use `_mm256_add_ps(_mm256_mul_ps(a, b), acc)` and
+//! `_mm512_add_ps(_mm512_mul_ps(a, b), acc)` — deliberately **not** a
+//! fused multiply-add. A separate IEEE multiply and add per element is
+//! the identical operation sequence the scalar `[f32; NR]` register
+//! windows perform lane by lane: same rounding at the same points, same
+//! accumulation order (ascending `k` from the same seed), no contraction.
+//! The lanes of one vector are *independent* sums, whatever the vector's
+//! width — vectorizing across them, 8 or 16 at a time, reorders nothing —
+//! so every result is bitwise identical to the scalar path, NaN payloads
+//! and signed zeros included. Operand *order* in each op is chosen to
+//! match the scalar codegen's NaN-payload propagation (x86 keeps the
+//! first source's payload when both operands are NaN): the multiply takes
+//! the broadcast A element first, and the accumulate takes the fresh
+//! product first — the compiled `acc += av * bv` keeps the product's
+//! payload, not the accumulator's. The full-bit-space property tests
+//! would catch either order being wrong.
+//!
+//! With `SKIP_ZEROS`, a zero A element must add nothing, even against an
+//! infinite or NaN panel element. The AVX2 kernels AND the product with
+//! the lane mask `a != 0.0`; the AVX-512 kernel computes the same
+//! product with `_mm512_maskz_mul_ps` under the compare mask `a != 0.0`
+//! (unordered, so a NaN A element is kept). Both give `+0.0` where
+//! `a == 0`, which leaves any accumulator that is not `-0.0` unchanged.
+//!
+//! The f16→f32 decode gathers from the same 65,536-entry LUT that
+//! [`crate::Half::to_f32`] indexes, so it is exact by construction.
 //! The f32→f16 encode is `vcvtps2ph` under round-to-nearest-even, which
 //! equals [`crate::Half::from_f32`] on every one of the 2³² inputs, NaN
 //! sign and payload included (an `#[ignore]`d test checks all of them).
 //! CI pins all of this over the adversarial `Half` bit-space corpus at
-//! `MG_SIMD` {0, 1} × `MG_THREADS` {1, 4}.
+//! `MG_SIMD` {0, 1} × `MG_THREADS` {1, 4}, and the property tests force
+//! every level the host supports.
 //!
 //! ## Dispatch rules
 //!
 //! The first microkernel call reads the `MG_SIMD` environment variable:
-//! `MG_SIMD=0` forces the scalar path; anything else (including unset)
-//! selects the vector path **iff** the target is x86_64 and
-//! `is_x86_feature_detected!` reports the CPU supports AVX2 and F16C.
-//! The decision is cached in an atomic; [`set_override`] flips it
-//! programmatically (the perf study's three-way A/B uses this) and
-//! `set_override(None)` drops back to the environment-driven decision. Because both paths are bit-identical,
-//! the dispatch decision can never change a result — only a timing.
+//! `MG_SIMD=0` forces [`Level::Scalar`]; anything else (including unset)
+//! selects [`best`], the highest level the target and CPU support
+//! (`is_x86_feature_detected!`). The decision is cached in an atomic.
+//! [`set_override`] picks a level programmatically — the only way to run
+//! AVX2 on an AVX-512 host; the tests and the perf study use it — and
+//! `set_override(None)` drops back to the environment-driven decision.
+//! Because every level is bit-identical, the dispatch decision can never
+//! change a result — only a timing.
 //!
 //! ## Unsafe confinement contract
 //!
@@ -73,71 +100,102 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// chain (scalar or vector) is bound by.
 pub const SPAN: usize = 4 * NR;
 
-const MODE_UNINIT: u8 = 0;
-const MODE_SCALAR: u8 = 1;
-const MODE_SIMD: u8 = 2;
+/// Most A rows one [`row_panel_span_group`] pass runs: at
+/// [`Level::Avx512`], eight rows of two `zmm` accumulators each are
+/// sixteen independent chains per loaded panel window.
+pub const GROUP: usize = 8;
 
-/// The cached dispatch decision; 0 means "not decided yet" so the first
-/// probe (re)reads `MG_SIMD` and the CPUID feature bits.
-static MODE: AtomicU8 = AtomicU8::new(MODE_UNINIT);
+/// An instruction-set level of the dispatch, lowest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Level {
+    /// The scalar register windows; the only level off x86_64.
+    Scalar,
+    /// AVX2 and F16C: every vector kernel, row groups in pairs.
+    Avx2,
+    /// AVX-512F on top of AVX2 and F16C: row groups in one pass.
+    Avx512,
+}
 
-/// Whether the vector path exists at all on this target and CPU: the
-/// target is x86_64 and the CPU reports AVX2 and F16C. Independent of
-/// the `MG_SIMD` override.
+impl Level {
+    /// Every level, lowest first.
+    pub const ALL: [Level; 3] = [Level::Scalar, Level::Avx2, Level::Avx512];
+
+    /// The level's lower-case name, as tests and reports print it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Level::Scalar => "scalar",
+            Level::Avx2 => "avx2",
+            Level::Avx512 => "avx512",
+        }
+    }
+
+    /// Whether this target and CPU can run the level (`self <= best()`).
+    pub fn supported(self) -> bool {
+        self <= best()
+    }
+}
+
+/// The highest level this target and CPU support, independent of the
+/// `MG_SIMD` override.
 #[inline]
-pub fn available() -> bool {
+pub fn best() -> Level {
     #[cfg(target_arch = "x86_64")]
     {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("f16c")
+        use std::arch::is_x86_feature_detected as has;
+        if !(has!("avx2") && has!("f16c")) {
+            Level::Scalar
+        } else if has!("avx512f") {
+            Level::Avx512
+        } else {
+            Level::Avx2
+        }
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        false
+        Level::Scalar
     }
 }
 
+/// The cached dispatch decision, `level as u8 + 1`; 0 means "not decided
+/// yet" so the next probe (re)reads `MG_SIMD` and the CPUID feature bits.
+static LEVEL: AtomicU8 = AtomicU8::new(0);
+
+fn store(level: Option<Level>) {
+    LEVEL.store(level.map_or(0, |l| l as u8 + 1), Ordering::Relaxed);
+}
+
+/// The level the microkernels currently dispatch to.
 #[inline]
-fn mode() -> u8 {
-    match MODE.load(Ordering::Relaxed) {
-        MODE_UNINIT => {
-            let m = mode_from_env();
-            MODE.store(m, Ordering::Relaxed);
-            m
+pub fn level() -> Level {
+    match LEVEL.load(Ordering::Relaxed) {
+        0 => {
+            let l = match std::env::var("MG_SIMD") {
+                Ok(v) if v == "0" => Level::Scalar,
+                _ => best(),
+            };
+            store(Some(l));
+            l
         }
-        m => m,
+        1 => Level::Scalar,
+        2 => Level::Avx2,
+        _ => Level::Avx512,
     }
 }
 
-fn mode_from_env() -> u8 {
-    if !available() {
-        return MODE_SCALAR;
-    }
-    match std::env::var("MG_SIMD") {
-        Ok(v) if v == "0" => MODE_SCALAR,
-        _ => MODE_SIMD,
-    }
-}
-
-/// Whether the vector path is the one currently dispatched to. `false`
-/// whenever [`available`] is `false`, when `MG_SIMD=0` is set, or after
-/// `set_override(Some(false))`.
+/// Whether a vector level is the one currently dispatched to. `false`
+/// when the CPU has no vector level, when `MG_SIMD=0` is set, or after
+/// `set_override(Some(Level::Scalar))`.
 #[inline]
 pub fn active() -> bool {
-    mode() == MODE_SIMD
+    level() > Level::Scalar
 }
 
-/// Programmatically overrides the dispatch: `Some(true)` selects the
-/// vector path (when [`available`]; otherwise scalar), `Some(false)`
-/// forces the scalar path, and `None` clears the override so the next
-/// microkernel call re-reads `MG_SIMD`. Both paths are bit-identical,
-/// so flipping this mid-run changes timings, never values.
-pub fn set_override(on: Option<bool>) {
-    let m = match on {
-        Some(true) if available() => MODE_SIMD,
-        Some(_) => MODE_SCALAR,
-        None => MODE_UNINIT,
-    };
-    MODE.store(m, Ordering::Relaxed);
+/// Programmatically overrides the dispatch: `Some(level)` selects that
+/// level, or [`best`] when the CPU lacks it, and `None` clears the
+/// override so the next microkernel call re-reads `MG_SIMD`. Every level
+/// is bit-identical, so switching mid-run changes timings, never values.
+pub fn set_override(level: Option<Level>) {
+    store(level.map(|l| l.min(best())));
 }
 
 /// Vector form of the dense row microkernel over a [`SPAN`]-wide window:
@@ -161,7 +219,7 @@ pub fn row_panel_span<const SKIP_ZEROS: bool>(
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
     if active() && j0 + SPAN <= n && a_f.len().saturating_mul(n) <= bp.len() {
-        // SAFETY: AVX2 is present (`active` implies `available`), and the
+        // SAFETY: AVX2 is present (every vector level has it), and the
         // guard proves every SPAN-wide load at `bp[kk*n + j0]` with
         // `kk < a_f.len()` lies inside `bp` (since `j0 + SPAN <= n`).
         unsafe { avx2::row_panel_span::<SKIP_ZEROS>(a_f, bp, n, j0, out) };
@@ -171,38 +229,71 @@ pub fn row_panel_span<const SKIP_ZEROS: bool>(
     false
 }
 
-/// Paired-row form of [`row_panel_span`]: continues the same seeded
-/// [`SPAN`]-wide window for **two** decoded A rows at once, so each
-/// loaded B vector feeds both rows' accumulator chains and the panel is
-/// streamed through cache half as often. Per row and per lane the
-/// operation sequence is exactly [`row_panel_span`]'s (mul then add,
-/// ascending `k`, the caller's seed), so pairing is invisible in the
-/// bits. Returns `false` (leaving the outputs untouched) when the vector
-/// path is not dispatched, the rows differ in length, or the window does
-/// not fit.
+/// Row-group form of [`row_panel_span`]: continues the same seeded
+/// [`SPAN`]-wide window for `out.len()` decoded A rows (at most
+/// [`GROUP`]), stored back to back in `a` with `a.len() / out.len()`
+/// elements each. Each loaded panel vector feeds every row's chains, so
+/// the panel is streamed through cache once per group rather than once
+/// per row. At [`Level::Avx512`] the whole group runs in one pass; at
+/// [`Level::Avx2`] it runs in pairs, an odd last row alone. Per row and
+/// per lane the operation sequence is exactly [`row_panel_span`]'s (mul
+/// then add, ascending `k`, the caller's seed), so grouping is invisible
+/// in the bits. Returns `false` (leaving the outputs untouched) when no
+/// vector level is dispatched, the group is empty or larger than
+/// [`GROUP`], `a` does not split into equal rows, or the window does not
+/// fit.
 #[inline]
-pub fn row_panel_span2<const SKIP_ZEROS: bool>(
-    a0_f: &[f32],
-    a1_f: &[f32],
+pub fn row_panel_span_group<const SKIP_ZEROS: bool>(
+    a: &[f32],
     bp: &[f32],
     n: usize,
     j0: usize,
-    out0: &mut [f32; SPAN],
-    out1: &mut [f32; SPAN],
+    out: &mut [[f32; SPAN]],
 ) -> bool {
+    let rows = out.len();
     #[cfg(target_arch = "x86_64")]
-    if active()
-        && a0_f.len() == a1_f.len()
+    if (1..=GROUP).contains(&rows)
+        && a.len().is_multiple_of(rows)
         && j0 + SPAN <= n
-        && a0_f.len().saturating_mul(n) <= bp.len()
+        && (a.len() / rows).saturating_mul(n) <= bp.len()
     {
-        // SAFETY: AVX2 is present, both rows share the verified length,
-        // and the guard proves every SPAN-wide load at `bp[kk*n + j0]`
-        // with `kk < a0_f.len()` lies inside `bp` (`j0 + SPAN <= n`).
-        unsafe { avx2::row_panel_span2::<SKIP_ZEROS>(a0_f, a1_f, bp, n, j0, out0, out1) };
-        return true;
+        let k = a.len() / rows;
+        match level() {
+            Level::Scalar => {}
+            Level::Avx2 => {
+                for (p, pair) in out.chunks_mut(2).enumerate() {
+                    let a0 = &a[2 * p * k..(2 * p + 1) * k];
+                    match pair {
+                        [out0, out1] => {
+                            let a1 = &a[(2 * p + 1) * k..(2 * p + 2) * k];
+                            // SAFETY: AVX2 is present (the level is only
+                            // chosen when it is), both rows are `k` long,
+                            // and the guard proves every SPAN-wide load at
+                            // `bp[kk*n + j0]` with `kk < k` lies inside `bp`.
+                            unsafe {
+                                avx2::row_panel_span2::<SKIP_ZEROS>(a0, a1, bp, n, j0, out0, out1)
+                            };
+                        }
+                        [out0] => {
+                            // SAFETY: as above, for the one row.
+                            unsafe { avx2::row_panel_span::<SKIP_ZEROS>(a0, bp, n, j0, out0) };
+                        }
+                        _ => unreachable!("chunks of at most two rows"),
+                    }
+                }
+                return true;
+            }
+            Level::Avx512 => {
+                // SAFETY: AVX-512F is present (the level is only chosen when
+                // it is), `a` holds `rows` rows of `k`, `1 <= rows <= GROUP`,
+                // and the guard proves every SPAN-wide load at
+                // `bp[kk*n + j0]` with `kk < k` lies inside `bp`.
+                unsafe { avx512::row_panel_span_group::<SKIP_ZEROS>(a, k, bp, n, j0, out) };
+                return true;
+            }
+        }
     }
-    let _ = (a0_f, a1_f, bp, n, j0, out0, out1);
+    let _ = (a, bp, n, j0, out, rows);
     false
 }
 
@@ -277,7 +368,7 @@ pub fn decode_f16(src: &[Half], dst: &mut [f32]) -> bool {
 pub fn encode_f16(src: &[f32], dst: &mut [Half]) -> bool {
     #[cfg(target_arch = "x86_64")]
     if active() && src.len() == dst.len() {
-        // SAFETY: AVX2 and F16C are present (`active` implies `available`)
+        // SAFETY: AVX2 and F16C are present (every vector level has both)
         // and the lengths match, so every 8-wide load and store is in
         // bounds.
         unsafe { avx2::encode_f16(src, dst) };
@@ -559,23 +650,127 @@ mod avx2 {
     }
 }
 
-/// Runs `body` under both forced dispatch modes (scalar, then vector),
-/// then clears the override so the environment decides again. The
-/// override is process-wide and the test harness runs tests on parallel
-/// threads, so every in-crate test that flips it goes through here: one
-/// lock, held for the whole run, keeps a dispatch-state assertion inside
-/// `body` from seeing another test's mode.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    //! The AVX-512 row-group kernel. It runs under
+    //! `#[target_feature(enable = "avx512f")]` and is reached only through
+    //! [`super::row_panel_span_group`], which checks the level and the
+    //! slice geometry first.
+
+    use super::{GROUP, SPAN};
+    use std::arch::x86_64::*;
+
+    /// Lanes per `zmm` register: a SPAN-wide window is two of them.
+    const LANES: usize = SPAN / 2;
+
+    // SAFETY: callers verified AVX-512F, `1 <= out.len() <= GROUP`,
+    // `a.len() == out.len() * k`, `j0 + SPAN <= n` and `k * n <= bp.len()`.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn row_panel_span_group<const SKIP_ZEROS: bool>(
+        a: &[f32],
+        k: usize,
+        bp: &[f32],
+        n: usize,
+        j0: usize,
+        out: &mut [[f32; SPAN]],
+    ) {
+        debug_assert!(out.len() <= GROUP);
+        // SAFETY: the caller's guarantees, with the row count made a
+        // constant so the accumulators stay in registers.
+        unsafe {
+            match out.len() {
+                1 => rows::<SKIP_ZEROS, 1>(a, k, bp, n, j0, out),
+                2 => rows::<SKIP_ZEROS, 2>(a, k, bp, n, j0, out),
+                3 => rows::<SKIP_ZEROS, 3>(a, k, bp, n, j0, out),
+                4 => rows::<SKIP_ZEROS, 4>(a, k, bp, n, j0, out),
+                5 => rows::<SKIP_ZEROS, 5>(a, k, bp, n, j0, out),
+                6 => rows::<SKIP_ZEROS, 6>(a, k, bp, n, j0, out),
+                7 => rows::<SKIP_ZEROS, 7>(a, k, bp, n, j0, out),
+                _ => rows::<SKIP_ZEROS, GROUP>(a, k, bp, n, j0, out),
+            }
+        }
+    }
+
+    // SAFETY: as `row_panel_span_group`, with `out.len() == R`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn rows<const SKIP_ZEROS: bool, const R: usize>(
+        a: &[f32],
+        k: usize,
+        bp: &[f32],
+        n: usize,
+        j0: usize,
+        out: &mut [[f32; SPAN]],
+    ) {
+        let out: &mut [[f32; SPAN]; R] = out.try_into().expect("R output rows");
+        let mut acc = [[_mm512_setzero_ps(); 2]; R];
+        for (acc_r, out_r) in acc.iter_mut().zip(out.iter()) {
+            // SAFETY: each output row is exactly SPAN = 2 * LANES floats.
+            unsafe {
+                *acc_r = [
+                    _mm512_loadu_ps(out_r.as_ptr()),
+                    _mm512_loadu_ps(out_r.as_ptr().add(LANES)),
+                ];
+            }
+        }
+        let ap = a.as_ptr();
+        for kk in 0..k {
+            // SAFETY: `kk*n + j0 + SPAN <= (kk+1)*n <= bp.len()` per the
+            // wrapper's guard; the two loads cover `p[0..SPAN]`.
+            let (b0, b1) = unsafe {
+                let p = bp.as_ptr().add(kk * n + j0);
+                (_mm512_loadu_ps(p), _mm512_loadu_ps(p.add(LANES)))
+            };
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                // SAFETY: `r*k + kk < R*k == a.len()`.
+                let avv = _mm512_set1_ps(unsafe { *ap.add(r * k + kk) });
+                // Mul then add, the product first; with SKIP_ZEROS the
+                // product is `+0.0` wherever the A element is zero.
+                let (p0, p1) = if SKIP_ZEROS {
+                    let keep = _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(avv, _mm512_setzero_ps());
+                    (
+                        _mm512_maskz_mul_ps(keep, avv, b0),
+                        _mm512_maskz_mul_ps(keep, avv, b1),
+                    )
+                } else {
+                    (_mm512_mul_ps(avv, b0), _mm512_mul_ps(avv, b1))
+                };
+                acc_r[0] = _mm512_add_ps(p0, acc_r[0]);
+                acc_r[1] = _mm512_add_ps(p1, acc_r[1]);
+            }
+        }
+        for (acc_r, out_r) in acc.iter().zip(out.iter_mut()) {
+            // SAFETY: each output row is exactly SPAN = 2 * LANES floats.
+            unsafe {
+                _mm512_storeu_ps(out_r.as_mut_ptr(), acc_r[0]);
+                _mm512_storeu_ps(out_r.as_mut_ptr().add(LANES), acc_r[1]);
+            }
+        }
+    }
+}
+
+/// Runs `body` at every dispatch level the host supports, lowest first,
+/// then clears the override so the environment decides again; a level
+/// the host lacks is skipped with a line naming it. The override is
+/// process-wide and the test harness runs tests on parallel threads, so
+/// every in-crate test that sets it goes through here: one lock, held for
+/// the whole run, keeps a dispatch-state assertion inside `body` from
+/// seeing another test's level.
 #[cfg(test)]
-pub(crate) fn in_both_modes(mut body: impl FnMut(bool)) {
+pub(crate) fn in_every_level(mut body: impl FnMut(Level)) {
     static OVERRIDE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    // A panicking test poisons the lock; the mode it left behind is
+    // A panicking test poisons the lock; the level it left behind is
     // overwritten below, so the next test may proceed.
     let _guard = OVERRIDE_LOCK
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    for simd_on in [false, true] {
-        set_override(Some(simd_on));
-        body(simd_on);
+    for level in Level::ALL {
+        if !level.supported() {
+            println!("skipping SIMD level {}: this CPU lacks it", level.name());
+            continue;
+        }
+        set_override(Some(level));
+        body(level);
     }
     set_override(None);
 }
@@ -589,7 +784,7 @@ mod tests {
     fn decode_is_bit_identical_over_the_entire_half_bitspace() {
         let src: Vec<Half> = (0..=u16::MAX).map(Half::from_bits).collect();
         let expect: Vec<u32> = src.iter().map(|h| h.to_f32().to_bits()).collect();
-        in_both_modes(|_| {
+        in_every_level(|_| {
             // Offsets cover the vector body plus every tail length.
             for lo in [0usize, 1, 5, 65_529] {
                 let mut dst = vec![0.0f32; src.len() - lo];
@@ -603,8 +798,9 @@ mod tests {
 
     #[test]
     fn row_panel_kernels_match_scalar_windows_bitwise() {
-        // A panel with non-finite values and signed zeros: the wide-span
-        // and single-block kernels must continue the caller's seed exactly
+        // A panel with non-finite values and signed zeros: the wide-span,
+        // row-group and single-block kernels must continue the caller's
+        // seed exactly
         // like the scalar register window, bit-for-bit (NaN payloads
         // included), with and without zero skipping.
         let k = 13;
@@ -615,10 +811,18 @@ mod tests {
         b.set(3, 4, f32::INFINITY);
         b.set(5, 9, -0.0);
         let bp = pack::Panel::from_matrix(&b);
-        let mut a: Vec<f32> = (0..k).map(|i| (i as f32 * 0.61).cos() - 0.3).collect();
-        a[3] = 0.0;
+        // GROUP rows of k back to back, each with its own zeros. Only
+        // rows 0 and 5 hold an infinity: it turns every lane of its row
+        // non-finite, and the finite rows must show that each product is
+        // rounded on its own (no fused multiply-add).
+        let mut a: Vec<f32> = (0..GROUP * k)
+            .map(|i| (i as f32 * 0.61).cos() - 0.3)
+            .collect();
+        for r in 0..GROUP {
+            a[r * k + (3 + r) % k] = 0.0;
+        }
         a[7] = f32::NEG_INFINITY;
-        let a1: Vec<f32> = a.iter().rev().copied().collect();
+        a[5 * k + 2] = f32::INFINITY;
 
         fn seed(t: usize) -> f32 {
             [0.0, -0.0, 1.5, -2.25][t % 4]
@@ -646,46 +850,71 @@ mod tests {
             }
             bits(&regs)
         }
-        fn check<const SKIP: bool>(simd_on: bool, a: &[f32], a1: &[f32], bp: &[f32], n: usize) {
-            let on = simd_on && available();
+        fn check<const SKIP: bool>(level: Level, a: &[f32], bp: &[f32], n: usize) {
+            let on = level > Level::Scalar;
+            let k = a.len() / GROUP;
             let want = |a: &[f32], j0: usize, jw: usize| scalar_ref(a, bp, n, SKIP, j0, jw);
+            let a0 = &a[..k];
             let mut span: [f32; SPAN] = std::array::from_fn(seed);
-            assert_eq!(row_panel_span::<SKIP>(a, bp, n, 0, &mut span), on);
+            assert_eq!(row_panel_span::<SKIP>(a0, bp, n, 0, &mut span), on);
             if on {
-                assert_eq!(bits(&span), want(a, 0, SPAN), "span, skip {SKIP}");
+                assert_eq!(bits(&span), want(a0, 0, SPAN), "span, skip {SKIP}");
             }
-            let mut s0: [f32; SPAN] = std::array::from_fn(seed);
-            let mut s1: [f32; SPAN] = std::array::from_fn(seed);
-            assert_eq!(
-                row_panel_span2::<SKIP>(a, a1, bp, n, 0, &mut s0, &mut s1),
-                on
-            );
-            if on {
-                assert_eq!(bits(&s0), want(a, 0, SPAN), "span2 row 0, skip {SKIP}");
-                assert_eq!(bits(&s1), want(a1, 0, SPAN), "span2 row 1, skip {SKIP}");
+            // Every group size, so the pair and single-row legs of AVX2
+            // and every row count of AVX-512 run.
+            for rows in 1..=GROUP {
+                let mut outs = [[0.0f32; SPAN]; GROUP];
+                for out in &mut outs {
+                    *out = std::array::from_fn(seed);
+                }
+                let group = &mut outs[..rows];
+                assert_eq!(
+                    row_panel_span_group::<SKIP>(&a[..rows * k], bp, n, 0, group),
+                    on
+                );
+                if on {
+                    for (r, out) in group.iter().enumerate() {
+                        let a_r = &a[r * k..(r + 1) * k];
+                        assert_eq!(
+                            bits(out),
+                            want(a_r, 0, SPAN),
+                            "group of {rows}, row {r}, skip {SKIP}, {}",
+                            level.name()
+                        );
+                    }
+                }
             }
             let mut blk: [f32; NR] = std::array::from_fn(seed);
-            assert_eq!(row_panel_block::<SKIP>(a, bp, n, SPAN, &mut blk), on);
+            assert_eq!(row_panel_block::<SKIP>(a0, bp, n, SPAN, &mut blk), on);
             if on {
-                assert_eq!(bits(&blk), want(a, SPAN, NR), "block, skip {SKIP}");
+                assert_eq!(bits(&blk), want(a0, SPAN, NR), "block, skip {SKIP}");
             }
-            // Out-of-range windows must decline, never touch memory.
-            assert!(!row_panel_span::<SKIP>(a, bp, n, NR + 4, &mut span));
-            assert!(!row_panel_span2::<SKIP>(
-                a,
-                &a1[1..],
+            // Out-of-range windows and ill-shaped groups must decline,
+            // never touch memory.
+            let mut outs = [[0.0f32; SPAN]; GROUP + 1];
+            assert!(!row_panel_span::<SKIP>(a0, bp, n, NR + 4, &mut span));
+            assert!(!row_panel_span_group::<SKIP>(
+                a0,
+                bp,
+                n,
+                NR + 4,
+                &mut outs[..1]
+            ));
+            assert!(!row_panel_span_group::<SKIP>(
+                &a[1..],
                 bp,
                 n,
                 0,
-                &mut s0,
-                &mut s1
+                &mut outs[..2]
             ));
-            assert!(!row_panel_block::<SKIP>(a, bp, n, n - 3, &mut blk));
+            assert!(!row_panel_span_group::<SKIP>(&[], bp, n, 0, &mut outs[..0]));
+            assert!(!row_panel_span_group::<SKIP>(&[], bp, n, 0, &mut outs[..]));
+            assert!(!row_panel_block::<SKIP>(a0, bp, n, n - 3, &mut blk));
         }
 
-        in_both_modes(|simd_on| {
-            check::<false>(simd_on, &a, &a1, bp.as_slice(), n);
-            check::<true>(simd_on, &a, &a1, bp.as_slice(), n);
+        in_every_level(|level| {
+            check::<false>(level, &a, bp.as_slice(), n);
+            check::<true>(level, &a, bp.as_slice(), n);
         });
     }
 
@@ -709,19 +938,19 @@ mod tests {
         ];
         src.extend((0..27).map(|i| (i as f32 - 13.0) * 0.377));
         let want: Vec<u16> = src.iter().map(|&v| Half::from_f32(v).to_bits()).collect();
-        in_both_modes(|simd_on| {
+        in_every_level(|level| {
             for lo in 0..NR + 1 {
                 let mut dst = vec![Half::ZERO; src.len() - lo];
                 pack::encode_slice(&src[lo..], &mut dst);
                 let got: Vec<u16> = dst.iter().map(|h| h.to_bits()).collect();
-                assert_eq!(got, want[lo..], "offset {lo}, simd {simd_on}");
+                assert_eq!(got, want[lo..], "offset {lo}, {}", level.name());
             }
         });
     }
 
     #[test]
     fn wrappers_decline_cleanly_when_geometry_does_not_fit() {
-        in_both_modes(|_| {
+        in_every_level(|_| {
             // Mismatched lane length: the wrapper must decline so the
             // scalar path keeps its panic semantics.
             let a = [1.0f32; 4];

@@ -10,7 +10,8 @@
 //! vector FP16 encode is pinned to per-element `Half::from_f32` at every
 //! rounding boundary, and (ignored by default) over all 2³² inputs.
 
-use mg_tensor::{dot, dot_f32, gemm, gemm_nt, naive, pack, simd, Half, Matrix};
+use mg_tensor::simd::{self, Level};
+use mg_tensor::{dot, dot_f32, gemm, gemm_nt, naive, pack, Half, Matrix};
 use rayon::ThreadPoolBuilder;
 
 /// Deterministic LCG over raw u16 bit patterns (MMIX constants). Unlike
@@ -71,10 +72,13 @@ const SHAPES: &[(usize, usize, usize)] = &[
 /// Shapes that cross the blocked GEMM's 32-row output blocks and
 /// 32-column B slabs: one below, at, and above each boundary, and several
 /// blocks in (a ragged last block and slab), at a one-deep and a deep k.
-/// The empty extent of each dimension comes at blocked size too.
+/// The last row block's 8-row groups end on every residue 0–7 (31, 32,
+/// 33, 34, 67, 36, 37 and 38 leave 7, 0, 1, 2, 3, 4, 5 and 6 rows), so
+/// every row count of the row-group kernel runs. The empty extent of
+/// each dimension comes at blocked size too.
 fn blocked_shapes() -> Vec<(usize, usize, usize)> {
     let mut shapes = vec![(0, 97, 101), (67, 0, 101), (67, 97, 0)];
-    for m in [31, 32, 33, 67] {
+    for m in [31, 32, 33, 34, 67, 36, 37, 38] {
         for n in [31, 32, 33, 101] {
             for k in [1, 97] {
                 shapes.push((m, k, n));
@@ -154,40 +158,61 @@ fn dot_f32_matches_dot_bitwise_over_full_half_space() {
     }
 }
 
+/// The dispatch levels this CPU can run, lowest first; a level it lacks
+/// is skipped with a line naming it.
+fn supported_levels() -> Vec<Level> {
+    Level::ALL
+        .into_iter()
+        .filter(|level| {
+            let ok = level.supported();
+            if !ok {
+                println!("skipping SIMD level {}: this CPU lacks it", level.name());
+            }
+            ok
+        })
+        .collect()
+}
+
 #[test]
 fn simd_and_scalar_dispatch_agree_bitwise() {
     // The env-driven tests above already run under whatever MG_SIMD the CI
     // matrix sets; this one pins the *override* path directly — forcing
-    // the scalar and vector kernels in turn on identical inputs and
-    // demanding bit-identical output, NaN payloads included. Interleaving
-    // with other tests is harmless: both modes equal `naive`, so a
-    // transient mode flip cannot fail a concurrent packed-vs-naive check.
+    // every supported level in turn on identical inputs and demanding
+    // bit-identical output, NaN payloads included. Interleaving with
+    // other tests is harmless: every level equals `naive`, so a transient
+    // level change cannot fail a concurrent packed-vs-naive check.
     let mut rng = BitRng(0x5eed_0005);
+    let levels = supported_levels();
     for threads in [1, 4] {
         for (m, k, n) in all_shapes() {
             let a = rng.matrix(m, k);
             let b = rng.matrix(k, n);
             let bt = rng.matrix(n, k);
-            let (s_gemm, s_nt, v_gemm, v_nt) = pool(threads).install(|| {
-                simd::set_override(Some(false));
-                let sg: Matrix<f32> = gemm(&a, &b);
-                let sn: Matrix<f32> = gemm_nt(&a, &bt);
-                simd::set_override(Some(true));
-                let vg: Matrix<f32> = gemm(&a, &b);
-                let vn: Matrix<f32> = gemm_nt(&a, &bt);
+            let runs: Vec<(Matrix<f32>, Matrix<f32>)> = pool(threads).install(|| {
+                let runs = levels
+                    .iter()
+                    .map(|&level| {
+                        simd::set_override(Some(level));
+                        (gemm(&a, &b), gemm_nt(&a, &bt))
+                    })
+                    .collect();
                 simd::set_override(None);
-                (sg, sn, vg, vn)
+                runs
             });
-            assert_bits_eq(
-                &v_gemm,
-                &s_gemm,
-                &format!("cross-mode gemm {m}x{k}x{n} threads {threads}"),
-            );
-            assert_bits_eq(
-                &v_nt,
-                &s_nt,
-                &format!("cross-mode gemm_nt {m}x{k}x{n} threads {threads}"),
-            );
+            let (s_gemm, s_nt) = &runs[0];
+            for (level, (v_gemm, v_nt)) in levels.iter().zip(&runs).skip(1) {
+                let level = level.name();
+                assert_bits_eq(
+                    v_gemm,
+                    s_gemm,
+                    &format!("{level} vs scalar gemm {m}x{k}x{n} threads {threads}"),
+                );
+                assert_bits_eq(
+                    v_nt,
+                    s_nt,
+                    &format!("{level} vs scalar gemm_nt {m}x{k}x{n} threads {threads}"),
+                );
+            }
         }
     }
 }
@@ -206,20 +231,21 @@ fn packed_f16_output_matches_naive_rounding() {
     }
 }
 
-/// Encodes `src` with [`pack::encode_slice`] under both forced dispatch
-/// modes and checks every output against per-element `Half::from_f32`.
-fn assert_encode_matches_from_f32(src: &[f32]) {
+/// Encodes `src` with [`pack::encode_slice`] at each of `levels` and
+/// checks every output against per-element `Half::from_f32`.
+fn assert_encode_matches_from_f32(src: &[f32], levels: &[Level]) {
     let want: Vec<u16> = src.iter().map(|&v| Half::from_f32(v).to_bits()).collect();
     let mut dst = vec![Half::ZERO; src.len()];
-    for simd_on in [false, true] {
-        simd::set_override(Some(simd_on));
+    for &level in levels {
+        simd::set_override(Some(level));
         pack::encode_slice(src, &mut dst);
         for (i, (d, w)) in dst.iter().zip(&want).enumerate() {
             assert_eq!(
                 d.to_bits(),
                 *w,
-                "encode of {:#010x} (simd {simd_on})",
-                src[i].to_bits()
+                "encode of {:#010x} ({})",
+                src[i].to_bits(),
+                level.name()
             );
         }
     }
@@ -242,17 +268,18 @@ fn encode_slice_matches_from_f32_at_every_rounding_boundary() {
     let src: Vec<f32> = (0..=u16::MAX as u32)
         .flat_map(|hi| lows.iter().map(move |lo| f32::from_bits(hi << 16 | lo)))
         .collect();
-    assert_encode_matches_from_f32(&src);
+    assert_encode_matches_from_f32(&src, &supported_levels());
 }
 
 #[test]
 #[ignore = "all 2^32 inputs; run in release"]
 fn encode_slice_matches_from_f32_over_every_f32() {
     const CHUNK: u64 = 1 << 22;
+    let levels = supported_levels();
     for start in (0..1u64 << 32).step_by(CHUNK as usize) {
         let src: Vec<f32> = (start..start + CHUNK)
             .map(|bits| f32::from_bits(bits as u32))
             .collect();
-        assert_encode_matches_from_f32(&src);
+        assert_encode_matches_from_f32(&src, &levels);
     }
 }
