@@ -19,6 +19,10 @@ pub fn init_threads(threads: Option<usize>) {
 }
 
 /// Number of threads the parallel layer will actually use.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the study binaries report the pool width; no work is split by it"
+)]
 pub fn effective_threads() -> usize {
     rayon::current_num_threads()
 }

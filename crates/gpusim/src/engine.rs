@@ -325,7 +325,7 @@ fn waterfill(demands: &[usize], capacity: usize) -> Vec<usize> {
 #[derive(PartialEq, PartialOrd)]
 struct OrderedF64(f64);
 impl Eq for OrderedF64 {}
-#[allow(
+#[expect(
     clippy::derive_ord_xor_partial_ord,
     reason = "total order over finite times, consistent with the derived PartialOrd"
 )]
@@ -479,7 +479,7 @@ impl Gpu {
         loop {
             // Admit the head kernel of every stream that has none active
             // and whose dependencies have all completed.
-            #[allow(clippy::needless_range_loop, reason = "q indexes two arrays")]
+            #[expect(clippy::needless_range_loop, reason = "q indexes two arrays")]
             for q in 0..self.queues.len() {
                 let has_active = active.iter().any(|a| a.queue == q);
                 if !has_active && cursors[q] < self.queues[q].len() {

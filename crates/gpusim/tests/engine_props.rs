@@ -130,7 +130,7 @@ proptest! {
 #[derive(PartialEq, PartialOrd)]
 struct Time(f64);
 impl Eq for Time {}
-#[allow(
+#[expect(
     clippy::derive_ord_xor_partial_ord,
     reason = "total order over finite times, consistent with the derived PartialOrd"
 )]

@@ -3,38 +3,13 @@
 use std::fmt;
 use std::path::PathBuf;
 
-/// Stable lint codes. `D` codes guard the determinism contract the
-/// MG_THREADS=1 bit-equality CI gates rely on; `H` codes are hard
-/// hygiene requirements of the workspace; `U` codes confine `unsafe`
-/// to its one sanctioned module; `A` codes police the suppression
-/// mechanism itself. Names are never reused: `H2` and `H4` (checks of
-/// a retired `parallel` cargo feature) and `D3` (unseeded RNG, whose
-/// names the vendored `rand` cannot resolve) stay unassigned, and `D1`
-/// and `D2` (hash-ordered collections, wall clocks) moved to the
-/// `disallowed-types` list of the workspace `clippy.toml`.
+/// Stable lint codes: `P1` guards the packed-panel hot path, `C1` the
+/// twin-aspect kernel contract, and the `A` codes police the
+/// suppression mechanism itself. Names are never reused: every retired
+/// code (listed in `CODES.md`) stays unassigned, so an old directive
+/// naming one is audited as unknown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LintCode {
-    /// Flow-sensitive float-reduction-order hazard: a chunked traversal
-    /// whose chunk geometry derives from the runtime thread count,
-    /// inside a function that accumulates floats — the combine order
-    /// (and therefore the rounding) changes with `MG_THREADS`.
-    D4,
-    /// Panic-reachable parallel region: `unwrap()`, `panic!`, `todo!`,
-    /// or `unimplemented!` inside (or reachable from) a `par::`
-    /// callback — a mid-batch worker panic tears the pool down in
-    /// thread-count-dependent order.
-    D5,
-    /// Missing `#![forbid(unsafe_code)]` in a crate's `lib.rs`.
-    H1,
-    /// `print!`/`println!`/`eprint!`/`eprintln!` (and `dbg!`, `todo!`,
-    /// `unimplemented!`) in library code outside `crates/bench`.
-    H3,
-    /// Malformed suppression: `mg-lint: allow(...)` without a reason,
-    /// or with an unknown code.
-    A1,
-    /// Suppression that suppressed nothing — stale allows must be
-    /// removed, or the audit trail rots.
-    A2,
     /// Per-element `Half::to_f32` decode inside a loop in
     /// `crates/kernels`: the packed-panel helpers
     /// (`mg_tensor::pack`) are the sanctioned route for the numeric
@@ -45,28 +20,19 @@ pub enum LintCode {
     /// vice versa) — a kernel must never ship unpriced, and a profile
     /// must never price a kernel that no longer exists.
     C1,
-    /// Unsafe-confinement violation: an `unsafe` token anywhere
-    /// outside `crates/tensor/src/simd.rs` (the one sanctioned unsafe
-    /// surface, the explicit-SIMD layer), or an `unsafe` inside
-    /// `simd.rs` without a `// SAFETY:` comment justifying it.
-    U1,
+    /// Malformed suppression: `mg-lint: allow(...)` without a reason,
+    /// or with an unknown code.
+    A1,
+    /// Suppression that suppressed nothing — stale allows must be
+    /// removed, or the audit trail rots.
+    A2,
 }
 
 impl LintCode {
     /// All codes, in severity-report order.
-    pub const ALL: [LintCode; 9] = [
-        LintCode::D4,
-        LintCode::D5,
-        LintCode::H1,
-        LintCode::H3,
-        LintCode::U1,
-        LintCode::P1,
-        LintCode::C1,
-        LintCode::A1,
-        LintCode::A2,
-    ];
+    pub const ALL: [LintCode; 4] = [LintCode::P1, LintCode::C1, LintCode::A1, LintCode::A2];
 
-    /// Parses a code name (`"D4"`), case-sensitively.
+    /// Parses a code name (`"P1"`), case-sensitively.
     pub fn parse(s: &str) -> Option<LintCode> {
         LintCode::ALL.into_iter().find(|c| c.as_str() == s)
     }
@@ -74,28 +40,18 @@ impl LintCode {
     /// The stable textual name.
     pub fn as_str(&self) -> &'static str {
         match self {
-            LintCode::D4 => "D4",
-            LintCode::D5 => "D5",
-            LintCode::H1 => "H1",
-            LintCode::H3 => "H3",
-            LintCode::A1 => "A1",
-            LintCode::A2 => "A2",
             LintCode::P1 => "P1",
             LintCode::C1 => "C1",
-            LintCode::U1 => "U1",
+            LintCode::A1 => "A1",
+            LintCode::A2 => "A2",
         }
     }
 
     /// Whether an `// mg-lint: allow(..)` comment may silence this
-    /// code. Structural requirements (H1, U1) and the
-    /// allow-audit codes themselves (A1, A2) can only be fixed, not
-    /// waived — in particular U1: the unsafe-confinement contract is
-    /// precisely the thing a per-line waiver would dissolve.
+    /// code. The allow-audit codes (A1, A2) can only be fixed, not
+    /// waived.
     pub fn suppressible(&self) -> bool {
-        matches!(
-            self,
-            LintCode::D4 | LintCode::D5 | LintCode::H3 | LintCode::P1 | LintCode::C1
-        )
+        matches!(self, LintCode::P1 | LintCode::C1)
     }
 }
 
@@ -194,8 +150,8 @@ mod tests {
 
     #[test]
     fn well_formed_directive_parses() {
-        let d = parse_directive("mg-lint: allow(H3): CLI-facing report", 10, false).unwrap();
-        assert_eq!(d.code, Some(LintCode::H3));
+        let d = parse_directive("mg-lint: allow(C1): family-shared profile", 10, false).unwrap();
+        assert_eq!(d.code, Some(LintCode::C1));
         assert!(d.has_reason);
         assert_eq!(d.target_line, 10);
     }
@@ -208,14 +164,16 @@ mod tests {
 
     #[test]
     fn bare_and_unknown_directives_are_flagged_not_ignored() {
-        let bare = parse_directive("mg-lint: allow(H3)", 1, false).unwrap();
+        let bare = parse_directive("mg-lint: allow(P1)", 1, false).unwrap();
         assert!(!bare.has_reason);
         let unknown = parse_directive("mg-lint: allow(Z9): whatever", 1, false).unwrap();
         assert_eq!(unknown.code, None);
         // Retired codes parse as unknown: their directives are audited.
-        let retired = parse_directive("mg-lint: allow(D1): lookup-only map", 1, false).unwrap();
-        assert_eq!(retired.code, None);
-        let empty = parse_directive("mg-lint: allow(H3):   ", 1, false).unwrap();
+        for retired in ["D1", "D4", "D5", "H1", "H3", "U1"] {
+            let d = parse_directive(&format!("mg-lint: allow({retired}): waived"), 1, false);
+            assert_eq!(d.unwrap().code, None, "{retired}");
+        }
+        let empty = parse_directive("mg-lint: allow(P1):   ", 1, false).unwrap();
         assert!(!empty.has_reason);
         assert!(parse_directive("just a comment", 1, false).is_none());
     }

@@ -23,8 +23,8 @@ pub enum TokKind {
 /// One token with its 1-based source line.
 #[derive(Debug, Clone)]
 pub struct Tok {
-    /// Token text. Number literals keep their raw source text (the flow
-    /// passes need to see `0.0f32`); string literals keep their text
+    /// Token text. Number literals keep their raw source text
+    /// (`0.0f32`); string literals keep their text
     /// *with the surrounding quotes* so they can never collide with an
     /// identifier or punctuation match; char and lifetime literals are
     /// collapsed to an empty placeholder.
@@ -365,12 +365,12 @@ mod tests {
 
     #[test]
     fn comments_record_trailing_position() {
-        let src = "let x = 1; // mg-lint: allow(H3): reason\n// alone\nlet y = 2;\n";
+        let src = "let x = 1; // mg-lint: allow(P1): reason\n// alone\nlet y = 2;\n";
         let lexed = lex(src);
         assert_eq!(lexed.comments.len(), 2);
         assert!(lexed.line_has_code(1));
         assert!(!lexed.line_has_code(2));
-        assert_eq!(lexed.comments[0].text, "mg-lint: allow(H3): reason");
+        assert_eq!(lexed.comments[0].text, "mg-lint: allow(P1): reason");
     }
 
     #[test]

@@ -1,26 +1,20 @@
-//! # mg-lint — the determinism contract, statically enforced
+//! # mg-lint — the kernel-crate rules no compiler lint expresses
 //!
-//! Every headline number this workspace produces (who-wins crossovers,
-//! tuned-vs-fixed tables, the `MG_THREADS=1` bit-equality CI gates)
-//! rests on one promise: **the same inputs produce the same bits, on
-//! any machine, at any thread count**. Runtime spot checks can only
-//! sample that promise; this crate proves a useful chunk of it
-//! statically, by scanning every workspace crate for the constructs
-//! that historically break it.
+//! Every headline number this workspace produces rests on one promise:
+//! **the same inputs produce the same bits, on any machine, at any
+//! thread count**. Most of that contract is enforced by the compiler
+//! and by tests (see the table below); this crate keeps the two rules
+//! that neither can express, both about `crates/kernels`, plus the
+//! audit of its own suppressions.
 //!
-//! The analyzer runs in two stages, built from scratch on a
-//! hand-rolled lexer (the build environment has no registry access, so
-//! no `syn`). **Stage one** ([`ir`]) indexes every file: functions
-//! with their bodies and call sites, and function-scoped `let` bindings
-//! carrying type facts (float, thread-count-derived);
-//! [`callgraph`] stitches the call sites into a workspace call graph by
-//! conservative name matching. **Stage two** ([`passes`]) runs the
-//! rules over that IR — the lexical rules plus the flow-sensitive and
-//! workspace-level ones the IR makes possible.
-//! The analyzer is honest about being an over-approximation: anything
-//! it cannot prove safe is a finding, and the escape hatch is an
-//! *audited* suppression comment on the offending line (or the line
-//! directly above):
+//! The analyzer is built from scratch on a hand-rolled lexer (the build
+//! environment has no registry access, so no `syn`). **Stage one**
+//! ([`ir`]) indexes every file: its `fn` items and two token masks
+//! (test code, loop bodies). **Stage two** ([`passes`]) runs the rules
+//! over that index. The analyzer is honest about being an
+//! over-approximation: anything it cannot prove fine is a finding, and
+//! the escape hatch is an *audited* suppression comment on the
+//! offending line (or the line directly above):
 //!
 //! ```text
 //! // mg-lint: allow(P1): single score decode, not an operand sweep
@@ -28,36 +22,29 @@
 //!
 //! | Code | Meaning |
 //! |------|---------|
-//! | D4 | thread-count-derived chunk geometry feeding a float combine |
-//! | D5 | panic source reachable from a `par::` callback |
-//! | H1 | missing `#![forbid(unsafe_code)]` in a crate's `lib.rs` |
-//! | H3 | `print!`-family, `dbg!`, `todo!`, `unimplemented!` in library code |
-//! | U1 | `unsafe` outside `crates/tensor/src/simd.rs`, or in it without `// SAFETY:` |
 //! | P1 | per-element `Half::to_f32` inside a loop in `crates/kernels` |
 //! | C1 | unpaired `*_compute` / `*_profile` kernel in `crates/kernels` |
 //! | A1 | bare/unknown/non-suppressible `allow` directive |
 //! | A2 | `allow` directive that suppressed nothing |
 //!
-//! The type bans (`HashMap`/`HashSet`, `Instant`/`SystemTime`) are not
-//! mg-lint codes: they are `disallowed-types` in the workspace
-//! `clippy.toml`, which resolves paths and aliases and covers tests and
-//! examples too. `D1`–`D3` are retired; see `CODES.md`.
+//! P1 and C1 are suppressible with a reasoned `allow`; the A-codes
+//! audit the allows themselves and cannot be waived.
 //!
-//! D-codes, H3, P1, and C1 are suppressible with a reasoned `allow`;
-//! H1 and U1 are structural and must be fixed; A-codes audit the
-//! allows themselves. U1 pairs with a relaxed H1: `mg-tensor`'s
-//! `lib.rs` alone may use `#![deny(unsafe_code)]` (so the explicit-SIMD
-//! module can lift it with a scoped allow), and U1 then confines every
-//! `unsafe` token to that module and requires a `// SAFETY:` comment on
-//! each use. The static half is paired with a dynamic one: the
-//! `dsan` feature of `mg-tensor` shadows every partitioned mutation at
-//! runtime and asserts the chunks were disjoint and covering — what D4
-//! and D5 over-approximate, `dsan` witnesses exactly.
+//! What enforces the rest of the contract (`CODES.md` lists the
+//! retired codes):
+//!
+//! | Rule | Enforced by |
+//! |------|-------------|
+//! | no hash-ordered collections, no wall clocks | `clippy.toml` `disallowed-types` |
+//! | no thread count in library code | `clippy.toml` `disallowed-methods` |
+//! | `unsafe` only in `crates/tensor/src/simd.rs`, each use documented | the workspace lint table (`unsafe_code`, `undocumented_unsafe_blocks`) and `missing_safety_doc` |
+//! | no prints or development macros in library code | CI's `cargo clippy --workspace --lib` run |
+//! | a worker panic surfaces the lowest index's payload | the `par` panic tests in `mg-tensor` |
+//! | partitioned mutation is disjoint and covering | the `dsan` feature of `mg-tensor` |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod callgraph;
 pub mod diag;
 pub mod ir;
 pub mod lexer;
@@ -67,7 +54,7 @@ pub mod rustlint;
 
 pub use diag::{Diagnostic, LintCode};
 pub use passes::FileCtx;
-pub use rustlint::{lint_rust, FileClass};
+pub use rustlint::lint_rust;
 
 use manifest::{package_name, workspace_members};
 use rustlint::apply_suppressions;
@@ -114,8 +101,7 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
         for file in paths {
             let src =
                 std::fs::read_to_string(&file).map_err(|e| format!("{}: {e}", file.display()))?;
-            let class = classify(&src_dir, &file, &crate_name);
-            files.push(FileCtx::new(rel(root, &file), &src, class));
+            files.push(FileCtx::new(rel(root, &file), &src, &crate_name));
         }
     }
 
@@ -133,17 +119,6 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
         (path_key(&a.file), a.line, a.code).cmp(&(path_key(&b.file), b.line, b.code))
     });
     Ok(findings)
-}
-
-/// Derives a file's [`FileClass`] from its path under `src/`.
-fn classify(src_dir: &Path, file: &Path, crate_name: &str) -> FileClass {
-    let rel = file.strip_prefix(src_dir).unwrap_or(file);
-    let is_bin = rel.starts_with("bin") || rel == Path::new("main.rs");
-    FileClass {
-        crate_name: crate_name.to_string(),
-        is_bin,
-        is_lib_rs: rel == Path::new("lib.rs"),
-    }
 }
 
 /// Recursively collects `.rs` files under `dir`.
@@ -223,7 +198,7 @@ mod tests {
     #[test]
     fn json_escaping_is_sound_and_paths_are_normalized() {
         let d = Diagnostic {
-            code: LintCode::H3,
+            code: LintCode::P1,
             file: PathBuf::from("a\\b.rs"),
             line: 3,
             message: "say \"hi\"\n".to_string(),

@@ -30,7 +30,7 @@ pub fn run(files: &[FileCtx], per_file: &mut [Vec<Diagnostic>]) {
     // twin) collapse to the first declaration.
     let mut stems: BTreeMap<String, (Option<Site>, Option<Site>)> = BTreeMap::new();
     for (idx, file) in files.iter().enumerate() {
-        if file.class.crate_name != KERNELS_CRATE || file.class.is_bin {
+        if file.crate_name != KERNELS_CRATE {
             continue;
         }
         for f in &file.ir.fns {

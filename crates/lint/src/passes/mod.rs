@@ -1,12 +1,9 @@
-//! Stage two: the analysis passes, each a module over the shared IR.
+//! Stage two: the analysis passes, each a module over the shared index.
 //!
-//! * [`lexical`] — the per-file token-shape rules (H1, H3, P1);
-//! * [`flow`] — the flow-sensitive determinism rules (D4 chunk-order
-//!   float combines, D5 panic-reachable parallel regions);
+//! * [`lexical`] — P1, per-element FP16 decode in a `crates/kernels`
+//!   loop;
 //! * [`coverage`] — C1, the `*_compute` ↔ `*_profile` pairing gate for
-//!   `crates/kernels`;
-//! * [`unsafety`] — U1, confinement of `unsafe` to the explicit-SIMD
-//!   module and the `// SAFETY:` justification requirement inside it.
+//!   `crates/kernels`.
 //!
 //! [`run_all`] is the orchestration point shared by the single-file
 //! entry (`lint_rust`, used by the fixture corpus) and the workspace
@@ -14,15 +11,11 @@
 //! so the caller can apply suppression directives file by file.
 
 pub mod coverage;
-pub mod flow;
 pub mod lexical;
-pub mod unsafety;
 
-use crate::callgraph::CallGraph;
 use crate::diag::Diagnostic;
 use crate::ir::FileIr;
 use crate::lexer::{lex, Lexed};
-use crate::rustlint::FileClass;
 use std::path::PathBuf;
 
 /// One indexed source file: everything a pass needs to know about it.
@@ -30,22 +23,23 @@ use std::path::PathBuf;
 pub struct FileCtx {
     /// Path as it should appear in diagnostics (workspace-relative).
     pub path: PathBuf,
-    /// Workspace position of the file.
-    pub class: FileClass,
+    /// Package name of the owning crate (e.g. `mg-kernels`): both
+    /// rules apply to one crate only.
+    pub crate_name: String,
     /// Token stream and retained comments.
     pub lexed: Lexed,
-    /// Stage-one IR.
+    /// Stage-one index.
     pub ir: FileIr,
 }
 
 impl FileCtx {
     /// Lexes and indexes one source file.
-    pub fn new(path: PathBuf, src: &str, class: FileClass) -> FileCtx {
+    pub fn new(path: PathBuf, src: &str, crate_name: &str) -> FileCtx {
         let lexed = lex(src);
         let ir = FileIr::build(&lexed.toks);
         FileCtx {
             path,
-            class,
+            crate_name: crate_name.to_string(),
             lexed,
             ir,
         }
@@ -56,14 +50,10 @@ impl FileCtx {
 /// (suppressions not yet applied) grouped per file, parallel to
 /// `files`.
 pub fn run_all(files: &[FileCtx]) -> Vec<Vec<Diagnostic>> {
-    let graph = CallGraph::build(files);
     let mut per_file: Vec<Vec<Diagnostic>> = (0..files.len()).map(|_| Vec::new()).collect();
     for (idx, file) in files.iter().enumerate() {
         lexical::run(file, &mut per_file[idx]);
-        unsafety::run(file, &mut per_file[idx]);
     }
-    flow::run_d4(files, &mut per_file);
-    flow::run_d5(files, &graph, &mut per_file);
     coverage::run(files, &mut per_file);
     per_file
 }

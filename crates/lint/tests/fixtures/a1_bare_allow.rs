@@ -1,13 +1,18 @@
-// Known-bad: suppressions that fail the audit (A1 at lines 5, 8, 11).
-pub fn f(n: usize) -> usize {
-    // A bare allow with no reason cannot be audited. The H3 it sits on
-    // still fires (line 6).
-    // mg-lint: allow(H3)
-    println!("{n}");
+// Known-bad: suppressions that fail the audit (A1 at lines 6, 10, 13, 16).
+pub fn f(xs: &[Half], out: &mut [f32]) -> usize {
+    for (o, x) in out.iter_mut().zip(xs) {
+        // A bare allow with no reason cannot be audited. The P1 it sits
+        // on still fires (line 7).
+        // mg-lint: allow(P1)
+        *o = x.to_f32();
+    }
     // An unknown code is a typo, not a waiver.
     // mg-lint: allow(Z9): not a real code
-    let m = n + 1;
-    // Structural requirements cannot be waived at all.
-    // mg-lint: allow(H1): please look away
-    m
+    let m = out.len();
+    // A retired code is unknown too: its rule lives in the compiler now.
+    // mg-lint: allow(H3): this print is intentional
+    let n = m + 1;
+    // The allow audit itself cannot be waived.
+    // mg-lint: allow(A2): please look away
+    n
 }

@@ -6,10 +6,11 @@
 //! to a closure, the chunks must be **pairwise disjoint** and must
 //! **cover the buffer** — otherwise two workers race on the overlap
 //! (order decided by the scheduler) or a gap keeps stale data, and
-//! either way the output depends on the thread count. mg-lint's D4/D5
-//! over-approximate that hazard statically; this module witnesses it
-//! exactly at runtime, ThreadSanitizer-style but specialized to the
-//! ordered-chunk model.
+//! either way the output depends on the thread count. Statically,
+//! `clippy.toml`'s `disallowed-methods` keeps the thread count out of
+//! library code, so no chunk geometry can derive from it; this module
+//! witnesses the invariant itself at runtime, ThreadSanitizer-style but
+//! specialized to the ordered-chunk model.
 //!
 //! With the `dsan` cargo feature on, every `par` partitioned-mutation
 //! helper records each chunk's half-open write range into a

@@ -20,12 +20,10 @@
 //! ```
 
 #![warn(missing_docs)]
-// `deny` instead of `forbid` for exactly one reason: the [`simd`] module
-// carries a module-scoped `#![allow(unsafe_code)]` for its std::arch
-// intrinsic calls (a `forbid` here could not be overridden). Every other
-// module stays unsafe-free, every crate above this one keeps `forbid`,
-// and mg-lint's U1 pass enforces the confinement workspace-wide.
-#![deny(unsafe_code)]
+// No `#![forbid(unsafe_code)]` here, unlike every other crate root: the
+// workspace lint table denies `unsafe_code`, and the [`simd`] module
+// lifts it with a module-scoped `expect` for its std::arch intrinsic
+// calls (a `forbid` here could not be lifted).
 
 pub mod dsan;
 mod gemm;

@@ -77,17 +77,23 @@
 //! ## Unsafe confinement contract
 //!
 //! This module is the **only** place in the workspace allowed to contain
-//! `unsafe` (the intrinsic calls and the raw-pointer loads they need):
-//! the crate root is `#![deny(unsafe_code)]` with a module-scoped allow
-//! here, every crate above mg-tensor keeps `#![forbid(unsafe_code)]`,
-//! and mg-lint's `U1` pass enforces both statically — any `unsafe`
-//! outside this file, or a use inside it without a `// SAFETY:` comment,
-//! is a deny-level finding. Every safe wrapper below validates the slice
-//! geometry *before* entering the intrinsics, so the unsafe surface is a
-//! handful of bounds-proved loads and stores.
-#![allow(
-    unsafe_code,
-    reason = "std::arch intrinsics; U1 confines unsafe to this module and requires SAFETY comments"
+//! `unsafe` (the intrinsic calls and the raw-pointer loads they need).
+//! The compiler enforces that: the workspace lint table in the root
+//! `Cargo.toml` denies `unsafe_code` in every member crate and target,
+//! this module alone lifts it with the `expect` below, and every crate
+//! root other than mg-tensor's also says `#![forbid(unsafe_code)]`.
+//! Clippy's `undocumented_unsafe_blocks` requires a `// SAFETY:` comment
+//! on each unsafe block, and `missing_safety_doc` (with
+//! `check-private-items` in `clippy.toml`) a `# Safety` section on each
+//! `unsafe fn`. Every safe wrapper below validates the slice geometry
+//! *before* entering the intrinsics, so the unsafe surface is a handful
+//! of bounds-proved loads and stores.
+#![cfg_attr(
+    target_arch = "x86_64",
+    expect(
+        unsafe_code,
+        reason = "std::arch intrinsics; the workspace denies unsafe_code everywhere else"
+    )
 )]
 
 use crate::gemm::NR;
@@ -414,9 +420,11 @@ mod avx2 {
         };
     }
 
-    // SAFETY: callers (the dispatch wrappers) verified AVX2 is available
-    // and that `j0 + SPAN <= n` and `a_f.len() * n <= bp.len()`, so every
-    // load below is in bounds.
+    /// # Safety
+    ///
+    /// AVX2 must be available, and `j0 + SPAN <= n` and
+    /// `a_f.len() * n <= bp.len()` must hold, so every load below is in
+    /// bounds. The dispatch wrappers check all three.
     #[target_feature(enable = "avx2")]
     pub unsafe fn row_panel_span<const SKIP_ZEROS: bool>(
         a_f: &[f32],
@@ -467,9 +475,11 @@ mod avx2 {
         }
     }
 
-    // SAFETY: callers verified AVX2, `a0_f.len() == a1_f.len()`,
-    // `j0 + SPAN <= n`, and `a0_f.len() * n <= bp.len()`, so every load
-    // below is in bounds for both rows.
+    /// # Safety
+    ///
+    /// AVX2 must be available, and `a0_f.len() == a1_f.len()`,
+    /// `j0 + SPAN <= n` and `a0_f.len() * n <= bp.len()` must hold, so
+    /// every load below is in bounds for both rows.
     #[target_feature(enable = "avx2")]
     pub unsafe fn row_panel_span2<const SKIP_ZEROS: bool>(
         a0_f: &[f32],
@@ -538,8 +548,10 @@ mod avx2 {
         }
     }
 
-    // SAFETY: callers verified AVX2 and `j0 + NR <= n`,
-    // `a_f.len() * n <= bp.len()`.
+    /// # Safety
+    ///
+    /// AVX2 must be available, and `j0 + NR <= n` and
+    /// `a_f.len() * n <= bp.len()` must hold.
     #[target_feature(enable = "avx2")]
     pub unsafe fn row_panel_block<const SKIP_ZEROS: bool>(
         a_f: &[f32],
@@ -562,8 +574,10 @@ mod avx2 {
         unsafe { _mm256_storeu_ps(out.as_mut_ptr(), acc) };
     }
 
-    // SAFETY: callers verified AVX2 and that every lane is exactly
-    // `a.len()` long.
+    /// # Safety
+    ///
+    /// AVX2 must be available, and every lane must be exactly `a.len()`
+    /// long.
     #[target_feature(enable = "avx2")]
     pub unsafe fn dot_rows_block(a: &[f32], lanes: &[&[f32]; NR]) -> [f32; NR] {
         let p: [*const f32; NR] = std::array::from_fn(|j| lanes[j].as_ptr());
@@ -591,8 +605,11 @@ mod avx2 {
         store8(acc)
     }
 
-    // SAFETY: callers verified AVX2 and `src.len() == dst.len()`; gather
-    // indices are zero-extended u16s, always inside the 2^16-entry LUT.
+    /// # Safety
+    ///
+    /// AVX2 must be available, and `src.len() == dst.len()` must hold.
+    /// The gather indices are zero-extended u16s, always inside the
+    /// 2^16-entry LUT.
     #[target_feature(enable = "avx2")]
     pub unsafe fn decode_f16(src: &[Half], dst: &mut [f32]) {
         let lut = crate::half::f16_lut().as_ptr();
@@ -618,7 +635,10 @@ mod avx2 {
         }
     }
 
-    // SAFETY: callers verified AVX2 and F16C and `src.len() == dst.len()`.
+    /// # Safety
+    ///
+    /// AVX2 and F16C must be available, and `src.len() == dst.len()` must
+    /// hold.
     #[target_feature(enable = "avx2,f16c")]
     pub unsafe fn encode_f16(src: &[f32], dst: &mut [Half]) {
         let n = src.len();
@@ -640,7 +660,9 @@ mod avx2 {
         }
     }
 
-    // SAFETY: caller must have AVX2 enabled (all callers here do).
+    /// # Safety
+    ///
+    /// AVX2 must be available (all callers here run with it enabled).
     #[target_feature(enable = "avx2")]
     unsafe fn store8(v: __m256) -> [f32; NR] {
         let mut out = [0.0f32; NR];
@@ -663,8 +685,11 @@ mod avx512 {
     /// Lanes per `zmm` register: a SPAN-wide window is two of them.
     const LANES: usize = SPAN / 2;
 
-    // SAFETY: callers verified AVX-512F, `1 <= out.len() <= GROUP`,
-    // `a.len() == out.len() * k`, `j0 + SPAN <= n` and `k * n <= bp.len()`.
+    /// # Safety
+    ///
+    /// AVX-512F must be available, and `1 <= out.len() <= GROUP`,
+    /// `a.len() == out.len() * k`, `j0 + SPAN <= n` and
+    /// `k * n <= bp.len()` must hold.
     #[target_feature(enable = "avx512f")]
     pub unsafe fn row_panel_span_group<const SKIP_ZEROS: bool>(
         a: &[f32],
@@ -691,7 +716,9 @@ mod avx512 {
         }
     }
 
-    // SAFETY: as `row_panel_span_group`, with `out.len() == R`.
+    /// # Safety
+    ///
+    /// As `row_panel_span_group`, with `out.len() == R`.
     #[target_feature(enable = "avx512f")]
     #[inline]
     unsafe fn rows<const SKIP_ZEROS: bool, const R: usize>(

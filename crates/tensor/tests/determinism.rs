@@ -60,6 +60,83 @@ fn one_thread_runs_every_callback_inline_in_index_order() {
     });
 }
 
+/// Items per panic case, and the sets of items that panic.
+const PANIC_ITEMS: usize = 32;
+const PANIC_SETS: [&[usize]; 5] = [&[3], &[3, 17], &[0, 31], &[5, 6, 7, 30], &[29, 2]];
+
+/// Runs `work` under a `threads`-wide pool and returns the index its
+/// panic carried (items panic with their index as the payload).
+fn caught_index(threads: usize, work: impl FnOnce()) -> usize {
+    let payload =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool(threads).install(work)))
+            .expect_err("a panicking item must fail the whole call");
+    *payload.downcast::<usize>().expect("an item index payload")
+}
+
+/// Part bounds over `PANIC_ITEMS` parts of sizes 0, 1, 2, 0, 1, 2, ...
+fn part_bounds(offset: usize) -> Vec<usize> {
+    let mut bounds = vec![0];
+    for i in 0..PANIC_ITEMS {
+        bounds.push(bounds[i] + (i + offset) % 3);
+    }
+    bounds
+}
+
+/// The rayon shim joins chunks in index order and resumes the first
+/// payload, so the lowest panicking index wins at any thread count: a
+/// worker panic surfaces the same way whatever `MG_THREADS` is.
+#[test]
+fn par_panics_surface_the_lowest_index_at_any_thread_count() {
+    for set in PANIC_SETS {
+        let check = |i: usize| {
+            if set.contains(&i) {
+                std::panic::panic_any(i);
+            }
+        };
+        let lowest = *set.iter().min().unwrap();
+        for threads in [1, 2, 3, 4, 8] {
+            let got = [
+                caught_index(threads, || {
+                    par::map_indexed(PANIC_ITEMS, check);
+                }),
+                caught_index(threads, || {
+                    let mut data = vec![0u8; 2 * PANIC_ITEMS];
+                    par::for_each_chunk_mut(&mut data, 2, |i, _| check(i));
+                }),
+                caught_index(threads, || {
+                    let bounds = part_bounds(0);
+                    let mut data = vec![0u8; bounds[PANIC_ITEMS]];
+                    par::for_each_part_mut(&mut data, &bounds, |i, _| check(i));
+                }),
+                caught_index(threads, || {
+                    let (a_bounds, b_bounds) = (part_bounds(0), part_bounds(1));
+                    let mut a = vec![0u8; a_bounds[PANIC_ITEMS]];
+                    let mut b = vec![0u16; b_bounds[PANIC_ITEMS]];
+                    par::for_each_part_mut2(&mut a, &a_bounds, &mut b, &b_bounds, |i, _, _| {
+                        check(i)
+                    });
+                }),
+            ];
+            assert_eq!(got, [lowest; 4], "set {set:?}, threads={threads}");
+        }
+    }
+}
+
+/// `rayon::join` runs `a` on the calling thread: when both halves
+/// panic, `a`'s payload wins at any thread count.
+#[test]
+fn join_panics_surface_a_before_b() {
+    for threads in [1, 2, 4] {
+        let got = caught_index(threads, || {
+            rayon::join(
+                || std::panic::panic_any(0usize),
+                || std::panic::panic_any(1usize),
+            );
+        });
+        assert_eq!(got, 0, "threads={threads}");
+    }
+}
+
 fn bits_f32(m: &Matrix<f32>) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
